@@ -15,7 +15,7 @@ from .docio import load, save, to_json
 from .errors import NotTotalError, ProbstructError
 from .fixtures import FIXTURES
 from .logic import Language, format_formula, parse_formula
-from .structures import bel, interval, is_total, plb, validate
+from .structures import bel, interval, plb, validate
 from .translate import (
     GenParams,
     ds_to_ic,
@@ -24,7 +24,6 @@ from .translate import (
     random_ic,
     random_total_ds,
 )
-from .measure import format_rational
 
 
 def cmd_validate(args) -> int:
@@ -38,21 +37,9 @@ def cmd_validate(args) -> int:
     return 2
 
 
-def cmd_interval(args) -> int:
+def cmd_query(args) -> int:
     st = load(args.file)
-    print(interval(st, parse_formula(args.formula, st.lang)))
-    return 0
-
-
-def cmd_bel(args) -> int:
-    st = load(args.file)
-    print(format_rational(bel(st, parse_formula(args.formula, st.lang))))
-    return 0
-
-
-def cmd_plb(args) -> int:
-    st = load(args.file)
-    print(format_rational(plb(st, parse_formula(args.formula, st.lang))))
+    print(args.query(st, parse_formula(args.formula, st.lang)))
     return 0
 
 
@@ -87,28 +74,20 @@ def cmd_fuzz(args) -> int:
     for i in range(args.iters):
         seed = args.seed + i
         params = GenParams(args.props, args.worlds, seed)
-
-        ic = random_ic(params)
-        lifted = ic_to_ds(ic)
-        report = equivalent(ic, lifted)
-        if report.equivalent and is_total(lifted):
-            report = equivalent(ic, ds_to_ic(lifted))
-        total += 1
-        if report.equivalent:
-            passed += 1
-        else:
-            _report_fuzz_failure("ic", seed, report)
-
-        ds = random_total_ds(params)
-        collapsed = ds_to_ic(ds)
-        report = equivalent(ds, collapsed)
-        if report.equivalent:
-            report = equivalent(ds, ic_to_ds(collapsed))
-        total += 1
-        if report.equivalent:
-            passed += 1
-        else:
-            _report_fuzz_failure("ds", seed, report)
+        for side, make, there, back in (
+            ("ic", random_ic, ic_to_ds, ds_to_ic),
+            ("ds", random_total_ds, ds_to_ic, ic_to_ds),
+        ):
+            st = make(params)
+            moved = there(st)
+            report = equivalent(st, moved)
+            if report.equivalent:
+                report = equivalent(st, back(moved))
+            total += 1
+            if report.equivalent:
+                passed += 1
+            else:
+                _report_fuzz_failure(side, seed, report)
 
     print(f"{passed}/{total} translation checks passed")
     return 0 if passed == total else 1
@@ -158,15 +137,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=cmd_validate)
 
-    for name, func, blurb in (
-        ("interval", cmd_interval, "lower and upper probability of a formula"),
-        ("bel", cmd_bel, "belief in a formula (ds structures)"),
-        ("plb", cmd_plb, "plausibility of a formula (ds structures)"),
+    for name, query, blurb in (
+        ("interval", interval, "lower and upper probability of a formula"),
+        ("bel", bel, "belief in a formula (ds structures)"),
+        ("plb", plb, "plausibility of a formula (ds structures)"),
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("file")
         p.add_argument("formula")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_query, query=query)
 
     p = sub.add_parser("translate", help="translate a structure to the other kind")
     p.add_argument("file")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 
 from .errors import DocumentError, ProbstructError
-from .logic import Formula, FormulaAlgebra, format_formula, Language, parse_formula
+from .logic import Formula, FormulaAlgebra, Language, format_formula, full_algebra, parse_formula
 from .measure import (
     MeasureFn,
     ProbabilitySpace,
@@ -203,7 +203,7 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
             raise DocumentError(
                 f"ds incidence must cover all {lang.n_atoms} atoms, got {len(image_of_atom)}"
             )
-        psi = FormulaAlgebra(lang, tuple(Formula(lang, 1 << k) for k in range(lang.n_atoms)))
+        psi = full_algebra(lang)
         images = tuple(image_of_atom[k] for k in range(lang.n_atoms))
         ps = ProbabilitySpace(space, chi, mu)
         return ProbabilityStructure(ps, lang, psi, IncidenceMap(space, images), StructureKind.DS)
@@ -211,14 +211,14 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
     blocks = [parse_formula(text, lang) for text in _name_list(raw["psi_basis"], '"psi_basis"')]
     psi = FormulaAlgebra(lang, tuple(blocks))
     mu = _measure_weights(raw["measure"], space.size)
+    index_of_block = {block.atoms: j for j, block in enumerate(blocks)}
     image_of_block: dict[int, WorldSet] = {}
     for f, names in items:
-        matches = [j for j, block in enumerate(blocks) if block == f]
-        if not matches:
+        j = index_of_block.get(f.atoms)
+        if j is None:
             raise DocumentError(
                 f"incidence key {format_formula(f)!r} is not a psi_basis block"
             )
-        j = matches[0]
         if j in image_of_block:
             raise DocumentError(f"duplicate incidence for block {format_formula(f)!r}")
         image_of_block[j] = _world_set(space, names, f"incidence of {format_formula(f)!r}")

@@ -15,6 +15,9 @@ Formula text follows this grammar (``~`` binds tightest, then ``&``, then
     term   := factor ('&' factor)*
     factor := '~' factor | '(' expr ')' | ident | 'true' | 'false'
 
+Any number of ``~`` may stand in a row, but parentheses nest at most
+``MAX_NESTING`` deep.
+
 ``format_formula`` prints the canonical form: the disjunction of the
 sentence's atoms in increasing index order, ``false`` for the empty set and
 ``true`` for the full set.
@@ -36,6 +39,7 @@ from .errors import (
 )
 
 MAX_PROPS = 16
+MAX_NESTING = 100  # deepest parenthesis nesting the parser accepts
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = frozenset({"true", "false"})
@@ -74,33 +78,6 @@ class Language:
         return (1 << self.n_atoms) - 1
 
 
-@dataclass(frozen=True)
-class Atom:
-    """One full conjunction: a sign for every proposition of the language."""
-
-    lang: Language
-    index: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < self.lang.n_atoms:
-            raise ValidationError(f"atom index {self.index} out of range")
-
-    def sign(self, prop_index: int) -> bool:
-        """True iff this atom makes proposition ``prop_index`` positive."""
-        return bool((self.index >> prop_index) & 1)
-
-    def formula(self) -> Formula:
-        return Formula(self.lang, 1 << self.index)
-
-    def __str__(self) -> str:
-        return _atom_text(self.lang, self.index)
-
-
-def atoms_of(lang: Language) -> list[Atom]:
-    """All atoms of the language in index order."""
-    return [Atom(lang, k) for k in range(lang.n_atoms)]
-
-
 def _atom_text(lang: Language, index: int) -> str:
     parts = []
     for j, name in enumerate(lang.props):
@@ -112,9 +89,8 @@ def _atom_text(lang: Language, index: int) -> str:
 class Formula:
     """A sentence in canonical form: the set of atoms on which it holds.
 
-    ``atoms`` is a bitmask over atom indices.  Connectives are available both
-    as operators (``~f``, ``f & g``, ``f | g``) and as the module functions
-    ``complement``, ``conjoin`` and ``disjoin``.
+    ``atoms`` is a bitmask over atom indices.  The connectives are the
+    operators ``~f``, ``f & g`` and ``f | g``.
     """
 
     lang: Language
@@ -175,21 +151,6 @@ def false_formula(lang: Language) -> Formula:
     return Formula(lang, 0)
 
 
-def complement(f: Formula) -> Formula:
-    """Negation: the atoms on which ``f`` fails."""
-    return ~f
-
-
-def conjoin(a: Formula, b: Formula) -> Formula:
-    """Conjunction: intersection of the atom sets."""
-    return a & b
-
-
-def disjoin(a: Formula, b: Formula) -> Formula:
-    """Disjunction: union of the atom sets."""
-    return a | b
-
-
 # --- parsing ---------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[~&|()]))")
@@ -233,6 +194,7 @@ class _Parser:
         self.lang = lang
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # parentheses open around the current position
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -270,28 +232,38 @@ class _Parser:
             mask &= self.factor()
 
     def factor(self) -> int:
+        # a run of '~' folds to its parity, so it costs no recursion
+        flip = 0
         kind, value, pos = self.next()
+        while value == "~":
+            flip ^= self.lang.full_mask
+            kind, value, pos = self.next()
         if kind == "op":
-            if value == "~":
-                return self.lang.full_mask ^ self.factor()
-            if value == "(":
-                mask = self.expr()
-                tok = self.peek()
-                if tok is None or tok[1] != ")":
-                    where = tok[2] if tok else len(self.text)
-                    raise FormulaSyntaxError("expected ')'", where)
-                self.next()
-                return mask
-            raise FormulaSyntaxError(f"unexpected token {value!r}", pos)
-        if value == "true":
-            return self.lang.full_mask
-        if value == "false":
-            return 0
-        try:
-            j = self.lang.props.index(value)
-        except ValueError:
-            raise UnknownPropositionError(value, pos) from None
-        return _prop_masks(self.lang)[j]
+            if value != "(":
+                raise FormulaSyntaxError(f"unexpected token {value!r}", pos)
+            if self.depth == MAX_NESTING:
+                raise FormulaSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", pos
+                )
+            self.depth += 1
+            mask = self.expr()
+            self.depth -= 1
+            tok = self.peek()
+            if tok is None or tok[1] != ")":
+                where = tok[2] if tok else len(self.text)
+                raise FormulaSyntaxError("expected ')'", where)
+            self.next()
+        elif value == "true":
+            mask = self.lang.full_mask
+        elif value == "false":
+            mask = 0
+        else:
+            try:
+                j = self.lang.props.index(value)
+            except ValueError:
+                raise UnknownPropositionError(value, pos) from None
+            mask = _prop_masks(self.lang)[j]
+        return flip ^ mask
 
 
 def parse_formula(text: str, lang: Language) -> Formula:
@@ -435,10 +407,5 @@ def basis_of(member_list: Iterable[Formula]) -> FormulaAlgebra:
                 "algebra is not closed under disjunction: missing "
                 f"{format_formula(Formula(lang, m1 | m2))}"
             )
-    algebra = generate_algebra([Formula(lang, m) for m in sorted(masks)], lang)
-    return algebra
+    return generate_algebra([Formula(lang, m) for m in sorted(masks)], lang)
 
-
-def algebra_member(algebra: FormulaAlgebra, f: Formula) -> bool:
-    """True iff ``f`` belongs to the algebra."""
-    return algebra.member(f)

@@ -18,8 +18,6 @@ from typing import Iterable
 
 from .errors import NotMeasurableError, ValidationError
 
-Rational = Fraction
-
 MAX_WORLDS = 64
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -128,7 +126,7 @@ class WorldSet:
         return "{" + ", ".join(self.names()) + "}"
 
 
-def _check_space(a: WorldSet, b: WorldSet) -> None:
+def _check_space(a, b) -> None:
     if a.space != b.space:
         raise ValidationError("world sets belong to different sample spaces")
 
@@ -158,17 +156,12 @@ class SetAlgebra:
             raise ValidationError("basis blocks do not cover every world")
 
     def member(self, x: WorldSet) -> bool:
-        _check_space_of(self, x)
+        _check_space(self, x)
         covered = 0
         for block in self.basis:
             if block.bits & ~x.bits == 0:
                 covered |= block.bits
         return covered == x.bits
-
-
-def _check_space_of(algebra: SetAlgebra, x: WorldSet) -> None:
-    if algebra.space != x.space:
-        raise ValidationError("world set belongs to a different sample space")
 
 
 def discrete_algebra(space: SampleSpace) -> SetAlgebra:
@@ -209,15 +202,21 @@ class ProbabilitySpace:
             )
 
 
-def measure(ps: ProbabilitySpace, x: WorldSet) -> Fraction:
-    """Measure of ``x``; raises NotMeasurableError if ``x`` is not a member."""
-    _check_space_of(ps.algebra, x)
+def _covered(ps: ProbabilitySpace, x: WorldSet) -> tuple[int, Fraction]:
+    """The union of the basis blocks inside ``x``, and their total weight."""
+    _check_space(ps.algebra, x)
     covered = 0
     total = ZERO
     for block, w in zip(ps.algebra.basis, ps.mu.weights):
         if block.bits & ~x.bits == 0:
             covered |= block.bits
             total += w
+    return covered, total
+
+
+def measure(ps: ProbabilitySpace, x: WorldSet) -> Fraction:
+    """Measure of ``x``; raises NotMeasurableError if ``x`` is not a member."""
+    covered, total = _covered(ps, x)
     if covered != x.bits:
         raise NotMeasurableError(f"{x} is not measurable")
     return total
@@ -229,16 +228,4 @@ def inner_measure(ps: ProbabilitySpace, a: WorldSet) -> Fraction:
     Defined for every subset of the sample space; equals ``measure`` on
     members.
     """
-    _check_space_of(ps.algebra, a)
-    total = ZERO
-    for block, w in zip(ps.algebra.basis, ps.mu.weights):
-        if block.bits & ~a.bits == 0:
-            total += w
-    return total
-
-
-def complement_measure(ps: ProbabilitySpace, x: WorldSet) -> Fraction:
-    """Measure of the complement of a member, computed as 1 - measure(x)."""
-    result = ONE - measure(ps, x)
-    assert result == measure(ps, ~x)
-    return result
+    return _covered(ps, a)[1]

@@ -141,6 +141,14 @@ def test_rejects_incidence_key_outside_basis():
         from_json(edited(coats_ic, mutate))
 
 
+def test_rejects_block_spelled_two_ways():
+    def mutate(d):
+        d["incidence"]["g"] = ["w1"]
+
+    with pytest.raises(DocumentError, match="duplicate incidence"):
+        from_json(edited(coats_ic, mutate))
+
+
 def test_rejects_non_atomic_ds_incidence_key():
     def mutate(d):
         d["incidence"]["~g"] = d["incidence"].pop("(~g & d)")

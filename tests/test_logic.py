@@ -11,12 +11,7 @@ from probstruct import (
     LanguageMismatchError,
     UnknownPropositionError,
     ValidationError,
-    algebra_member,
-    atoms_of,
     basis_of,
-    complement,
-    conjoin,
-    disjoin,
     false_formula,
     format_formula,
     full_algebra,
@@ -25,6 +20,8 @@ from probstruct import (
     trivial_algebra,
     true_formula,
 )
+from probstruct.cli import main
+from probstruct.logic import MAX_NESTING
 
 GD = Language(("g", "d"))
 
@@ -70,14 +67,14 @@ def test_language_size_bounds():
 
 
 def test_atoms_of():
-    atoms = atoms_of(GD)
+    atoms = [Formula(GD, 1 << k) for k in range(GD.n_atoms)]
     assert len(atoms) == 4
-    assert str(atoms[0]) == "~g & ~d"
-    assert str(atoms[1]) == "g & ~d"
-    assert str(atoms[2]) == "~g & d"
-    assert str(atoms[3]) == "g & d"
-    assert atoms[3].sign(0) and atoms[3].sign(1)
-    assert atoms[1].formula() == Formula(GD, 0b0010)
+    assert format_formula(atoms[0]) == "(~g & ~d)"
+    assert format_formula(atoms[1]) == "(g & ~d)"
+    assert format_formula(atoms[2]) == "(~g & d)"
+    assert format_formula(atoms[3]) == "(g & d)"
+    assert atoms[3].implies(parse_formula("g", GD)) and atoms[3].implies(parse_formula("d", GD))
+    assert parse_formula("g & ~d", GD) == atoms[1]
 
 
 # --- parsing against the truth-table oracle ----------------------------------
@@ -136,6 +133,31 @@ def test_parse_syntax_errors_carry_position():
         parse_formula("", GD)
 
 
+def test_parse_long_negation_runs_fold_to_parity():
+    a = Language(("a",))
+    assert parse_formula("~" * 3000 + "a", a) == parse_formula("a", a)
+    assert parse_formula("~" * 3001 + "a", a) == parse_formula("~a", a)
+    assert parse_formula("~ ~(~~a)", a) == parse_formula("a", a)
+
+
+def nested(depth: int) -> str:
+    return "(" * depth + "a" + ")" * depth
+
+
+def test_parse_nesting_limit():
+    a = Language(("a",))
+    assert MAX_NESTING == 100
+    assert parse_formula(nested(100), a) == parse_formula("a", a)
+    for depth in (101, 5000):
+        with pytest.raises(FormulaSyntaxError, match="nested deeper than 100"):
+            parse_formula(nested(depth), a)
+
+
+def test_parse_command_rejects_deep_nesting(capsys):
+    assert main(["parse", "--props", "a", nested(5000)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_parse_unknown_proposition():
     with pytest.raises(UnknownPropositionError) as err:
         parse_formula("g & q", GD)
@@ -174,19 +196,19 @@ def test_format_parse_round_trip_exhaustive_two_props():
 def test_connective_functions():
     g = parse_formula("g", GD)
     d = parse_formula("d", GD)
-    assert conjoin(g, d) == parse_formula("g & d", GD)
-    assert disjoin(g, d) == parse_formula("g | d", GD)
-    assert complement(g) == parse_formula("~g", GD)
-    assert disjoin(g, complement(g)).is_true
-    assert conjoin(g, complement(g)).is_false
+    assert g & d == parse_formula("g & d", GD)
+    assert g | d == parse_formula("g | d", GD)
+    assert ~g == parse_formula("~g", GD)
+    assert (g | ~g).is_true
+    assert (g & ~g).is_false
 
 
 def test_connectives_reject_language_mixes():
     other = Language(("g", "e"))
     with pytest.raises(LanguageMismatchError):
-        conjoin(parse_formula("g", GD), parse_formula("g", other))
+        parse_formula("g", GD) & parse_formula("g", other)
     with pytest.raises(LanguageMismatchError):
-        disjoin(parse_formula("g", GD), parse_formula("g", other))
+        parse_formula("g", GD) | parse_formula("g", other)
 
 
 def test_implies_is_atom_subset():
@@ -270,13 +292,13 @@ def test_generate_algebra_fixpoint():
 
 def test_algebra_member():
     algebra = generate_algebra([Formula(GD, 0b0100), Formula(GD, 0b0001)], GD)
-    assert algebra_member(algebra, parse_formula("~g & ~d", GD))
-    assert algebra_member(algebra, parse_formula("(g & ~d) | (g & d)", GD))
-    assert algebra_member(algebra, true_formula(GD))
-    assert algebra_member(algebra, false_formula(GD))
-    assert not algebra_member(algebra, parse_formula("~d", GD))
+    assert algebra.member(parse_formula("~g & ~d", GD))
+    assert algebra.member(parse_formula("(g & ~d) | (g & d)", GD))
+    assert algebra.member(true_formula(GD))
+    assert algebra.member(false_formula(GD))
+    assert not algebra.member(parse_formula("~d", GD))
     with pytest.raises(LanguageMismatchError):
-        algebra_member(algebra, parse_formula("p", Language(("p",))))
+        algebra.member(parse_formula("p", Language(("p",))))
 
 
 def test_basis_of_explicit_listing():

@@ -120,6 +120,8 @@ def from_json(text: str, check: bool = True) -> ProbabilityStructure:
         raw = json.loads(text, object_pairs_hook=_pairs_hook)
     except json.JSONDecodeError as e:
         raise DocumentError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise DocumentError("parse error: JSON nested too deeply") from None
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
 

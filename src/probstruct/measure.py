@@ -31,7 +31,10 @@ def parse_rational(text: str) -> Fraction:
     """Parse a rational literal: an integer or ``p/q`` with positive ``q``."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ValidationError(f"invalid rational literal {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:  # past the interpreter's limit on digits per integer
+        raise ValidationError(f"rational literal too long ({len(text)} characters)") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -60,7 +60,7 @@ class IncidenceMap:
     """World-set images of the formula-algebra basis blocks, in basis order.
 
     Whether the images are pairwise disjoint and cover the sample space is
-    checked by ``validate``, not here.
+    checked by ``validate`` and by the ``ic`` and ``ds`` constructors, not here.
     """
 
     space: SampleSpace
@@ -71,6 +71,30 @@ class IncidenceMap:
         for image in self.images:
             if image.space != self.space:
                 raise ValidationError("incidence image is over a different sample space")
+
+    def partition_problems(self) -> list[str]:
+        """Why the images fail to partition the sample space; empty if they do."""
+        problems = []
+        seen = 0
+        for image in self.images:
+            overlap = seen & image.bits
+            if overlap:
+                problems.append(
+                    f"incidence images overlap on {WorldSet(self.space, overlap)}: "
+                    f"images of distinct blocks must be disjoint"
+                )
+            seen |= image.bits
+        if seen != self.space.full_bits:
+            missing = WorldSet(self.space, self.space.full_bits ^ seen)
+            problems.append(f"incidence images do not cover worlds {missing}")
+        return problems
+
+    def require_partition(self) -> IncidenceMap:
+        """Raise ``ValidationError`` unless the images partition the space."""
+        problems = self.partition_problems()
+        if problems:
+            raise ValidationError("; ".join(problems))
+        return self
 
 
 @dataclass(frozen=True)
@@ -120,7 +144,8 @@ class ProbabilityStructure:
     ) -> ProbabilityStructure:
         """Incidence-calculus structure: weights are given per world."""
         ps = ProbabilitySpace(space, discrete_algebra(space), MeasureFn(tuple(world_weights)))
-        return cls(ps, psi.lang, psi, IncidenceMap(space, tuple(images)), StructureKind.IC)
+        inc = IncidenceMap(space, tuple(images)).require_partition()
+        return cls(ps, psi.lang, psi, inc, StructureKind.IC)
 
     @classmethod
     def ds(
@@ -133,7 +158,8 @@ class ProbabilityStructure:
     ) -> ProbabilityStructure:
         """Belief structure: the formula algebra is all of the language."""
         ps = ProbabilitySpace(space, SetAlgebra(space, tuple(chi_basis)), MeasureFn(tuple(weights)))
-        return cls(ps, lang, full_algebra(lang), IncidenceMap(space, tuple(atom_images)), StructureKind.DS)
+        inc = IncidenceMap(space, tuple(atom_images)).require_partition()
+        return cls(ps, lang, full_algebra(lang), inc, StructureKind.DS)
 
 
 @dataclass(frozen=True)
@@ -164,18 +190,7 @@ def validate(st: ProbabilityStructure) -> ValidationReport:
     if total != 1:
         problems.append(f"measure weights sum to {format_rational(total)}, expected 1")
 
-    seen = 0
-    for block, image in zip(st.psi.basis, st.inc.images):
-        overlap = seen & image.bits
-        if overlap:
-            problems.append(
-                f"incidence images overlap on {WorldSet(st.ps.space, overlap)}: "
-                f"images of distinct blocks must be disjoint"
-            )
-        seen |= image.bits
-    if seen != st.ps.space.full_bits:
-        missing = WorldSet(st.ps.space, st.ps.space.full_bits ^ seen)
-        problems.append(f"incidence images do not cover worlds {missing}")
+    problems += st.inc.partition_problems()
 
     if st.kind is StructureKind.IC:
         for block in st.ps.algebra.basis:
@@ -258,20 +273,37 @@ def interval(st: ProbabilityStructure, xi: Formula) -> Interval:
     return Interval(bel(st, xi), plb(st, xi))
 
 
+def _focal_weights(st: ProbabilityStructure) -> list[tuple[int, Fraction]]:
+    """The mass function as (atom mask, weight) pairs: a formula's lower
+    probability sums the weights whose mask it contains.  A ds measurable
+    block's mask holds every atom whose image meets the block."""
+    st.inc.require_partition()
+    if st.kind is StructureKind.IC:
+        return [
+            (block.atoms, measure(st.ps, image))
+            for block, image in zip(st.psi.basis, st.inc.images)
+        ]
+    masks = [0] * len(st.ps.algebra.basis)
+    for block, image in zip(st.psi.basis, st.inc.images):
+        if image.bits:
+            for j, chi_block in enumerate(st.ps.algebra.basis):
+                if image.bits & chi_block.bits:
+                    masks[j] |= block.atoms
+    return list(zip(masks, st.ps.mu.weights))
+
+
 def is_total(st: ProbabilityStructure) -> bool:
     """True iff every measurable set is the incidence of some formula.
 
-    It is enough that every measure basis block is a union of images, since
-    incidences are exactly the unions of images of formula basis blocks.
+    That holds exactly when the focal masks are pairwise disjoint: an atom
+    whose image meets two measurable blocks lands in both their masks.
     """
     _require_kind(st, StructureKind.DS, "is_total")
-    for block in st.ps.algebra.basis:
-        union = 0
-        for image in st.inc.images:
-            if image.bits and image.bits & ~block.bits == 0:
-                union |= image.bits
-        if union != block.bits:
+    seen = 0
+    for mask, _ in _focal_weights(st):
+        if seen & mask:
             return False
+        seen |= mask
     return True
 
 

@@ -9,13 +9,14 @@ Both directions preserve the probability interval of every formula:
   is the identity.  The result is always total.
 * ``ds_to_ic`` collapses a *total* belief structure onto one world per
   measurable basis block.  A formula's incidence becomes defined exactly
-  when its old incidence was measurable: the new formula algebra is generated
-  by grouping the atoms whose images compose each measurable block, with the
-  dead atoms (empty incidence) left as singleton blocks.
+  when its old incidence was measurable: the new formula algebra's blocks
+  are the focal masks, with the dead atoms (empty incidence) left as
+  singleton blocks.
 
-``equivalent`` verifies interval agreement by brute force over all
-``2**2**n`` formulas, and seeded generators plus ``round_trip_check`` drive
-randomized testing of both directions.
+Both directions and ``equivalent`` read structures only through their mass
+functions (``structures._focal_weights``), which determine every interval;
+``equivalent`` scans formulas in order only to name the first witness.
+Seeded generators plus ``round_trip_check`` drive randomized testing.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ from typing import Optional
 
 from .errors import LanguageMismatchError, NotTotalError, ValidationError, WrongKindError
 from .logic import Formula, FormulaAlgebra, Language, _sorted_blocks
-from .measure import ZERO, SampleSpace, WorldSet, measure
+from .measure import SampleSpace, WorldSet
 from .structures import (
     Interval,
     ProbabilityStructure,
     StructureKind,
+    _focal_weights,
     interval,
     is_total,
 )
@@ -89,8 +91,8 @@ def ic_to_ds(ic: ProbabilityStructure) -> ProbabilityStructure:
         raise WrongKindError(f"ic_to_ds requires an ic structure, got {ic.kind.value}")
     lang = ic.lang
     space = SampleSpace(tuple(_atom_world_name(lang, k) for k in range(lang.n_atoms)))
-    chi_basis = tuple(WorldSet(space, block.atoms) for block in ic.psi.basis)
-    weights = tuple(measure(ic.ps, image) for image in ic.inc.images)
+    masks, weights = zip(*_focal_weights(ic))
+    chi_basis = tuple(WorldSet(space, mask) for mask in masks)
     atom_images = tuple(WorldSet(space, 1 << k) for k in range(lang.n_atoms))
     return ProbabilityStructure.ds(space, chi_basis, weights, lang, atom_images)
 
@@ -102,78 +104,24 @@ def ds_to_ic(ds: ProbabilityStructure) -> ProbabilityStructure:
         raise WrongKindError(f"ds_to_ic requires a ds structure, got {ds.kind.value}")
     if not is_total(ds):
         raise NotTotalError("ds_to_ic requires a total structure")
-    chi = ds.ps.algebra
-    space = SampleSpace(tuple(f"w{j + 1}" for j in range(len(chi.basis))))
-
-    # image bits of each atom, in atom order (the formula basis is all atoms)
-    atom_image = [0] * ds.lang.n_atoms
-    for block, image in zip(ds.psi.basis, ds.inc.images):
-        atom_image[block.atoms.bit_length() - 1] = image.bits
-
-    blocks: dict[int, int] = {}  # atom mask -> new world bits
-    grouped = 0
-    for j, chi_block in enumerate(chi.basis):
-        atoms = 0
-        for k, bits in enumerate(atom_image):
-            if bits and bits & ~chi_block.bits == 0:
-                atoms |= 1 << k
-        blocks[atoms] = 1 << j
-        grouped |= atoms
-    for k, bits in enumerate(atom_image):
-        if not bits:
-            blocks[1 << k] = 0
-            grouped |= 1 << k
-    assert grouped == ds.lang.full_mask
+    masks, weights = zip(*_focal_weights(ds))
+    space = SampleSpace(tuple(f"w{j + 1}" for j in range(len(masks))))
+    blocks = {mask: 1 << j for j, mask in enumerate(masks)}  # atom mask -> new world bits
+    dead = ds.lang.full_mask & ~sum(masks)  # the masks of a total structure are disjoint
+    blocks.update({1 << k: 0 for k in range(ds.lang.n_atoms) if (dead >> k) & 1})
 
     basis = _sorted_blocks(blocks.keys(), ds.lang)
     psi = FormulaAlgebra(ds.lang, basis)
     images = tuple(WorldSet(space, blocks[block.atoms]) for block in basis)
-    return ProbabilityStructure.ic(space, tuple(ds.ps.mu.weights), psi, images)
-
-
-def _focal_weights(st: ProbabilityStructure) -> list[tuple[int, Fraction]]:
-    """(atom mask, weight) pairs such that the lower probability of any
-    formula is the sum of the weights whose mask it contains."""
-    if st.kind is StructureKind.IC:
-        return [
-            (block.atoms, measure(st.ps, image))
-            for block, image in zip(st.psi.basis, st.inc.images)
-        ]
-    # ds: a measurable block sits inside an incidence exactly when the
-    # formula contains every atom whose image meets that block
-    atom_of_world: dict[int, int] = {}
-    for block, image in zip(st.psi.basis, st.inc.images):
-        k = block.atoms.bit_length() - 1
-        for i in range(st.ps.space.size):
-            if (image.bits >> i) & 1:
-                atom_of_world[i] = k
-    pairs = []
-    for chi_block, w in zip(st.ps.algebra.basis, st.ps.mu.weights):
-        needed = 0
-        for i in range(st.ps.space.size):
-            if (chi_block.bits >> i) & 1:
-                needed |= 1 << atom_of_world[i]
-        pairs.append((needed, w))
-    return pairs
-
-
-def _lower_table(st: ProbabilityStructure) -> list[Fraction]:
-    """Lower probability of every formula, indexed by atom bitmask."""
-    pairs = _focal_weights(st)
-    table = []
-    for m in range(1 << st.lang.n_atoms):
-        acc = ZERO
-        for mask, w in pairs:
-            if mask & ~m == 0:
-                acc += w
-        table.append(acc)
-    return table
+    return ProbabilityStructure.ic(space, weights, psi, images)
 
 
 def equivalent(a: ProbabilityStructure, b: ProbabilityStructure) -> EquivalenceReport:
     """Compare the interval of every formula of the shared language.
 
-    Exact equality, no tolerance; stops at the first disagreement.
+    Exact equality, no tolerance.  Equal mass functions mean equal
+    intervals everywhere; otherwise formulas are scanned in atom-bitmask
+    order up to the first disagreement.
     """
     if a.lang != b.lang:
         raise LanguageMismatchError("structures are over different languages")
@@ -182,14 +130,22 @@ def equivalent(a: ProbabilityStructure, b: ProbabilityStructure) -> EquivalenceR
             f"language too large for brute-force comparison "
             f"(max {MAX_EQUIV_PROPS} propositions)"
         )
-    lo_a = _lower_table(a)
-    lo_b = _lower_table(b)
+    diff: dict[int, Fraction] = {}  # mass of a minus mass of b, per atom mask
+    for sign, st in ((1, a), (-1, b)):
+        for mask, w in _focal_weights(st):
+            diff[mask] = diff.get(mask, 0) + sign * w
+    diff = {mask: d for mask, d in diff.items() if d}
     full = a.lang.full_mask
+    if not diff:
+        return EquivalenceReport(True, full + 1, None)
+    # lower probabilities differ on x exactly when the differences over the
+    # masks inside x do not cancel; the smallest mask in diff contains no
+    # other, so the scan stops there at the latest
     for m in range(full + 1):
-        if lo_a[m] != lo_b[m] or lo_a[full ^ m] != lo_b[full ^ m]:
-            f = Formula(a.lang, m)
-            return EquivalenceReport(False, m + 1, (f, interval(a, f), interval(b, f)))
-    return EquivalenceReport(True, full + 1, None)
+        if any(sum(d for mask, d in diff.items() if mask & ~x == 0) for x in (m, full ^ m)):
+            break
+    f = Formula(a.lang, m)
+    return EquivalenceReport(False, m + 1, (f, interval(a, f), interval(b, f)))
 
 
 def round_trip_check(a: ProbabilityStructure) -> EquivalenceReport:

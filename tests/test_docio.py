@@ -17,6 +17,7 @@ from probstruct import (
     to_json,
     validate,
 )
+from probstruct.cli import main
 
 
 def test_fixture_documents_round_trip_byte_identically():
@@ -93,6 +94,26 @@ def test_rejects_bad_kind():
 def test_parse_error_carries_position():
     with pytest.raises(DocumentError, match=r"line 1, column 2"):
         from_json("{nope")
+
+
+@pytest.mark.parametrize(
+    "make_text",
+    [
+        pytest.param(lambda: "[" * 100000, id="deep-nesting"),
+        pytest.param(
+            lambda: edited(coats_ds, lambda d: d["measure"].update({"0": "1" * 5000})),
+            id="5000-digit-weight",
+        ),
+    ],
+)
+def test_rejects_runaway_input(make_text, tmp_path, capsys):
+    text = make_text()
+    with pytest.raises(DocumentError):
+        from_json(text)
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_rejects_duplicate_keys():

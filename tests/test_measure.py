@@ -60,7 +60,15 @@ def test_parse_rational(text, value):
     assert parse_rational(text) == value
 
 
-@pytest.mark.parametrize("text", ["1/0", "0.5", "a", "1/-2", "", "1 / 2", "1/02"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1/0", "0.5", "a", "1/-2", "", "1 / 2", "1/02",
+        # past the interpreter's limit on digits per integer
+        pytest.param("9" * 5000, id="5000-digit-integer"),
+        pytest.param("1/" + "7" * 5000, id="5000-digit-denominator"),
+    ],
+)
 def test_parse_rational_rejects(text):
     with pytest.raises(ValidationError):
         parse_rational(text)

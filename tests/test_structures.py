@@ -249,7 +249,7 @@ def test_validate_reports_overlapping_images():
     base = coats_ic()
     space = base.ps.space
     images = (space.subset(["w1"]), space.subset(["w1", "w2"]), space.subset([]))
-    st = ProbabilityStructure.ic(space, (HALF, HALF), base.psi, images)
+    st = ProbabilityStructure(base.ps, base.lang, base.psi, IncidenceMap(space, images), "ic")
     report = validate(st)
     assert any("overlap" in p for p in report.problems)
 
@@ -258,8 +258,24 @@ def test_validate_reports_uncovered_worlds():
     base = coats_ic()
     space = base.ps.space
     images = (space.subset(["w1"]), space.subset([]), space.subset([]))
-    st = ProbabilityStructure.ic(space, (HALF, HALF), base.psi, images)
+    st = ProbabilityStructure(base.ps, base.lang, base.psi, IncidenceMap(space, images), "ic")
     assert any("cover" in p for p in validate(st).problems)
+
+
+def test_named_constructors_require_partitioning_images():
+    base = coats_ic()
+    space = base.ps.space
+    overlapping = (space.subset(["w1"]), space.subset(["w1", "w2"]), space.subset([]))
+    with pytest.raises(ValidationError, match="incidence images overlap on {w1}"):
+        ProbabilityStructure.ic(space, (HALF, HALF), base.psi, overlapping)
+
+    # a world no atom image covers: its mass would belong to no formula
+    lang = Language(("a",))
+    space = SampleSpace(("w1", "w2"))
+    chi_basis = (space.subset(["w1"]), space.subset(["w2"]))
+    atom_images = (space.subset(["w1"]), space.subset([]))
+    with pytest.raises(ValidationError, match="incidence images do not cover worlds {w2}"):
+        ProbabilityStructure.ds(space, chi_basis, (HALF, HALF), lang, atom_images)
 
 
 def test_validate_reports_kind_violations():

@@ -1,5 +1,6 @@
 """Translations, equivalence checking, random generators, round trips."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,14 +8,17 @@ import pytest
 from probstruct import (
     Formula,
     GenParams,
+    IncidenceMap,
     Interval,
     Language,
     LanguageMismatchError,
     NotTotalError,
     ProbabilityStructure,
+    ProbstructError,
     SampleSpace,
     StructureKind,
     ValidationError,
+    WorldSet,
     WrongKindError,
     coats_ds,
     coats_ic,
@@ -32,9 +36,72 @@ from probstruct import (
     trivial_algebra,
     validate,
 )
-from probstruct.translate import _lower_table
+from probstruct.structures import _focal_weights
 
 HALF = Fraction(1, 2)
+
+
+def _lower_table(st):
+    """Lower probability of every formula, indexed by atom bitmask, summed
+    by brute force from the structure's mass function."""
+    pairs = _focal_weights(st)
+    return [
+        sum((w for mask, w in pairs if mask & ~m == 0), Fraction(0))
+        for m in range(st.lang.full_mask + 1)
+    ]
+
+
+def _scan_report(a, b):
+    """equivalent's report, found by querying interval on every formula."""
+    full = a.lang.full_mask
+    for m in range(full + 1):
+        f = Formula(a.lang, m)
+        in_a, in_b = interval(a, f), interval(b, f)
+        if in_a != in_b:
+            return False, m + 1, (f, in_a, in_b)
+    return True, full + 1, None
+
+
+def _blocks_are_image_unions(ds):
+    """is_total's definition: every measurable block is a union of images."""
+    for block in ds.ps.algebra.basis:
+        union = 0
+        for image in ds.inc.images:
+            if image.bits and image.bits & ~block.bits == 0:
+                union |= image.bits
+        if union != block.bits:
+            return False
+    return True
+
+
+def _random_ds(rng, n_props, n_worlds):
+    """A well-formed ds whose measurable blocks and atom images are drawn
+    independently, so it is total only by chance."""
+    lang = Language(tuple(f"p{i + 1}" for i in range(n_props)))
+    space = SampleSpace(tuple(f"w{i + 1}" for i in range(n_worlds)))
+    image_bits = [0] * lang.n_atoms
+    for i in range(n_worlds):
+        image_bits[rng.randrange(lang.n_atoms)] |= 1 << i
+    groups = {}
+    for i in range(n_worlds):
+        urn = rng.randrange(n_worlds)
+        groups[urn] = groups.get(urn, 0) | 1 << i
+    chi_basis = tuple(WorldSet(space, bits) for bits in groups.values())
+    weights = tuple(Fraction(1, len(chi_basis)) for _ in chi_basis)
+    images = tuple(WorldSet(space, bits) for bits in image_bits)
+    return ProbabilityStructure.ds(space, chi_basis, weights, lang, images)
+
+
+def uncovered_ds():
+    """World w2 lies in no atom image, built past the checking constructor."""
+    lang = Language(("a",))
+    space = SampleSpace(("w1", "w2"))
+    chi_basis = (space.subset(["w1"]), space.subset(["w2"]))
+    st = ProbabilityStructure.ds(
+        space, chi_basis, (HALF, HALF), lang, (space.subset(["w1"]), space.subset(["w2"]))
+    )
+    images = IncidenceMap(space, (space.subset(["w1"]), space.subset([])))
+    return ProbabilityStructure(st.ps, lang, st.psi, images, StructureKind.DS)
 
 
 # --- lifting ic to ds --------------------------------------------------------
@@ -243,6 +310,44 @@ def test_lower_table_matches_interval():
                 got = interval(st, Formula(st.lang, mask))
                 assert got.lo == table[mask]
                 assert got.hi == 1 - table[full ^ mask]
+
+
+def test_equivalent_matches_interval_scan():
+    # half the pairs are translations of each other, half are unrelated
+    # structures of the same language
+    for seed in range(500):
+        params = GenParams(1 + seed % 3, 1 + seed // 3 % 8, 4000 + seed)
+        other = GenParams(params.n_props, 1 + seed // 7 % 8, 9000 + seed)
+        if seed % 2:
+            st, there, unrelated = random_ic(params), ic_to_ds, random_total_ds(other)
+        else:
+            st, there, unrelated = random_total_ds(params), ds_to_ic, random_ic(other)
+        for a, b in ((st, there(st)), (st, unrelated)):
+            report = equivalent(a, b)
+            assert (report.equivalent, report.checked_count, report.witness) == _scan_report(a, b)
+
+
+def test_is_total_matches_block_union_definition():
+    rng = random.Random(5150)
+    seen = set()
+    for seed in range(300):
+        n_props, n_worlds = 1 + seed % 3, 1 + seed % 8
+        if seed % 2:
+            ds = random_total_ds(GenParams(n_props, n_worlds, 5000 + seed))
+        else:
+            ds = _random_ds(rng, n_props, n_worlds)
+        expected = _blocks_are_image_unions(ds)
+        assert is_total(ds) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_uncovered_world_is_refused():
+    st = uncovered_ds()
+    assert validate(st).problems == ("incidence images do not cover worlds {w2}",)
+    for check in (is_total, ds_to_ic, lambda s: equivalent(s, s)):
+        with pytest.raises(ProbstructError, match="do not cover worlds"):
+            check(st)
 
 
 # --- generators --------------------------------------------------------------

@@ -24,6 +24,7 @@ it again reproduces it byte for byte.
 from __future__ import annotations
 
 import json
+from typing import Callable
 
 from .errors import DocumentError, ProbstructError
 from .logic import Formula, FormulaAlgebra, Language, format_formula, full_algebra, parse_formula
@@ -101,10 +102,12 @@ def _name_list(value, what: str) -> list[str]:
     return value
 
 
-def _world_set(space: SampleSpace, names, what: str) -> WorldSet:
-    names = _name_list(names, what)
+def _world_set(space: SampleSpace, names, what: Callable[[], str]) -> WorldSet:
+    """The world set ``names`` lists; ``what()`` names it, only on an error."""
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise DocumentError(f"{what()} must be a list of strings")
     if len(set(names)) != len(names):
-        raise DocumentError(f"{what} repeats a world name")
+        raise DocumentError(f"{what()} repeats a world name")
     return space.subset(names)
 
 
@@ -166,13 +169,13 @@ def _measure_weights(raw_measure, count: int) -> MeasureFn:
     return MeasureFn(tuple(weights))
 
 
-def _incidence_items(raw_incidence, lang: Language) -> list[tuple[Formula, list[str]]]:
+def _incidence_items(raw_incidence, lang: Language) -> dict[str, tuple[Formula, list[str]]]:
     if not isinstance(raw_incidence, dict):
         raise DocumentError('field "incidence" must be an object')
-    items = []
-    for key, value in raw_incidence.items():
-        items.append((parse_formula(key, lang), _name_list(value, f"incidence of {key!r}")))
-    return items
+    return {
+        key: (parse_formula(key, lang), _name_list(value, f"incidence of {key!r}"))
+        for key, value in raw_incidence.items()
+    }
 
 
 def _build(kind: str, raw: dict) -> ProbabilityStructure:
@@ -186,13 +189,13 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
         chi = SetAlgebra(
             space,
             tuple(
-                _world_set(space, names, f"chi_basis block {j}")
+                _world_set(space, names, lambda: f"chi_basis block {j}")
                 for j, names in enumerate(raw["chi_basis"])
             ),
         )
         mu = _measure_weights(raw["measure"], len(chi.basis))
         image_of_atom: dict[int, WorldSet] = {}
-        for f, names in items:
+        for f, names in items.values():
             if f.atoms.bit_count() != 1:
                 raise DocumentError(
                     f"ds incidence keys must be single atoms, got {format_formula(f)!r}"
@@ -200,7 +203,7 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
             k = f.atoms.bit_length() - 1
             if k in image_of_atom:
                 raise DocumentError(f"duplicate incidence for atom {format_formula(f)!r}")
-            image_of_atom[k] = _world_set(space, names, f"incidence of {format_formula(f)!r}")
+            image_of_atom[k] = _world_set(space, names, lambda: f"incidence of {format_formula(f)!r}")
         if len(image_of_atom) != lang.n_atoms:
             raise DocumentError(
                 f"ds incidence must cover all {lang.n_atoms} atoms, got {len(image_of_atom)}"
@@ -210,12 +213,16 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
         ps = ProbabilitySpace(space, chi, mu)
         return ProbabilityStructure(ps, lang, psi, IncidenceMap(space, images), StructureKind.DS)
 
-    blocks = [parse_formula(text, lang) for text in _name_list(raw["psi_basis"], '"psi_basis"')]
+    # canonical text spells each incidence key as its block, so parse it once
+    blocks = [
+        items[text][0] if text in items else parse_formula(text, lang)
+        for text in _name_list(raw["psi_basis"], '"psi_basis"')
+    ]
     psi = FormulaAlgebra(lang, tuple(blocks))
     mu = _measure_weights(raw["measure"], space.size)
     index_of_block = {block.atoms: j for j, block in enumerate(blocks)}
     image_of_block: dict[int, WorldSet] = {}
-    for f, names in items:
+    for f, names in items.values():
         j = index_of_block.get(f.atoms)
         if j is None:
             raise DocumentError(
@@ -223,7 +230,7 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
             )
         if j in image_of_block:
             raise DocumentError(f"duplicate incidence for block {format_formula(f)!r}")
-        image_of_block[j] = _world_set(space, names, f"incidence of {format_formula(f)!r}")
+        image_of_block[j] = _world_set(space, names, lambda: f"incidence of {format_formula(f)!r}")
     if len(image_of_block) != len(blocks):
         raise DocumentError(
             f"incidence must cover all {len(blocks)} psi_basis blocks, got {len(image_of_block)}"

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -68,11 +68,11 @@ class Language:
                 raise ValidationError(f"duplicate proposition name {name!r}")
             seen.add(name)
 
-    @property
+    @cached_property
     def n_atoms(self) -> int:
         return 1 << len(self.props)
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         """Bitmask selecting every atom."""
         return (1 << self.n_atoms) - 1
@@ -153,122 +153,99 @@ def false_formula(lang: Language) -> Formula:
 
 # --- parsing ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[~&|()]))")
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[~&|()]|(?P<bad>\S)")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """Each token with its position; the first bad character raises."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            # nothing but whitespace may remain
-            rest = text[pos:]
-            stripped = rest.lstrip()
-            if not stripped:
-                break
-            at = pos + (len(rest) - len(stripped))
-            raise FormulaSyntaxError(f"unexpected character {stripped[0]!r}", at)
-        if m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise FormulaSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.group(), m.start()))
     return tokens
 
 
-@lru_cache(maxsize=None)
 def _prop_masks(lang: Language) -> tuple[int, ...]:
     """For each proposition, the bitmask of atoms that make it positive."""
-    masks = [0] * len(lang.props)
-    for k in range(lang.n_atoms):
-        for j in range(len(lang.props)):
-            if (k >> j) & 1:
-                masks[j] |= 1 << k
+    masks = []
+    for j in range(len(lang.props)):
+        # 2**j atoms with bit j clear, then 2**j with it set, doubled to 2**n
+        mask, width = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
+        while width < lang.n_atoms:
+            mask, width = mask | mask << width, width * 2
+        masks.append(mask)
     return tuple(masks)
 
 
-class _Parser:
-    def __init__(self, text: str, lang: Language):
-        self.text = text
-        self.lang = lang
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.depth = 0  # parentheses open around the current position
+@lru_cache(maxsize=None)
+def _name_masks(lang: Language) -> dict[str, int]:
+    """The atom mask of every name formula text may use, constants included."""
+    return dict(zip(lang.props, _prop_masks(lang)), true=lang.full_mask, false=0)
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise FormulaSyntaxError("unexpected end of input", len(self.text))
-        self.i += 1
-        return tok
-
-    def parse(self) -> int:
-        mask = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise FormulaSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
-        return mask
-
-    def expr(self) -> int:
-        mask = self.term()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[1] != "|":
-                return mask
-            self.next()
-            mask |= self.term()
-
-    def term(self) -> int:
-        mask = self.factor()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[1] != "&":
-                return mask
-            self.next()
-            mask &= self.factor()
-
-    def factor(self) -> int:
-        # a run of '~' folds to its parity, so it costs no recursion
-        flip = 0
-        kind, value, pos = self.next()
-        while value == "~":
-            flip ^= self.lang.full_mask
-            kind, value, pos = self.next()
-        if kind == "op":
-            if value != "(":
-                raise FormulaSyntaxError(f"unexpected token {value!r}", pos)
-            if self.depth == MAX_NESTING:
-                raise FormulaSyntaxError(
-                    f"parentheses nested deeper than {MAX_NESTING}", pos
-                )
-            self.depth += 1
-            mask = self.expr()
-            self.depth -= 1
-            tok = self.peek()
-            if tok is None or tok[1] != ")":
-                where = tok[2] if tok else len(self.text)
-                raise FormulaSyntaxError("expected ')'", where)
-            self.next()
-        elif value == "true":
-            mask = self.lang.full_mask
-        elif value == "false":
-            mask = 0
-        else:
-            try:
-                j = self.lang.props.index(value)
-            except ValueError:
-                raise UnknownPropositionError(value, pos) from None
-            mask = _prop_masks(self.lang)[j]
-        return flip ^ mask
+def _split_tokens(text: str) -> list[str]:
+    """The tokens of text ``_tokenize`` accepts; other text gives a bad token."""
+    for op in "~&|()":
+        text = text.replace(op, f" {op} ")
+    return text.split()
 
 
 def parse_formula(text: str, lang: Language) -> Formula:
-    """Parse formula text into its canonical atom set."""
-    return Formula(lang, _Parser(text, lang).parse())
+    """Parse formula text into its canonical atom set.
+
+    One pass over the tokens, with a stack frame per open parenthesis: the
+    disjunction and the conjunction so far around it, and the parity of the
+    ``~`` run before it.  Only wrong text pays for token positions.
+    """
+    full = lang.full_mask
+    names = _name_masks(lang)
+    stack: list[tuple[int, int, int]] = []
+    disj, conj, flip = 0, full, 0
+    value = None  # the operand just read; None while an operand is due
+    for i, tok in enumerate(_split_tokens(text)):
+        if value is None:
+            if tok == "~":
+                flip ^= full
+            elif tok == "(":
+                if len(stack) == MAX_NESTING:
+                    _syntax_error(text, i, f"parentheses nested deeper than {MAX_NESTING}")
+                stack.append((disj, conj, flip))
+                disj, conj, flip = 0, full, 0
+            elif tok in names:
+                value = names[tok] ^ flip
+            else:  # an operator out of place, or else an unknown name
+                _syntax_error(text, i, f"unexpected token {tok!r}" if tok in "&|)" else None)
+        elif tok == "&":
+            conj &= value
+            flip, value = 0, None
+        elif tok == "|":
+            disj |= conj & value
+            conj, flip, value = full, 0, None
+        elif tok == ")" and stack:
+            value = disj | (conj & value)
+            disj, conj, flip = stack.pop()
+            value ^= flip
+        else:
+            _syntax_error(text, i, "expected ')'" if stack else f"unexpected token {tok!r}")
+    if value is None:
+        _syntax_error(text, None, "unexpected end of input")
+    if stack:
+        _syntax_error(text, None, "expected ')'")
+    return Formula(lang, disj | (conj & value))
+
+
+def _syntax_error(text: str, index: int | None, message: str | None):
+    """Raise ``message`` at token ``index`` (None: at the end of the text).
+
+    A bad character anywhere in the text wins; a message of None means an
+    unknown name.
+    """
+    tokens = _tokenize(text)
+    value, pos = tokens[index] if index is not None else (None, len(text))
+    if message is None:
+        raise UnknownPropositionError(value, pos)
+    raise FormulaSyntaxError(message, pos)
 
 
 def format_formula(f: Formula) -> str:

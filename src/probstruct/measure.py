@@ -39,7 +39,11 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Canonical text for a rational: lowest terms, ``p/q`` or an integer."""
-    return str(Fraction(value))
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:  # an integer past the interpreter's limit on digits
+        raise ValidationError("rational too long to write out (past the digit limit)") from None
 
 
 @dataclass(frozen=True)
@@ -106,9 +110,13 @@ class WorldSet:
         return self.bits == 0
 
     def names(self) -> tuple[str, ...]:
-        return tuple(
-            name for i, name in enumerate(self.space.worlds) if (self.bits >> i) & 1
-        )
+        """Names of the member worlds, in world order."""
+        names, bits = [], self.bits
+        while bits:
+            low = bits & -bits
+            names.append(self.space.worlds[low.bit_length() - 1])
+            bits ^= low
+        return tuple(names)
 
     def issubset(self, other: WorldSet) -> bool:
         _check_space(self, other)

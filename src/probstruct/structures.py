@@ -188,7 +188,10 @@ def validate(st: ProbabilityStructure) -> ValidationReport:
             problems.append(f"measure weight {format_rational(w)} of block {i} is negative")
         total += w
     if total != 1:
-        problems.append(f"measure weights sum to {format_rational(total)}, expected 1")
+        try:
+            problems.append(f"measure weights sum to {format_rational(total)}, expected 1")
+        except ValidationError:
+            problems.append("measure weights do not sum to 1 (the sum is too long to write out)")
 
     problems += st.inc.partition_problems()
 

@@ -7,16 +7,20 @@ import pytest
 from probstruct import (
     DocumentError,
     GenParams,
+    Language,
     coats_ds,
     coats_ic,
+    format_formula,
     from_json,
     load,
+    parse_formula,
     random_ic,
     random_total_ds,
     save,
     to_json,
     validate,
 )
+import probstruct.docio as docio
 from probstruct.cli import main
 
 
@@ -139,10 +143,12 @@ def test_rejects_unknown_world_in_incidence():
 
 
 def test_rejects_repeated_world_in_block():
-    with pytest.raises(DocumentError, match="repeats"):
+    with pytest.raises(DocumentError, match="^chi_basis block 0 repeats a world name$"):
         from_json(
             edited(coats_ds, lambda d: d["chi_basis"].__setitem__(0, ["s1", "s1", "s2"]))
         )
+    with pytest.raises(DocumentError, match="^chi_basis block 1 must be a list of strings$"):
+        from_json(edited(coats_ds, lambda d: d["chi_basis"].__setitem__(1, "s1")))
 
 
 def test_rejects_overlapping_psi_basis():
@@ -202,3 +208,62 @@ def test_save_refuses_invalid_structure(tmp_path):
     )
     with pytest.raises(DocumentError, match="refusing"):
         to_json(st)
+
+
+def test_loading_formats_no_formula(monkeypatch):
+    texts = [
+        to_json(build(GenParams(3, 8, 7100 + seed)))
+        for seed in range(3)
+        for build in (random_ic, random_total_ds)
+    ]
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return format_formula(f)
+
+    monkeypatch.setattr(docio, "format_formula", counted)
+    for text in texts:
+        from_json(text)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "build, key, names, message",
+    [
+        (coats_ds, "(~g & d)", ["s1", "s1"], "incidence of '(~g & d)' repeats a world name"),
+        (coats_ds, "d & ~g", ["s3", "s3"], "incidence of '(~g & d)' repeats a world name"),
+        (coats_ic, "(~g & d)", ["w1", "w1"], "incidence of '(~g & d)' repeats a world name"),
+        (coats_ic, "g", ["w2", "w2"], "incidence of '(g & ~d) | (g & d)' repeats a world name"),
+        (coats_ds, "(~g & d)", "s1", "incidence of '(~g & d)' must be a list of strings"),
+    ],
+)
+def test_incidence_list_errors_name_the_canonical_key(build, key, names, message):
+    def mutate(d):
+        canonical = str(parse_formula(key, Language(tuple(d["propositions"]))))
+        del d["incidence"][canonical]
+        d["incidence"][key] = names
+
+    with pytest.raises(DocumentError) as err:
+        from_json(edited(build, mutate))
+    assert str(err.value) == message
+
+
+def test_validate_lists_a_weight_sum_too_long_to_write(tmp_path, capsys):
+    # each literal is within the digit limit; their sum is not
+    weights = {str(i): f"1/{10**3000 + 2 * i + 1}" for i in range(4)}
+    doc = {
+        "kind": "ic",
+        "propositions": ["a"],
+        "worlds": ["w1", "w2", "w3", "w4"],
+        "measure": weights,
+        "psi_basis": ["~a", "a"],
+        "incidence": {"~a": ["w1", "w2"], "a": ["w3", "w4"]},
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "measure weights do not sum to 1 (the sum is too long to write out)\n"
+    with pytest.raises(DocumentError, match="too long to write out"):
+        load(path)

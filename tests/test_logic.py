@@ -1,5 +1,8 @@
 """Language, formula parsing/printing, and formula algebras."""
 
+import random
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,7 +24,7 @@ from probstruct import (
     true_formula,
 )
 from probstruct.cli import main
-from probstruct.logic import MAX_NESTING
+from probstruct.logic import MAX_NESTING, _prop_masks
 
 GD = Language(("g", "d"))
 
@@ -41,6 +44,126 @@ def oracle_atoms(text: str, lang: Language) -> int:
         if eval(python_text, {"__builtins__": {}}, env):
             mask |= 1 << k
     return mask
+
+
+# The recursive-descent parser that ``parse_formula``'s one-pass loop
+# replaced, kept whole with its positioned tokenizer: the loop must give the
+# same mask, or the same exception type, text and position, on any text.
+
+_ORACLE_TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[~&|()]))")
+
+
+def oracle_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _ORACLE_TOKEN_RE.match(text, pos)
+        if m is None:
+            rest = text[pos:]
+            stripped = rest.lstrip()
+            if not stripped:
+                break
+            at = pos + (len(rest) - len(stripped))
+            raise FormulaSyntaxError(f"unexpected character {stripped[0]!r}", at)
+        if m.group("name") is not None:
+            tokens.append(("name", m.group("name"), m.start("name")))
+        else:
+            tokens.append(("op", m.group("op"), m.start("op")))
+        pos = m.end()
+    return tokens
+
+
+def oracle_prop_masks(lang):
+    """Bit ``k`` of mask ``j`` is bit ``j`` of atom index ``k``, by brute force."""
+    masks = [0] * len(lang.props)
+    for k in range(lang.n_atoms):
+        for j in range(len(lang.props)):
+            if (k >> j) & 1:
+                masks[j] |= 1 << k
+    return tuple(masks)
+
+
+class OracleParser:
+    def __init__(self, text, lang):
+        self.text = text
+        self.lang = lang
+        self.tokens = oracle_tokenize(text)
+        self.i = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            raise FormulaSyntaxError("unexpected end of input", len(self.text))
+        self.i += 1
+        return tok
+
+    def parse(self):
+        mask = self.expr()
+        tok = self.peek()
+        if tok is not None:
+            raise FormulaSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
+        return mask
+
+    def expr(self):
+        mask = self.term()
+        while True:
+            tok = self.peek()
+            if tok is None or tok[1] != "|":
+                return mask
+            self.next()
+            mask |= self.term()
+
+    def term(self):
+        mask = self.factor()
+        while True:
+            tok = self.peek()
+            if tok is None or tok[1] != "&":
+                return mask
+            self.next()
+            mask &= self.factor()
+
+    def factor(self):
+        flip = 0
+        kind, value, pos = self.next()
+        while value == "~":
+            flip ^= self.lang.full_mask
+            kind, value, pos = self.next()
+        if kind == "op":
+            if value != "(":
+                raise FormulaSyntaxError(f"unexpected token {value!r}", pos)
+            if self.depth == MAX_NESTING:
+                raise FormulaSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
+            mask = self.expr()
+            self.depth -= 1
+            tok = self.peek()
+            if tok is None or tok[1] != ")":
+                where = tok[2] if tok else len(self.text)
+                raise FormulaSyntaxError("expected ')'", where)
+            self.next()
+        elif value == "true":
+            mask = self.lang.full_mask
+        elif value == "false":
+            mask = 0
+        else:
+            try:
+                j = self.lang.props.index(value)
+            except ValueError:
+                raise UnknownPropositionError(value, pos) from None
+            mask = oracle_prop_masks(self.lang)[j]
+        return flip ^ mask
+
+
+def outcome(parse, text, lang):
+    """The mask, or the exception's type, text and position."""
+    try:
+        return parse(text, lang)
+    except FormulaSyntaxError as e:
+        return type(e), str(e), e.position
 
 
 # --- languages ---------------------------------------------------------------
@@ -163,6 +286,73 @@ def test_parse_unknown_proposition():
         parse_formula("g & q", GD)
     assert err.value.name == "q"
     assert err.value.position == 4
+
+
+_PIECES = (
+    ["a", "b", "c", "a", "b", "c", "true", "false", "d", "zz", "a1", "_x", "True"]
+    + ["~", "~", "&", "&", "|", "|", "(", "(", ")", ")", " ", "\t\n", ""]
+)
+_BAD = ["$", "1a", "9", "\u00e9", "a\u00e9", "!"]
+
+
+def random_formula(rng, depth=4):
+    """Well-formed formula text."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(["a", "b", "c", "true", "false"])
+    op = rng.choice(["~", "&", "|", "()"])
+    if op == "~":
+        return "~" * rng.randint(1, 3) + random_formula(rng, depth - 1)
+    if op == "()":
+        return "(" + random_formula(rng, depth - 1) + ")"
+    return f"{random_formula(rng, depth - 1)} {op} {random_formula(rng, depth - 1)}"
+
+
+def random_text(rng):
+    """Formula tokens, a bad one in some, joined with or without spaces."""
+    roll = rng.random()
+    if roll < 0.1:
+        return rng.choice(["", " ", "\t\n", "a ", "a\t\n "]) + rng.choice(["", " "])
+    if roll > 0.7:
+        parts = [random_formula(rng)]
+    else:
+        parts = [rng.choice(_PIECES) for _ in range(rng.randint(1, 12))]
+    if rng.random() < 0.25:
+        parts.insert(rng.randint(0, len(parts)), rng.choice(_BAD))
+    if roll < 0.2:
+        parts.insert(rng.randint(0, len(parts)), "~" * rng.randint(50, 400))
+    if roll < 0.35:
+        depth = rng.choice([99, 100, 101, rng.randint(1, 102)])
+        closing = depth - rng.choice([0, 0, 0, 1, -1])
+        parts = ["(" * depth] + parts + [")" * closing]
+    sep = rng.choice(["", " ", "  "])
+    return sep.join(parts) + rng.choice(["", "", " ", "\t\n"])
+
+
+def test_parse_matches_recursive_oracle():
+    lang = Language(("a", "b", "c"))
+    rng = random.Random(20131126)
+    texts = [random_text(rng) for _ in range(20000)]
+    texts += ["", " ", "a ", nested(99), nested(100), nested(101), "(" * 100 + "a", "((a)"]
+    errors = 0
+    for text in texts:
+        want = outcome(lambda t, lg: OracleParser(t, lg).parse(), text, lang)
+        got = outcome(lambda t, lg: parse_formula(t, lg).atoms, text, lang)
+        assert got == want, text
+        errors += isinstance(want, tuple)
+    assert 0.2 * len(texts) < errors < 0.95 * len(texts)
+
+
+def test_prop_masks_match_nested_loop():
+    for n in range(1, 11):
+        lang = Language(tuple(f"p{j}" for j in range(n)))
+        assert _prop_masks(lang) == oracle_prop_masks(lang)
+    lang = Language(tuple(f"p{j}" for j in range(16)))
+    masks = _prop_masks(lang)
+    assert all(m.bit_length() <= lang.n_atoms for m in masks)
+    rng = random.Random(16)
+    for k in [0, lang.n_atoms - 1] + rng.sample(range(lang.n_atoms), 2000):
+        for j, m in enumerate(masks):
+            assert (m >> k) & 1 == (k >> j) & 1
 
 
 # --- printing ----------------------------------------------------------------

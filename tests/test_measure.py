@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from probstruct import (
+    Interval,
     MeasureFn,
     NotMeasurableError,
     ProbabilitySpace,
@@ -81,6 +82,14 @@ def test_format_rational_is_canonical():
     assert format_rational(Fraction(6, 8)) == "3/4"
 
 
+def test_format_rational_rejects_integers_past_the_digit_limit():
+    huge = Fraction(1, 10**5000 + 1)
+    with pytest.raises(ValidationError, match="too long to write out"):
+        format_rational(huge)
+    with pytest.raises(ValidationError, match="too long to write out"):
+        str(Interval(Fraction(0), huge))
+
+
 @given(st.integers(min_value=0, max_value=1000), st.integers(min_value=1, max_value=1000))
 def test_rational_round_trip(num, den):
     q = Fraction(num, den)
@@ -88,6 +97,13 @@ def test_rational_round_trip(num, den):
 
 
 # --- spaces and world sets ---------------------------------------------------
+
+
+def test_world_set_names_in_world_order():
+    space = SampleSpace(tuple(f"w{i}" for i in range(64)))
+    for bits in (0, 1, 1 << 63, space.full_bits, 0b1011 << 30, 0x8000_0000_0000_0001):
+        want = tuple(w for i, w in enumerate(space.worlds) if (bits >> i) & 1)
+        assert WorldSet(space, bits).names() == want
 
 
 def test_sample_space_validation():

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -37,6 +36,7 @@ from .errors import (
     UnknownPropositionError,
     ValidationError,
 )
+from .value import Value, setfield
 
 MAX_PROPS = 16
 MAX_NESTING = 100  # deepest parenthesis nesting the parser accepts
@@ -45,21 +45,25 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = frozenset({"true", "false"})
 
 
-@dataclass(frozen=True)
-class Language:
-    """An ordered, finite set of distinct proposition names."""
+class Language(Value):
+    """An ordered, finite set of distinct proposition names.
 
-    props: tuple[str, ...]
+    ``n_atoms`` is the number of atoms, ``2**len(props)``, and ``full_mask``
+    the bitmask selecting every atom.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "props", tuple(self.props))
-        if not 1 <= len(self.props) <= MAX_PROPS:
+    _fields = ("props",)
+    __slots__ = _fields + ("n_atoms", "full_mask")
+
+    def __init__(self, props: Iterable[str]):
+        props = tuple(props)
+        if not 1 <= len(props) <= MAX_PROPS:
             raise ValidationError(
                 f"a language needs between 1 and {MAX_PROPS} propositions, "
-                f"got {len(self.props)}"
+                f"got {len(props)}"
             )
         seen = set()
-        for name in self.props:
+        for name in props:
             if not isinstance(name, str) or not _NAME_RE.match(name):
                 raise ValidationError(f"invalid proposition name {name!r}")
             if name in _RESERVED:
@@ -67,15 +71,27 @@ class Language:
             if name in seen:
                 raise ValidationError(f"duplicate proposition name {name!r}")
             seen.add(name)
+        setfield(self, "props", props)
+        setfield(self, "n_atoms", 1 << len(props))
+        setfield(self, "full_mask", (1 << self.n_atoms) - 1)
 
-    @cached_property
-    def n_atoms(self) -> int:
-        return 1 << len(self.props)
+    # every check that two values share a language compares languages
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self.props == other.props
+        return NotImplemented
 
-    @cached_property
-    def full_mask(self) -> int:
-        """Bitmask selecting every atom."""
-        return (1 << self.n_atoms) - 1
+    def __ne__(self, other):
+        if self is other:
+            return False
+        if other.__class__ is self.__class__:
+            return self.props != other.props
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.props)
 
 
 def _atom_text(lang: Language, index: int) -> str:
@@ -85,20 +101,29 @@ def _atom_text(lang: Language, index: int) -> str:
     return " & ".join(parts)
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(Value):
     """A sentence in canonical form: the set of atoms on which it holds.
 
     ``atoms`` is a bitmask over atom indices.  The connectives are the
     operators ``~f``, ``f & g`` and ``f | g``.
     """
 
-    lang: Language
-    atoms: int
+    _fields = ("lang", "atoms")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        if not isinstance(self.atoms, int) or not 0 <= self.atoms <= self.lang.full_mask:
-            raise ValidationError(f"atom bitmask {self.atoms!r} out of range")
+    def __init__(self, lang: Language, atoms: int):
+        if not isinstance(atoms, int) or not 0 <= atoms <= lang.full_mask:
+            raise ValidationError(f"atom bitmask {atoms!r} out of range")
+        setfield(self, "lang", lang)
+        setfield(self, "atoms", atoms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.atoms == other.atoms and self.lang == other.lang
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lang, self.atoms))
 
     @property
     def is_false(self) -> bool:
@@ -265,8 +290,7 @@ def format_formula(f: Formula) -> str:
 # --- finite algebras of formulas -------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormulaAlgebra:
+class FormulaAlgebra(Value):
     """A finite algebra of formulas, held by its basis.
 
     The basis blocks partition the atoms; the algebra's members are exactly
@@ -274,14 +298,14 @@ class FormulaAlgebra:
     disjunction holds by construction.
     """
 
-    lang: Language
-    basis: tuple[Formula, ...]
+    _fields = ("lang", "basis")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(self.basis))
+    def __init__(self, lang: Language, basis: Iterable[Formula]):
+        basis = tuple(basis)
         covered = 0
-        for block in self.basis:
-            if block.lang != self.lang:
+        for block in basis:
+            if block.lang != lang:
                 raise LanguageMismatchError("basis block belongs to a different language")
             if block.is_false:
                 raise ValidationError("basis blocks must be nonempty")
@@ -291,8 +315,10 @@ class FormulaAlgebra:
                     "from earlier blocks"
                 )
             covered |= block.atoms
-        if covered != self.lang.full_mask:
+        if covered != lang.full_mask:
             raise ValidationError("basis blocks do not cover every atom")
+        setfield(self, "lang", lang)
+        setfield(self, "basis", basis)
 
     def member(self, f: Formula) -> bool:
         """True iff ``f`` is a union of basis blocks."""

@@ -12,11 +12,11 @@ All values are ``fractions.Fraction``; nothing is ever rounded.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import NotMeasurableError, ValidationError
+from .value import Value, setfield
 
 MAX_WORLDS = 64
 
@@ -46,26 +46,55 @@ def format_rational(value: Fraction) -> str:
         raise ValidationError("rational too long to write out (past the digit limit)") from None
 
 
-@dataclass(frozen=True)
-class SampleSpace:
+def as_fraction(value) -> Fraction:
+    """``value`` as a ``Fraction``; ``ValidationError`` if it is no rational."""
+    if value.__class__ is Fraction:
+        return value
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"not a rational number: {value!r}") from None
+
+
+class SampleSpace(Value):
     """An ordered, finite set of distinct world names."""
 
-    worlds: tuple[str, ...]
+    _fields = ("worlds",)
+    __slots__ = _fields
 
-    def __post_init__(self):
-        object.__setattr__(self, "worlds", tuple(self.worlds))
-        if not 1 <= len(self.worlds) <= MAX_WORLDS:
+    def __init__(self, worlds: Iterable[str]):
+        worlds = tuple(worlds)
+        if not 1 <= len(worlds) <= MAX_WORLDS:
             raise ValidationError(
                 f"a sample space needs between 1 and {MAX_WORLDS} worlds, "
-                f"got {len(self.worlds)}"
+                f"got {len(worlds)}"
             )
         seen = set()
-        for name in self.worlds:
+        for name in worlds:
             if not isinstance(name, str) or not _NAME_RE.match(name):
                 raise ValidationError(f"invalid world name {name!r}")
             if name in seen:
                 raise ValidationError(f"duplicate world name {name!r}")
             seen.add(name)
+        setfield(self, "worlds", worlds)
+
+    # every check that two values share a sample space compares spaces
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self.worlds == other.worlds
+        return NotImplemented
+
+    def __ne__(self, other):
+        if self is other:
+            return False
+        if other.__class__ is self.__class__:
+            return self.worlds != other.worlds
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.worlds)
 
     @property
     def size(self) -> int:
@@ -94,16 +123,25 @@ class SampleSpace:
         return WorldSet(self, 0)
 
 
-@dataclass(frozen=True)
-class WorldSet:
+class WorldSet(Value):
     """A subset of a sample space, stored as a bitmask in world order."""
 
-    space: SampleSpace
-    bits: int
+    _fields = ("space", "bits")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        if not isinstance(self.bits, int) or not 0 <= self.bits <= self.space.full_bits:
-            raise ValidationError(f"world bitmask {self.bits!r} out of range")
+    def __init__(self, space: SampleSpace, bits: int):
+        if not isinstance(bits, int) or not 0 <= bits <= space.full_bits:
+            raise ValidationError(f"world bitmask {bits!r} out of range")
+        setfield(self, "space", space)
+        setfield(self, "bits", bits)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.bits == other.bits and self.space == other.space
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.space, self.bits))
 
     @property
     def is_empty(self) -> bool:
@@ -142,29 +180,30 @@ def _check_space(a, b) -> None:
         raise ValidationError("world sets belong to different sample spaces")
 
 
-@dataclass(frozen=True)
-class SetAlgebra:
+class SetAlgebra(Value):
     """A finite algebra of world sets, held by its basis partition.
 
     Members are exactly the unions of basis blocks.
     """
 
-    space: SampleSpace
-    basis: tuple[WorldSet, ...]
+    _fields = ("space", "basis")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(self.basis))
+    def __init__(self, space: SampleSpace, basis: Iterable[WorldSet]):
+        basis = tuple(basis)
         covered = 0
-        for block in self.basis:
-            if block.space != self.space:
+        for block in basis:
+            if block.space != space:
                 raise ValidationError("basis block belongs to a different sample space")
             if block.is_empty:
                 raise ValidationError("basis blocks must be nonempty")
             if covered & block.bits:
                 raise ValidationError(f"basis blocks overlap: {block} intersects earlier blocks")
             covered |= block.bits
-        if covered != self.space.full_bits:
+        if covered != space.full_bits:
             raise ValidationError("basis blocks do not cover every world")
+        setfield(self, "space", space)
+        setfield(self, "basis", basis)
 
     def member(self, x: WorldSet) -> bool:
         _check_space(self, x)
@@ -180,37 +219,54 @@ def discrete_algebra(space: SampleSpace) -> SetAlgebra:
     return SetAlgebra(space, tuple(WorldSet(space, 1 << i) for i in range(space.size)))
 
 
-@dataclass(frozen=True)
-class MeasureFn:
+class MeasureFn(Value):
     """Rational weights on the blocks of a basis, in basis order.
 
     Whether the weights are nonnegative and sum to 1 is checked by
-    ``structures.validate`` rather than here, so that hand-written documents
+    ``weight_problems``, which ``structures.validate`` and the ``ic`` and
+    ``ds`` constructors call, not here, so that hand-written documents
     surface as validation reports instead of construction failures.
     """
 
-    weights: tuple[Fraction, ...]
+    _fields = ("weights",)
+    __slots__ = _fields
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
+    def __init__(self, weights: Iterable):
+        setfield(self, "weights", tuple(as_fraction(w) for w in weights))
+
+    def weight_problems(self) -> list[str]:
+        """Why the weights are not a probability distribution; empty if they are."""
+        problems = []
+        total = ZERO
+        for i, w in enumerate(self.weights):
+            if w < 0:
+                problems.append(f"measure weight {format_rational(w)} of block {i} is negative")
+            total += w
+        if total != 1:
+            try:
+                problems.append(f"measure weights sum to {format_rational(total)}, expected 1")
+            except ValidationError:
+                problems.append("measure weights do not sum to 1 (the sum is too long to write out)")
+        return problems
 
 
-@dataclass(frozen=True)
-class ProbabilitySpace:
+class ProbabilitySpace(Value):
     """A sample space, an algebra of measurable sets, and a measure."""
 
-    space: SampleSpace
-    algebra: SetAlgebra
-    mu: MeasureFn
+    _fields = ("space", "algebra", "mu")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        if self.algebra.space != self.space:
+    def __init__(self, space: SampleSpace, algebra: SetAlgebra, mu: MeasureFn):
+        if algebra.space != space:
             raise ValidationError("algebra is over a different sample space")
-        if len(self.mu.weights) != len(self.algebra.basis):
+        if len(mu.weights) != len(algebra.basis):
             raise ValidationError(
-                f"measure has {len(self.mu.weights)} weights for "
-                f"{len(self.algebra.basis)} basis blocks"
+                f"measure has {len(mu.weights)} weights for "
+                f"{len(algebra.basis)} basis blocks"
             )
+        setfield(self, "space", space)
+        setfield(self, "algebra", algebra)
+        setfield(self, "mu", mu)
 
 
 def _covered(ps: ProbabilitySpace, x: WorldSet) -> tuple[int, Fraction]:

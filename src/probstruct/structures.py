@@ -22,7 +22,6 @@ formula, and the two recipes agree whenever both apply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -43,11 +42,13 @@ from .measure import (
     SampleSpace,
     SetAlgebra,
     WorldSet,
+    as_fraction,
     discrete_algebra,
     format_rational,
     inner_measure,
     measure,
 )
+from .value import Value, setfield
 
 
 class StructureKind(str, Enum):
@@ -55,22 +56,23 @@ class StructureKind(str, Enum):
     DS = "ds"
 
 
-@dataclass(frozen=True)
-class IncidenceMap:
+class IncidenceMap(Value):
     """World-set images of the formula-algebra basis blocks, in basis order.
 
     Whether the images are pairwise disjoint and cover the sample space is
     checked by ``validate`` and by the ``ic`` and ``ds`` constructors, not here.
     """
 
-    space: SampleSpace
-    images: tuple[WorldSet, ...]
+    _fields = ("space", "images")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        for image in self.images:
-            if image.space != self.space:
+    def __init__(self, space: SampleSpace, images):
+        images = tuple(images)
+        for image in images:
+            if image.space != space:
                 raise ValidationError("incidence image is over a different sample space")
+        setfield(self, "space", space)
+        setfield(self, "images", images)
 
     def partition_problems(self) -> list[str]:
         """Why the images fail to partition the sample space; empty if they do."""
@@ -89,50 +91,68 @@ class IncidenceMap:
             problems.append(f"incidence images do not cover worlds {missing}")
         return problems
 
-    def require_partition(self) -> IncidenceMap:
-        """Raise ``ValidationError`` unless the images partition the space."""
-        problems = self.partition_problems()
-        if problems:
-            raise ValidationError("; ".join(problems))
-        return self
+
+def _require(problems: list[str]) -> None:
+    """Raise ``ValidationError`` naming the problems, if there are any."""
+    if problems:
+        raise ValidationError("; ".join(problems))
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Value):
     """Exact lower and upper probability bounds."""
 
-    lo: Fraction
-    hi: Fraction
+    _fields = ("lo", "hi")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if not ZERO <= self.lo <= self.hi <= ONE:
-            raise ValidationError(f"not a probability interval: lo={self.lo}, hi={self.hi}")
+    def __init__(self, lo: Fraction, hi: Fraction):
+        lo, hi = as_fraction(lo), as_fraction(hi)
+        if not ZERO <= lo <= hi <= ONE:
+            raise ValidationError(f"not a probability interval: lo={lo}, hi={hi}")
+        setfield(self, "lo", lo)
+        setfield(self, "hi", hi)
 
     def __str__(self) -> str:
         return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
 
 
-@dataclass(frozen=True)
-class ProbabilityStructure:
-    ps: ProbabilitySpace
-    lang: Language
-    psi: FormulaAlgebra
-    inc: IncidenceMap
-    kind: StructureKind
+class ProbabilityStructure(Value):
+    """A probability space, a language, a formula algebra and an incidence
+    map from its basis blocks to world sets, of kind ``ic`` or ``ds``.
 
-    def __post_init__(self):
-        object.__setattr__(self, "kind", StructureKind(self.kind))
-        if self.psi.lang != self.lang:
+    This constructor checks only that the pieces fit together, so that
+    ``validate`` can list what else is wrong; the ``ic`` and ``ds``
+    constructors also check the weights and the images.
+    """
+
+    _fields = ("ps", "lang", "psi", "inc", "kind")
+    __slots__ = _fields
+
+    def __init__(
+        self,
+        ps: ProbabilitySpace,
+        lang: Language,
+        psi: FormulaAlgebra,
+        inc: IncidenceMap,
+        kind: StructureKind,
+    ):
+        try:
+            kind = StructureKind(kind)
+        except ValueError:
+            raise ValidationError(f"structure kind must be 'ic' or 'ds', got {kind!r}") from None
+        if psi.lang != lang:
             raise ValidationError("formula algebra is over a different language")
-        if self.inc.space != self.ps.space:
+        if inc.space != ps.space:
             raise ValidationError("incidence map is over a different sample space")
-        if len(self.inc.images) != len(self.psi.basis):
+        if len(inc.images) != len(psi.basis):
             raise ValidationError(
-                f"incidence map has {len(self.inc.images)} images for "
-                f"{len(self.psi.basis)} basis blocks"
+                f"incidence map has {len(inc.images)} images for "
+                f"{len(psi.basis)} basis blocks"
             )
+        setfield(self, "ps", ps)
+        setfield(self, "lang", lang)
+        setfield(self, "psi", psi)
+        setfield(self, "inc", inc)
+        setfield(self, "kind", kind)
 
     @classmethod
     def ic(
@@ -143,8 +163,9 @@ class ProbabilityStructure:
         images,
     ) -> ProbabilityStructure:
         """Incidence-calculus structure: weights are given per world."""
-        ps = ProbabilitySpace(space, discrete_algebra(space), MeasureFn(tuple(world_weights)))
-        inc = IncidenceMap(space, tuple(images)).require_partition()
+        ps = ProbabilitySpace(space, discrete_algebra(space), MeasureFn(world_weights))
+        inc = IncidenceMap(space, images)
+        _require(ps.mu.weight_problems() + inc.partition_problems())
         return cls(ps, psi.lang, psi, inc, StructureKind.IC)
 
     @classmethod
@@ -157,16 +178,20 @@ class ProbabilityStructure:
         atom_images,
     ) -> ProbabilityStructure:
         """Belief structure: the formula algebra is all of the language."""
-        ps = ProbabilitySpace(space, SetAlgebra(space, tuple(chi_basis)), MeasureFn(tuple(weights)))
-        inc = IncidenceMap(space, tuple(atom_images)).require_partition()
+        ps = ProbabilitySpace(space, SetAlgebra(space, chi_basis), MeasureFn(weights))
+        inc = IncidenceMap(space, atom_images)
+        _require(ps.mu.weight_problems() + inc.partition_problems())
         return cls(ps, lang, full_algebra(lang), inc, StructureKind.DS)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Value):
     """Problems found by ``validate``; an empty tuple means valid."""
 
-    problems: tuple[str, ...]
+    _fields = ("problems",)
+    __slots__ = _fields
+
+    def __init__(self, problems: tuple[str, ...]):
+        setfield(self, "problems", tuple(problems))
 
     @property
     def ok(self) -> bool:
@@ -180,20 +205,7 @@ def validate(st: ProbabilityStructure) -> ValidationReport:
     spaces) are enforced when the pieces are built; this re-checks everything
     a hand-written document could still get wrong.
     """
-    problems: list[str] = []
-
-    total = ZERO
-    for i, w in enumerate(st.ps.mu.weights):
-        if w < 0:
-            problems.append(f"measure weight {format_rational(w)} of block {i} is negative")
-        total += w
-    if total != 1:
-        try:
-            problems.append(f"measure weights sum to {format_rational(total)}, expected 1")
-        except ValidationError:
-            problems.append("measure weights do not sum to 1 (the sum is too long to write out)")
-
-    problems += st.inc.partition_problems()
+    problems = st.ps.mu.weight_problems() + st.inc.partition_problems()
 
     if st.kind is StructureKind.IC:
         for block in st.ps.algebra.basis:
@@ -280,7 +292,7 @@ def _focal_weights(st: ProbabilityStructure) -> list[tuple[int, Fraction]]:
     """The mass function as (atom mask, weight) pairs: a formula's lower
     probability sums the weights whose mask it contains.  A ds measurable
     block's mask holds every atom whose image meets the block."""
-    st.inc.require_partition()
+    _require(st.inc.partition_problems())
     if st.kind is StructureKind.IC:
         return [
             (block.atoms, measure(st.ps, image))

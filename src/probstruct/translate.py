@@ -22,7 +22,6 @@ Seeded generators plus ``round_trip_check`` drive randomized testing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -37,12 +36,12 @@ from .structures import (
     interval,
     is_total,
 )
+from .value import Value, setfield
 
 MAX_EQUIV_PROPS = 4
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Value):
     """Outcome of comparing two structures formula by formula.
 
     ``witness`` is the first formula (in atom-bitmask order) whose intervals
@@ -50,26 +49,36 @@ class EquivalenceReport:
     formulas were compared before stopping.
     """
 
-    equivalent: bool
-    checked_count: int
-    witness: Optional[tuple[Formula, Interval, Interval]]
+    _fields = ("equivalent", "checked_count", "witness")
+    __slots__ = _fields
+
+    def __init__(
+        self,
+        equivalent: bool,
+        checked_count: int,
+        witness: Optional[tuple[Formula, Interval, Interval]],
+    ):
+        setfield(self, "equivalent", equivalent)
+        setfield(self, "checked_count", checked_count)
+        setfield(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class GenParams:
+class GenParams(Value):
     """Bounds for the seeded random generators."""
 
-    n_props: int
-    n_worlds: int
-    seed: int
+    _fields = ("n_props", "n_worlds", "seed")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        if not 1 <= self.n_props <= MAX_EQUIV_PROPS:
-            raise ValidationError(f"n_props must be 1..{MAX_EQUIV_PROPS}, got {self.n_props}")
-        if not 1 <= self.n_worlds <= 8:
-            raise ValidationError(f"n_worlds must be 1..8, got {self.n_worlds}")
-        if not 0 <= self.seed < 1 << 64:
+    def __init__(self, n_props: int, n_worlds: int, seed: int):
+        if not 1 <= n_props <= MAX_EQUIV_PROPS:
+            raise ValidationError(f"n_props must be 1..{MAX_EQUIV_PROPS}, got {n_props}")
+        if not 1 <= n_worlds <= 8:
+            raise ValidationError(f"n_worlds must be 1..8, got {n_worlds}")
+        if not 0 <= seed < 1 << 64:
             raise ValidationError("seed must be a 64-bit nonnegative integer")
+        setfield(self, "n_props", n_props)
+        setfield(self, "n_worlds", n_worlds)
+        setfield(self, "seed", seed)
 
 
 def _atom_world_name(lang: Language, index: int) -> str:

@@ -1,9 +1,13 @@
 """Command-line behaviour: outputs, exit codes, file handling."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import probstruct
 from probstruct import (
     Formula,
     GenParams,
@@ -193,3 +197,17 @@ def test_cli_interval_matches_library(tmp_path, capsys):
         f = Formula(st.lang, (i * 2654435761) % (st.lang.full_mask + 1))
         assert main(["interval", str(path), format_formula(f)]) == 0
         assert capsys.readouterr().out.strip() == str(interval(st, f))
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # -I -S: no site, environment or user paths, so only the import below loads
+    # modules; -B: write no bytecode next to the sources
+    src = str(Path(probstruct.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import probstruct.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"

@@ -11,6 +11,8 @@ from probstruct import (
     IncidenceMap,
     Interval,
     Language,
+    MeasureFn,
+    ProbabilitySpace,
     ProbabilityStructure,
     SampleSpace,
     StructureKind,
@@ -217,32 +219,45 @@ def test_fixtures_validate_cleanly():
     assert validate(non_total_ds()).ok  # not total, but well formed
 
 
+def reweighed(st: ProbabilityStructure, weights) -> ProbabilityStructure:
+    """``st`` with other block weights, through the direct constructor, which
+    leaves the weights to ``validate``."""
+    ps = ProbabilitySpace(st.ps.space, st.ps.algebra, MeasureFn(weights))
+    return ProbabilityStructure(ps, st.lang, st.psi, st.inc, st.kind)
+
+
 def test_validate_reports_bad_weight_sum():
-    lang = Language(("g", "d"))
-    space = SampleSpace(("s1", "s2", "s3", "s4"))
-    st = ProbabilityStructure.ds(
-        space,
-        (space.subset(["s1", "s2"]), space.subset(["s3", "s4"])),
-        (Fraction(1, 4), HALF),
-        lang,
-        coats_ds().inc.images,
-    )
+    st = reweighed(coats_ds(), (Fraction(1, 4), HALF))
     report = validate(st)
     assert not report.ok
     assert any("sum to 3/4" in p for p in report.problems)
 
 
 def test_validate_reports_negative_weight():
-    lang = Language(("g", "d"))
-    space = SampleSpace(("s1", "s2", "s3", "s4"))
-    st = ProbabilityStructure.ds(
-        space,
-        (space.subset(["s1", "s2"]), space.subset(["s3", "s4"])),
-        (Fraction(-1, 2), Fraction(3, 2)),
-        lang,
-        coats_ds().inc.images,
-    )
+    st = reweighed(coats_ds(), (Fraction(-1, 2), Fraction(3, 2)))
     assert any("negative" in p for p in validate(st).problems)
+
+
+@pytest.mark.parametrize(
+    "base, weights, message",
+    [
+        (coats_ds, (Fraction(1, 4), Fraction(1, 4)), "measure weights sum to 1/2, expected 1"),
+        (coats_ic, (Fraction(3, 4), Fraction(3, 4)), "measure weights sum to 3/2, expected 1"),
+        (coats_ds, (Fraction(-1, 2), Fraction(3, 2)), "measure weight -1/2 of block 0 is negative"),
+        (coats_ic, (Fraction(3, 2), Fraction(-1, 4)),
+         "measure weight -1/4 of block 1 is negative; measure weights sum to 5/4, expected 1"),
+    ],
+)
+def test_named_constructors_require_a_distribution(base, weights, message):
+    st = base()
+    # the direct constructor accepts the weights, so validate can list them
+    assert validate(reweighed(st, weights)).problems == tuple(message.split("; "))
+    with pytest.raises(ValidationError) as caught:
+        if st.kind is StructureKind.IC:
+            ProbabilityStructure.ic(st.ps.space, weights, st.psi, st.inc.images)
+        else:
+            ProbabilityStructure.ds(st.ps.space, st.ps.algebra.basis, weights, st.lang, st.inc.images)
+    assert str(caught.value) == message
 
 
 def test_validate_reports_overlapping_images():
@@ -296,8 +311,24 @@ def test_structure_shape_errors():
         ProbabilityStructure(ic.ps, ic.lang, ic.psi, IncidenceMap(ic.ps.space, ic.inc.images[:2]), "ic")
     with pytest.raises(ValidationError):
         ProbabilityStructure(ic.ps, Language(("x",)), ic.psi, ic.inc, "ic")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="structure kind must be 'ic' or 'ds', got 'nope'"):
         ProbabilityStructure(ic.ps, ic.lang, ic.psi, ic.inc, "nope")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MeasureFn(("x",)),
+        lambda: MeasureFn((float("inf"),)),
+        lambda: MeasureFn((float("nan"),)),
+        lambda: MeasureFn((None,)),
+        lambda: Interval("x", 1),
+        lambda: Interval(0, float("inf")),
+    ],
+)
+def test_bad_rationals_raise_validation_error(build):
+    with pytest.raises(ValidationError, match="not a rational number"):
+        build()
 
 
 # --- mass recovery -----------------------------------------------------------

@@ -1,0 +1,163 @@
+"""Value semantics of the public value types: equality, hash, immutability,
+repr, pickling and copying."""
+
+import copy
+import itertools
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from probstruct import (
+    EquivalenceReport,
+    Formula,
+    FormulaAlgebra,
+    GenParams,
+    IncidenceMap,
+    Interval,
+    Language,
+    MeasureFn,
+    ProbabilitySpace,
+    ProbabilityStructure,
+    SampleSpace,
+    SetAlgebra,
+    ValidationReport,
+    WorldSet,
+    coats_ds,
+    coats_ic,
+    discrete_algebra,
+    ds_to_ic,
+    equivalent,
+    full_algebra,
+    interval,
+    parse_formula,
+)
+
+HALF = Fraction(1, 2)
+
+
+def _space():
+    return SampleSpace(("w1", "w2"))
+
+
+# each builder makes a new, equal value on every call; then its fields
+VALUES = {
+    Language: (lambda: Language(("a", "b")), ("props",)),
+    Formula: (lambda: Formula(Language(("a",)), 2), ("lang", "atoms")),
+    FormulaAlgebra: (lambda: full_algebra(Language(("a", "b"))), ("lang", "basis")),
+    SampleSpace: (_space, ("worlds",)),
+    WorldSet: (lambda: WorldSet(_space(), 2), ("space", "bits")),
+    SetAlgebra: (lambda: discrete_algebra(_space()), ("space", "basis")),
+    MeasureFn: (lambda: MeasureFn((HALF, HALF)), ("weights",)),
+    ProbabilitySpace: (
+        lambda: ProbabilitySpace(_space(), discrete_algebra(_space()), MeasureFn((HALF, HALF))),
+        ("space", "algebra", "mu"),
+    ),
+    IncidenceMap: (lambda: coats_ds().inc, ("space", "images")),
+    Interval: (lambda: Interval(Fraction(1, 4), HALF), ("lo", "hi")),
+    ProbabilityStructure: (coats_ic, ("ps", "lang", "psi", "inc", "kind")),
+    ValidationReport: (lambda: ValidationReport(("a problem",)), ("problems",)),
+    EquivalenceReport: (
+        lambda: equivalent(coats_ic(), ds_to_ic(coats_ds())),
+        ("equivalent", "checked_count", "witness"),
+    ),
+    GenParams: (lambda: GenParams(2, 4, 7), ("n_props", "n_worlds", "seed")),
+}
+TYPES = list(VALUES)
+
+
+def test_every_public_value_type_is_covered():
+    assert len(TYPES) == 14
+    for cls, (build, fields) in VALUES.items():
+        assert type(build()) is cls
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
+def test_equal_fields_compare_and_hash_equal(cls):
+    build, fields = VALUES[cls]
+    a, b = build(), build()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+
+
+def test_different_fields_compare_unequal():
+    lang = Language(("a", "b"))
+    assert Formula(lang, 1) != Formula(lang, 2)
+    assert Formula(lang, 1) != Formula(Language(("a", "c")), 1)
+    assert Language(("a", "b")) != Language(("b", "a"))
+    assert SampleSpace(("w1", "w2")) != SampleSpace(("w1",))
+    assert WorldSet(_space(), 1) != WorldSet(_space(), 2)
+    assert Interval(0, HALF) != Interval(0, 1)
+    assert GenParams(2, 4, 7) != GenParams(2, 4, 8)
+    assert coats_ic() != coats_ds()
+
+
+def test_different_classes_never_compare_equal():
+    values = {cls: build() for cls, (build, _) in VALUES.items()}
+    for x, y in itertools.permutations(values.values(), 2):
+        assert x != y and not x == y
+    for cls, (build, fields) in VALUES.items():
+        value = build()
+        as_tuple = tuple(getattr(value, f) for f in fields)
+        assert value != as_tuple and as_tuple != value
+        if len(fields) == 1:
+            assert value != as_tuple[0]
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
+def test_fields_cannot_be_assigned_or_deleted(cls):
+    build, fields = VALUES[cls]
+    value = build()
+    for name in fields + ("not_a_field",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert not hasattr(value, "__dict__")
+    assert value == build()
+
+
+def test_language_sizes_are_fixed():
+    lang = Language(("a", "b", "c"))
+    assert (lang.n_atoms, lang.full_mask) == (8, 255)
+    for name in ("n_atoms", "full_mask"):
+        with pytest.raises(AttributeError):
+            setattr(lang, name, 1)
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
+def test_repr_lists_the_fields(cls):
+    build, fields = VALUES[cls]
+    value = build()
+    shown = ", ".join(f"{f}={getattr(value, f)!r}" for f in fields)
+    assert repr(value) == f"{cls.__name__}({shown})"
+
+
+def test_repr_examples():
+    assert repr(Formula(Language(("a",)), 2)) == "Formula(lang=Language(props=('a',)), atoms=2)"
+    assert repr(Interval(0, HALF)) == "Interval(lo=Fraction(0, 1), hi=Fraction(1, 2))"
+    assert repr(GenParams(2, 4, 7)) == "GenParams(n_props=2, n_worlds=4, seed=7)"
+    assert repr(WorldSet(_space(), 2)) == "WorldSet(space=SampleSpace(worlds=('w1', 'w2')), bits=2)"
+    assert repr(ValidationReport(())) == "ValidationReport(problems=())"
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
+def test_pickle_and_deepcopy_round_trip(cls):
+    build, _ = VALUES[cls]
+    value = build()
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(value, protocol=proto))
+        assert back == value and type(back) is cls
+    assert copy.deepcopy(value) == value
+    assert copy.copy(value) == value
+
+
+def test_unpickled_structure_answers_queries():
+    for st in (coats_ds(), coats_ic()):
+        back = pickle.loads(pickle.dumps(st))
+        not_d = parse_formula("~d", back.lang)
+        assert interval(back, not_d) == interval(st, parse_formula("~d", st.lang))
+        assert str(interval(back, not_d)) == "[1/2, 1]"

@@ -27,7 +27,7 @@ import json
 from typing import Callable
 
 from .errors import DocumentError, ProbstructError
-from .logic import Formula, FormulaAlgebra, Language, format_formula, full_algebra, parse_formula
+from .logic import Formula, FormulaAlgebra, Language, format_formula, parse_formula
 from .measure import (
     MeasureFn,
     ProbabilitySpace,
@@ -194,22 +194,27 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
             ),
         )
         mu = _measure_weights(raw["measure"], len(chi.basis))
-        image_of_atom: dict[int, WorldSet] = {}
+        empty = space.nothing()  # most atoms have no worlds; they share one set
+        by_atom: dict[int, tuple[Formula, WorldSet]] = {}
         for f, names in items.values():
             if f.atoms.bit_count() != 1:
                 raise DocumentError(
                     f"ds incidence keys must be single atoms, got {format_formula(f)!r}"
                 )
             k = f.atoms.bit_length() - 1
-            if k in image_of_atom:
+            if k in by_atom:
                 raise DocumentError(f"duplicate incidence for atom {format_formula(f)!r}")
-            image_of_atom[k] = _world_set(space, names, lambda: f"incidence of {format_formula(f)!r}")
-        if len(image_of_atom) != lang.n_atoms:
-            raise DocumentError(
-                f"ds incidence must cover all {lang.n_atoms} atoms, got {len(image_of_atom)}"
+            image = empty if names == [] else _world_set(
+                space, names, lambda: f"incidence of {format_formula(f)!r}"
             )
-        psi = full_algebra(lang)
-        images = tuple(image_of_atom[k] for k in range(lang.n_atoms))
+            by_atom[k] = f, image
+        if len(by_atom) != lang.n_atoms:
+            raise DocumentError(
+                f"ds incidence must cover all {lang.n_atoms} atoms, got {len(by_atom)}"
+            )
+        # the keys are the single atoms, so they are the full algebra's basis
+        blocks, images = zip(*(by_atom[k] for k in range(lang.n_atoms)))
+        psi = FormulaAlgebra(lang, blocks)
         ps = ProbabilitySpace(space, chi, mu)
         return ProbabilityStructure(ps, lang, psi, IncidenceMap(space, images), StructureKind.DS)
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -36,7 +35,7 @@ from .errors import (
     UnknownPropositionError,
     ValidationError,
 )
-from .value import Value, setfield
+from .value import Value, as_tuple, require_type, setfield
 
 MAX_PROPS = 16
 MAX_NESTING = 100  # deepest parenthesis nesting the parser accepts
@@ -49,14 +48,17 @@ class Language(Value):
     """An ordered, finite set of distinct proposition names.
 
     ``n_atoms`` is the number of atoms, ``2**len(props)``, and ``full_mask``
-    the bitmask selecting every atom.
+    the bitmask selecting every atom.  The parser's two tables are built
+    here, once per language: ``_names`` maps every name formula text may
+    use, constants included, to its atom mask, and ``_literals`` maps each
+    literal to its code for ``_read_atoms``.
     """
 
     _fields = ("props",)
-    __slots__ = _fields + ("n_atoms", "full_mask")
+    __slots__ = _fields + ("n_atoms", "full_mask", "_names", "_literals")
 
     def __init__(self, props: Iterable[str]):
-        props = tuple(props)
+        props = as_tuple(props, "propositions")
         if not 1 <= len(props) <= MAX_PROPS:
             raise ValidationError(
                 f"a language needs between 1 and {MAX_PROPS} propositions, "
@@ -74,6 +76,15 @@ class Language(Value):
         setfield(self, "props", props)
         setfield(self, "n_atoms", 1 << len(props))
         setfield(self, "full_mask", (1 << self.n_atoms) - 1)
+        names = dict(zip(props, _prop_masks(self)), true=self.full_mask, false=0)
+        setfield(self, "_names", names)
+        # bit 2n + j of a literal's code marks proposition j, and bit j is
+        # set when the literal is positive
+        codes = {}
+        for j, name in enumerate(props):
+            codes["~" + name] = 1 << 2 * len(props) + j
+            codes[name] = codes["~" + name] | 1 << j
+        setfield(self, "_literals", codes)
 
     # every check that two values share a language compares languages
     def __eq__(self, other):
@@ -112,6 +123,8 @@ class Formula(Value):
     __slots__ = _fields
 
     def __init__(self, lang: Language, atoms: int):
+        if not isinstance(lang, Language):
+            raise ValidationError(f"formula language must be Language, got {type(lang).__name__}")
         if not isinstance(atoms, int) or not 0 <= atoms <= lang.full_mask:
             raise ValidationError(f"atom bitmask {atoms!r} out of range")
         setfield(self, "lang", lang)
@@ -203,12 +216,6 @@ def _prop_masks(lang: Language) -> tuple[int, ...]:
     return tuple(masks)
 
 
-@lru_cache(maxsize=None)
-def _name_masks(lang: Language) -> dict[str, int]:
-    """The atom mask of every name formula text may use, constants included."""
-    return dict(zip(lang.props, _prop_masks(lang)), true=lang.full_mask, false=0)
-
-
 def _split_tokens(text: str) -> list[str]:
     """The tokens of text ``_tokenize`` accepts; other text gives a bad token."""
     for op in "~&|()":
@@ -219,12 +226,60 @@ def _split_tokens(text: str) -> list[str]:
 def parse_formula(text: str, lang: Language) -> Formula:
     """Parse formula text into its canonical atom set.
 
+    Text spelled as ``format_formula`` writes it, up to the order of atoms
+    and literals, is read by ``_read_atoms``; any other text, and every
+    error, goes through ``_parse_tokens``.
+    """
+    if not isinstance(text, str):
+        raise ValidationError(f"formula text must be str, got {type(text).__name__}")
+    if not isinstance(lang, Language):
+        raise ValidationError(f"formula language must be Language, got {type(lang).__name__}")
+    atoms = _read_atoms(text, lang)
+    return Formula(lang, _parse_tokens(text, lang) if atoms is None else atoms)
+
+
+def _read_atoms(text: str, lang: Language) -> int | None:
+    """The atom mask of a disjunction of full conjunctions, else None.
+
+    Terms are joined by ``" | "``, each in at most one pair of parentheses
+    and made of literals ``p`` or ``~p`` joined by ``" & "``, one per
+    proposition in any order.  A term's literal codes (see ``Language``)
+    sum to every proposition bit, above bit ``2n``, plus the atom index.
+    ``n`` proposition bits sum to all ``n`` bits only if none repeats, and
+    the sign bits sum to less than ``2**(2n)``, so they never carry into
+    the proposition bits.
+    """
+    n = len(lang.props)
+    if text.count(" & ") < n - 1:  # too few literals: most query text leaves here
+        return None
+    shift, every = 2 * n, (1 << n) - 1
+    code_of = lang._literals.__getitem__
+    mask = 0
+    for term in text.split(" | "):
+        if term[:1] == "(" and term[-1:] == ")":
+            term = term[1:-1]
+        literals = term.split(" & ")
+        if len(literals) != n:
+            return None
+        try:
+            code = sum(map(code_of, literals))
+        except KeyError:
+            return None
+        if code >> shift != every:
+            return None
+        mask |= 1 << (code & every)
+    return mask
+
+
+def _parse_tokens(text: str, lang: Language) -> int:
+    """The atom mask of any formula text; raises on text that is wrong.
+
     One pass over the tokens, with a stack frame per open parenthesis: the
     disjunction and the conjunction so far around it, and the parity of the
     ``~`` run before it.  Only wrong text pays for token positions.
     """
     full = lang.full_mask
-    names = _name_masks(lang)
+    names = lang._names
     stack: list[tuple[int, int, int]] = []
     disj, conj, flip = 0, full, 0
     value = None  # the operand just read; None while an operand is due
@@ -257,7 +312,7 @@ def parse_formula(text: str, lang: Language) -> Formula:
         _syntax_error(text, None, "unexpected end of input")
     if stack:
         _syntax_error(text, None, "expected ')'")
-    return Formula(lang, disj | (conj & value))
+    return disj | (conj & value)
 
 
 def _syntax_error(text: str, index: int | None, message: str | None):
@@ -302,9 +357,12 @@ class FormulaAlgebra(Value):
     __slots__ = _fields
 
     def __init__(self, lang: Language, basis: Iterable[Formula]):
-        basis = tuple(basis)
+        require_type(lang, Language, "algebra language")
+        basis = as_tuple(basis, "basis blocks")
         covered = 0
         for block in basis:
+            if not isinstance(block, Formula):
+                raise ValidationError(f"basis block must be Formula, got {type(block).__name__}")
             if block.lang != lang:
                 raise LanguageMismatchError("basis block belongs to a different language")
             if block.is_false:

@@ -11,12 +11,13 @@ All values are ``fractions.Fraction``; nothing is ever rounded.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import NotMeasurableError, ValidationError
-from .value import Value, setfield
+from .value import Value, as_tuple, require_type, setfield
 
 MAX_WORLDS = 64
 
@@ -63,7 +64,7 @@ class SampleSpace(Value):
     __slots__ = _fields
 
     def __init__(self, worlds: Iterable[str]):
-        worlds = tuple(worlds)
+        worlds = as_tuple(worlds, "worlds")
         if not 1 <= len(worlds) <= MAX_WORLDS:
             raise ValidationError(
                 f"a sample space needs between 1 and {MAX_WORLDS} worlds, "
@@ -130,6 +131,10 @@ class WorldSet(Value):
     __slots__ = _fields
 
     def __init__(self, space: SampleSpace, bits: int):
+        if not isinstance(space, SampleSpace):
+            raise ValidationError(
+                f"world set space must be SampleSpace, got {type(space).__name__}"
+            )
         if not isinstance(bits, int) or not 0 <= bits <= space.full_bits:
             raise ValidationError(f"world bitmask {bits!r} out of range")
         setfield(self, "space", space)
@@ -190,9 +195,12 @@ class SetAlgebra(Value):
     __slots__ = _fields
 
     def __init__(self, space: SampleSpace, basis: Iterable[WorldSet]):
-        basis = tuple(basis)
+        require_type(space, SampleSpace, "algebra space")
+        basis = as_tuple(basis, "basis blocks")
         covered = 0
         for block in basis:
+            if not isinstance(block, WorldSet):
+                raise ValidationError(f"basis block must be WorldSet, got {type(block).__name__}")
             if block.space != space:
                 raise ValidationError("basis block belongs to a different sample space")
             if block.is_empty:
@@ -232,17 +240,21 @@ class MeasureFn(Value):
     __slots__ = _fields
 
     def __init__(self, weights: Iterable):
-        setfield(self, "weights", tuple(as_fraction(w) for w in weights))
+        weights = as_tuple(weights, "measure weights")
+        setfield(self, "weights", tuple(map(as_fraction, weights)))
 
     def weight_problems(self) -> list[str]:
         """Why the weights are not a probability distribution; empty if they are."""
         problems = []
-        total = ZERO
         for i, w in enumerate(self.weights):
-            if w < 0:
+            if w.numerator < 0:
                 problems.append(f"measure weight {format_rational(w)} of block {i} is negative")
-            total += w
-        if total != 1:
+        # every query checks the weights: sum over one common denominator
+        # rather than reducing a Fraction at each step
+        den = math.lcm(*(w.denominator for w in self.weights))
+        num = sum(w.numerator * (den // w.denominator) for w in self.weights)
+        if num != den:
+            total = Fraction(num, den)
             try:
                 problems.append(f"measure weights sum to {format_rational(total)}, expected 1")
             except ValidationError:
@@ -257,6 +269,8 @@ class ProbabilitySpace(Value):
     __slots__ = _fields
 
     def __init__(self, space: SampleSpace, algebra: SetAlgebra, mu: MeasureFn):
+        require_type(algebra, SetAlgebra, "probability space algebra")
+        require_type(mu, MeasureFn, "probability space measure")
         if algebra.space != space:
             raise ValidationError("algebra is over a different sample space")
         if len(mu.weights) != len(algebra.basis):

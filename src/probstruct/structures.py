@@ -48,7 +48,7 @@ from .measure import (
     inner_measure,
     measure,
 )
-from .value import Value, setfield
+from .value import Value, as_tuple, require_type, setfield
 
 
 class StructureKind(str, Enum):
@@ -67,8 +67,13 @@ class IncidenceMap(Value):
     __slots__ = _fields
 
     def __init__(self, space: SampleSpace, images):
-        images = tuple(images)
+        require_type(space, SampleSpace, "incidence map space")
+        images = as_tuple(images, "incidence images")
         for image in images:
+            if not isinstance(image, WorldSet):
+                raise ValidationError(
+                    f"incidence image must be WorldSet, got {type(image).__name__}"
+                )
             if image.space != space:
                 raise ValidationError("incidence image is over a different sample space")
         setfield(self, "space", space)
@@ -139,6 +144,9 @@ class ProbabilityStructure(Value):
             kind = StructureKind(kind)
         except ValueError:
             raise ValidationError(f"structure kind must be 'ic' or 'ds', got {kind!r}") from None
+        require_type(ps, ProbabilitySpace, "structure probability space")
+        require_type(psi, FormulaAlgebra, "structure formula algebra")
+        require_type(inc, IncidenceMap, "structure incidence map")
         if psi.lang != lang:
             raise ValidationError("formula algebra is over a different language")
         if inc.space != ps.space:
@@ -266,26 +274,36 @@ def upper_incidence(st: ProbabilityStructure, xi: Formula) -> WorldSet:
     return ~lower_incidence(st, ~xi)
 
 
+# The public queries check the weights once per call (a structure built
+# directly or by ``from_json(check=False)`` may not have a distribution);
+# ``_bel`` does not, for the loops inside them.
+def _bel(st: ProbabilityStructure, xi: Formula) -> Fraction:
+    return inner_measure(st.ps, incidence(st, xi))
+
+
 def bel(st: ProbabilityStructure, xi: Formula) -> Fraction:
     """Belief: the inner measure of the incidence of ``xi``."""
     _require_kind(st, StructureKind.DS, "bel")
-    return inner_measure(st.ps, incidence(st, xi))
+    _require(st.ps.mu.weight_problems())
+    return _bel(st, xi)
 
 
 def plb(st: ProbabilityStructure, xi: Formula) -> Fraction:
     """Plausibility: the dual of belief."""
     _require_kind(st, StructureKind.DS, "plb")
-    return ONE - bel(st, ~xi)
+    _require(st.ps.mu.weight_problems())
+    return ONE - _bel(st, ~xi)
 
 
 def interval(st: ProbabilityStructure, xi: Formula) -> Interval:
     """Exact probability bounds for ``xi`` under either kind of structure."""
+    _require(st.ps.mu.weight_problems())
     if st.kind is StructureKind.IC:
         return Interval(
             measure(st.ps, lower_incidence(st, xi)),
             measure(st.ps, upper_incidence(st, xi)),
         )
-    return Interval(bel(st, xi), plb(st, xi))
+    return Interval(_bel(st, xi), ONE - _bel(st, ~xi))
 
 
 def _focal_weights(st: ProbabilityStructure) -> list[tuple[int, Fraction]]:
@@ -333,13 +351,14 @@ def mobius_mass(st: ProbabilityStructure) -> dict[Formula, Fraction]:
     independent cross-check of belief's superadditivity, not a fast path.
     """
     _require_kind(st, StructureKind.DS, "mobius_mass")
+    _require(st.ps.mu.weight_problems())
     if len(st.lang.props) > MAX_MOBIUS_PROPS:
         raise ValidationError(
             f"language too large for brute-force inversion "
             f"(max {MAX_MOBIUS_PROPS} propositions)"
         )
     size = 1 << st.lang.n_atoms
-    bel_table = [bel(st, Formula(st.lang, m)) for m in range(size)]
+    bel_table = [_bel(st, Formula(st.lang, m)) for m in range(size)]
     masses: dict[Formula, Fraction] = {}
     for a in range(size):
         acc = ZERO

@@ -36,7 +36,7 @@ from .structures import (
     interval,
     is_total,
 )
-from .value import Value, setfield
+from .value import Value, require_type, setfield
 
 MAX_EQUIV_PROPS = 4
 
@@ -70,6 +70,8 @@ class GenParams(Value):
     __slots__ = _fields
 
     def __init__(self, n_props: int, n_worlds: int, seed: int):
+        for name, value in zip(self._fields, (n_props, n_worlds, seed)):
+            require_type(value, int, name)
         if not 1 <= n_props <= MAX_EQUIV_PROPS:
             raise ValidationError(f"n_props must be 1..{MAX_EQUIV_PROPS}, got {n_props}")
         if not 1 <= n_worlds <= 8:

@@ -4,8 +4,28 @@ from __future__ import annotations
 
 from operator import attrgetter
 
+from .errors import ValidationError
+
 # How an ``__init__`` stores a field, past the ``__setattr__`` that refuses it.
 setfield = object.__setattr__
+
+
+def require_type(value, cls, what: str) -> None:
+    """Raise ``ValidationError`` unless ``value`` is an instance of ``cls``.
+
+    Constructors run for every formula, world set or basis block make the
+    same check inline, with the same wording, to save the call.
+    """
+    if not isinstance(value, cls):
+        raise ValidationError(f"{what} must be {cls.__name__}, got {type(value).__name__}")
+
+
+def as_tuple(items, what: str) -> tuple:
+    """``items`` as a tuple; ``ValidationError`` if they cannot be iterated."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise ValidationError(f"{what} must be iterable, got {type(items).__name__}") from None
 
 
 class Value:

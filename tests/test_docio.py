@@ -1,13 +1,19 @@
 """Structure document serialization: canonical form, strict loading."""
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from probstruct import (
     DocumentError,
+    Formula,
+    FormulaAlgebra,
     GenParams,
     Language,
+    ProbabilityStructure,
+    SampleSpace,
     coats_ds,
     coats_ic,
     format_formula,
@@ -21,6 +27,7 @@ from probstruct import (
     validate,
 )
 import probstruct.docio as docio
+import probstruct.logic as logic
 from probstruct.cli import main
 
 
@@ -226,6 +233,94 @@ def test_loading_formats_no_formula(monkeypatch):
     for text in texts:
         from_json(text)
     assert calls == []
+
+
+def random_document(rng, n: int, kind: str) -> str:
+    """Canonical text of a valid structure of ``n`` propositions and 6 worlds."""
+    lang = Language(tuple(f"p{j}" for j in range(n)))
+    space = SampleSpace(tuple(f"w{i}" for i in range(6)))
+
+    def grouped(labels, size=0):
+        """The members of each label as a bitmask, then empty masks up to ``size``."""
+        masks = {}
+        for i, label in enumerate(labels):
+            masks[label] = masks.get(label, 0) | 1 << i
+        return [masks[label] for label in sorted(masks)] + [0] * (size - len(masks))
+
+    def world_sets(masks):
+        return [space.subset(w for i, w in enumerate(space.worlds) if m >> i & 1) for m in masks]
+
+    def weights(count):
+        nums = [rng.randint(1, 5) for _ in range(count)]
+        return [Fraction(x, sum(nums)) for x in nums]
+
+    if kind == "ds":
+        images = grouped([rng.randrange(lang.n_atoms) for _ in range(6)], lang.n_atoms)
+        rng.shuffle(images)  # the atoms with worlds anywhere among the atoms
+        chi = world_sets(grouped([rng.randrange(3) for _ in range(6)]))
+        st = ProbabilityStructure.ds(space, chi, weights(len(chi)), lang, world_sets(images))
+    else:
+        # blocks of atoms with two or more blocks, so that none is "true"
+        labels = [rng.randrange(5) if rng.random() < 0.5 else k % 2 for k in range(lang.n_atoms)]
+        psi = FormulaAlgebra(lang, [Formula(lang, m) for m in grouped(labels)])
+        images = grouped([rng.randrange(len(psi.basis)) for _ in range(6)], len(psi.basis))
+        st = ProbabilityStructure.ic(space, weights(6), psi, world_sets(images))
+    return to_json(st)
+
+
+def count_token_loop(monkeypatch) -> list:
+    calls = []
+    parse = logic._parse_tokens
+
+    def counted(text, lang):
+        calls.append(text)
+        return parse(text, lang)
+
+    monkeypatch.setattr(logic, "_parse_tokens", counted)
+    return calls
+
+
+def test_canonical_documents_skip_the_token_loop(monkeypatch):
+    rng = random.Random(7)
+    texts = [random_document(rng, n, kind) for n in range(3, 9) for kind in ("ds", "ic")]
+    calls = count_token_loop(monkeypatch)
+    for text in texts:
+        assert to_json(from_json(text)) == text
+    assert calls == []
+
+
+# spellings the reader leaves to the parser, applied to every term
+RESPELLINGS = {
+    "extra spaces": lambda lits: "( " + "  &  ".join(lits) + " )",
+    "double negation": lambda lits: "(" + " & ".join(["~~" + lits[0]] + lits[1:]) + ")",
+    "double parentheses": lambda lits: "((" + " & ".join(lits) + "))",
+    "true": lambda lits: "(" + " & ".join(lits + ["true"]) + ")",
+    "repeated literal": lambda lits: "(" + " & ".join(lits + [lits[-1]]) + ")",
+}
+
+
+def respelled(text: str, respell) -> str:
+    def formula(f: str) -> str:
+        return " | ".join(respell(term[1:-1].split(" & ")) for term in f.split(" | "))
+
+    doc = json.loads(text)
+    if "psi_basis" in doc:
+        doc["psi_basis"] = [formula(f) for f in doc["psi_basis"]]
+    doc["incidence"] = {formula(f): names for f, names in doc["incidence"].items()}
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("spelling", list(RESPELLINGS))
+def test_other_spellings_load_through_the_parser(spelling, monkeypatch):
+    rng = random.Random(8)
+    texts = [random_document(rng, n, kind) for n in (3, 5) for kind in ("ds", "ic")]
+    calls = count_token_loop(monkeypatch)
+    for text in texts:
+        calls.clear()
+        loaded = from_json(respelled(text, RESPELLINGS[spelling]))
+        assert len(calls) >= len(json.loads(text)["incidence"])
+        assert loaded == from_json(text)
+        assert to_json(loaded) == text
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import random
 import re
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +25,7 @@ from probstruct import (
     true_formula,
 )
 from probstruct.cli import main
-from probstruct.logic import MAX_NESTING, _prop_masks
+from probstruct.logic import MAX_NESTING, _parse_tokens, _prop_masks, _read_atoms
 
 GD = Language(("g", "d"))
 
@@ -73,6 +74,7 @@ def oracle_tokenize(text):
     return tokens
 
 
+@lru_cache(maxsize=None)
 def oracle_prop_masks(lang):
     """Bit ``k`` of mask ``j`` is bit ``j`` of atom index ``k``, by brute force."""
     masks = [0] * len(lang.props)
@@ -340,6 +342,120 @@ def test_parse_matches_recursive_oracle():
         assert got == want, text
         errors += isinstance(want, tuple)
     assert 0.2 * len(texts) < errors < 0.95 * len(texts)
+
+
+# Text in the reader's shape (full conjunctions joined by " | "), and near
+# misses of it.  The names include prefixes of one another and a name that
+# differs from another only in case.
+_READER_PROPS = ("a", "ab", "B", "b", "c9", "_x")
+
+
+def reader_text(rng, props):
+    """A disjunction of atoms, literals in canonical or shuffled order."""
+    n = len(props)
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        k = rng.randrange(1 << n)
+        literals = [p if k >> j & 1 else "~" + p for j, p in enumerate(props)]
+        if rng.random() < 0.5:
+            rng.shuffle(literals)
+        term = " & ".join(literals)
+        terms.append(f"({term})" if n > 1 or rng.random() < 0.3 else term)
+    return " | ".join(terms)
+
+
+def _literal_edit(rng, props, literals):
+    j = rng.randrange(len(literals))
+    lit = literals[j]
+    name = lit.lstrip("~")
+    edits = [
+        lambda: literals.pop(j),  # a proposition missing
+        lambda: literals.insert(j, rng.choice(literals)),  # repeated literal
+        lambda: literals.insert(j, "~" + name if lit == name else name),  # a & ~a
+        lambda: literals.__setitem__(j, rng.choice(props)),  # repeated proposition
+        lambda: literals.__setitem__(j, "~~" + lit),
+        lambda: literals.__setitem__(j, "~ " + name),
+        lambda: literals.__setitem__(j, "(" + lit + ")"),
+        lambda: literals.__setitem__(j, rng.choice(["true", "false", "zz", "A", "a_", "p9"])),
+        lambda: literals.__setitem__(j, lit + rng.choice(["", " ", "  "]) + "&"),
+    ]
+    rng.choice(edits)()
+
+
+def near_miss(rng, props):
+    """Reader-shaped text with one or two small edits; about half the
+    results are still well formed."""
+    text = reader_text(rng, props)
+    for _ in range(rng.randint(1, 2)):
+        roll = rng.random()
+        if roll < 0.45:
+            terms = text.split(" | ")
+            i = rng.randrange(len(terms))
+            term = terms[i]
+            wrapped = term[:1] == "(" and term[-1:] == ")"
+            literals = (term[1:-1] if wrapped else term).split(" & ")
+            _literal_edit(rng, props, literals)
+            term = " & ".join(literals)
+            terms[i] = f"({term})" if wrapped else term
+            text = " | ".join(terms)
+        elif roll < 0.6:  # parentheses: doubled, unbalanced or around everything
+            text = rng.choice(["(({}))", "({}", "{})", "({})", "(({})"]).format(text)
+        elif roll < 0.8:  # separators spaced otherwise
+            old = rng.choice([" | ", " & ", "(", ")"])
+            new = rng.choice(["|", "&", " ", "  |  ", " &  ", "( ", " )", "", "$"])
+            text = text.replace(old, new, rng.randint(1, 2))
+        else:  # one character in or out
+            at = rng.randint(0, len(text))
+            if rng.random() < 0.5:
+                text = text[:at] + rng.choice(" ~&|()a$\t") + text[at:]
+            else:
+                text = text[:at] + text[at + 1:]
+    return text
+
+
+def test_reader_matches_parser_and_oracle():
+    rng = random.Random(1126)
+    cases = []
+    for _ in range(21000):
+        lang = Language(_READER_PROPS[: rng.randint(1, 6)])
+        make = reader_text if rng.random() < 0.3 else near_miss
+        cases.append((make(rng, lang.props), lang))
+    cases += [(t, Language(("a",))) for t in ["a", "~a", "(a)", "((a))", "a | ~a", "", " "]]
+    read = errors = 0
+    for text, lang in cases:
+        want = outcome(lambda t, lg: OracleParser(t, lg).parse(), text, lang)
+        assert outcome(lambda t, lg: parse_formula(t, lg).atoms, text, lang) == want, text
+        assert outcome(_parse_tokens, text, lang) == want, text
+        mask = _read_atoms(text, lang)
+        if mask is not None:
+            assert mask == want, text
+            read += 1
+        errors += isinstance(want, tuple)
+    # the reader takes the reader-shaped texts and a few near misses; the
+    # parser gets well-formed near misses and the errors
+    assert 0.25 * len(cases) < read < 0.5 * len(cases)
+    assert 0.3 * len(cases) < errors < 0.6 * len(cases)
+    assert len(cases) - read - errors > 0.1 * len(cases)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_reader_reads_full_size_keys(n):
+    lang = Language(tuple(f"p{j}" for j in range(n)))
+    rng = random.Random(n)
+    for k in [0, lang.n_atoms - 1] + rng.sample(range(lang.n_atoms), 20):
+        atom = Formula(lang, 1 << k)
+        texts = [format_formula(atom)]
+        literals = texts[0][1:-1].split(" & ")
+        rng.shuffle(literals)
+        texts.append(" & ".join(literals))
+        texts.append(" | ".join([texts[0], f"({texts[1]})", texts[0]]))
+        for text in texts:
+            want = OracleParser(text, lang).parse()
+            assert want == 1 << k
+            assert _read_atoms(text, lang) == want == _parse_tokens(text, lang)
+        # one literal flipped twice, or dropped, is left to the parser
+        assert _read_atoms(" & ".join(["~~" + literals[0]] + literals[1:]), lang) is None
+        assert _read_atoms(" & ".join(literals[1:]), lang) is None
 
 
 def test_prop_masks_match_nested_loop():

@@ -260,6 +260,54 @@ def test_named_constructors_require_a_distribution(base, weights, message):
     assert str(caught.value) == message
 
 
+BAD_WEIGHTS = [
+    (coats_ds, (Fraction(1, 4), Fraction(1, 4)), "measure weights sum to 1/2, expected 1"),
+    (coats_ds, (Fraction(-1, 2), Fraction(3, 2)), "measure weight -1/2 of block 0 is negative"),
+    (coats_ic, (Fraction(3, 4), Fraction(3, 4)), "measure weights sum to 3/2, expected 1"),
+    (coats_ic, (Fraction(3, 2), Fraction(-1, 4)),
+     "measure weight -1/4 of block 1 is negative; measure weights sum to 5/4, expected 1"),
+]
+QUERIES = {
+    "interval": lambda st: interval(st, true_formula(st.lang)),
+    "interval-g": lambda st: interval(st, parse_formula("g", st.lang)),
+    "bel": lambda st: bel(st, parse_formula("g", st.lang)),
+    "plb": lambda st: plb(st, parse_formula("g", st.lang)),
+    "mobius_mass": mobius_mass,
+}
+
+
+@pytest.mark.parametrize("base, weights, message", BAD_WEIGHTS)
+@pytest.mark.parametrize("query", list(QUERIES))
+def test_queries_refuse_weights_that_are_no_distribution(query, base, weights, message):
+    st = reweighed(base(), weights)
+    if st.kind is StructureKind.IC and not query.startswith("interval"):
+        with pytest.raises(WrongKindError):
+            QUERIES[query](st)
+        return
+    with pytest.raises(ValidationError) as caught:
+        QUERIES[query](st)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("query", list(QUERIES))
+def test_queries_check_the_weights_once_per_call(query, monkeypatch):
+    calls = []
+    check = MeasureFn.weight_problems
+
+    def counted(mu):
+        calls.append(mu)
+        return check(mu)
+
+    monkeypatch.setattr(MeasureFn, "weight_problems", counted)
+    for build in (coats_ds, coats_ic):
+        st = build()
+        if st.kind is StructureKind.IC and not query.startswith("interval"):
+            continue
+        calls.clear()
+        QUERIES[query](st)
+        assert len(calls) == 1, (query, st.kind)
+
+
 def test_validate_reports_overlapping_images():
     base = coats_ic()
     space = base.ps.space

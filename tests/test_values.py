@@ -21,6 +21,7 @@ from probstruct import (
     ProbabilityStructure,
     SampleSpace,
     SetAlgebra,
+    ValidationError,
     ValidationReport,
     WorldSet,
     coats_ds,
@@ -161,3 +162,62 @@ def test_unpickled_structure_answers_queries():
         not_d = parse_formula("~d", back.lang)
         assert interval(back, not_d) == interval(st, parse_formula("~d", st.lang))
         assert str(interval(back, not_d)) == "[1/2, 1]"
+
+
+def _lang():
+    return Language(("a", "b"))
+
+
+# arguments of the wrong type: each call once raised a bare TypeError or
+# AttributeError
+WRONG_TYPES = {
+    "Language(5)": (lambda: Language(5), "propositions must be iterable, got int"),
+    "SampleSpace(None)": (lambda: SampleSpace(None), "worlds must be iterable, got NoneType"),
+    "MeasureFn(5)": (lambda: MeasureFn(5), "measure weights must be iterable, got int"),
+    "GenParams('2', 4, 1)": (lambda: GenParams("2", 4, 1), "n_props must be int, got str"),
+    "Formula('x', 1)": (
+        lambda: Formula("x", 1),
+        "formula language must be Language, got str",
+    ),
+    "WorldSet(None, 0)": (
+        lambda: WorldSet(None, 0),
+        "world set space must be SampleSpace, got NoneType",
+    ),
+    "FormulaAlgebra(lang, [1])": (
+        lambda: FormulaAlgebra(_lang(), [1]),
+        "basis block must be Formula, got int",
+    ),
+    "SetAlgebra(space, [1])": (
+        lambda: SetAlgebra(_space(), [1]),
+        "basis block must be WorldSet, got int",
+    ),
+    "IncidenceMap(space, [1])": (
+        lambda: IncidenceMap(_space(), [1]),
+        "incidence image must be WorldSet, got int",
+    ),
+    "parse_formula(5, lang)": (
+        lambda: parse_formula(5, _lang()),
+        "formula text must be str, got int",
+    ),
+    "parse_formula('a', 5)": (
+        lambda: parse_formula("a", 5),
+        "formula language must be Language, got int",
+    ),
+    "ProbabilitySpace(space, 5, mu)": (
+        lambda: ProbabilitySpace(_space(), 5, MeasureFn((HALF, HALF))),
+        "probability space algebra must be SetAlgebra, got int",
+    ),
+    "ProbabilityStructure(5, ...)": (
+        lambda: ProbabilityStructure(5, _lang(), full_algebra(_lang()), coats_ds().inc, "ds"),
+        "structure probability space must be ProbabilitySpace, got int",
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(WRONG_TYPES))
+def test_wrong_argument_types_raise_validation_error(call):
+    build, message = WRONG_TYPES[call]
+    with pytest.raises(Exception) as err:
+        build()
+    assert type(err.value) is ValidationError
+    assert str(err.value) == message

@@ -16,18 +16,22 @@ structure has an incidence (so ``incidence`` has one key per atom).  Spelling
 out the implied basis is an error, as is any unknown field.
 
 ``to_json`` emits the canonical form: basis blocks ordered by their lowest
-atom or world index, formulas in canonical text, rationals in lowest terms,
-two-space indentation, trailing newline.  Loading canonical text and saving
-it again reproduces it byte for byte.
+atom or world index, formulas in canonical text, rationals in lowest terms.
+The layout is ``json.dumps(doc, indent=2)``'s: two-space indentation, one
+list element or object member per line, ``": "`` after each key, ``[]`` for
+an empty list, strings escaped to ASCII, and a trailing newline.  Loading
+canonical text and saving it again reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import DocumentError, ProbstructError
-from .logic import Formula, FormulaAlgebra, Language, format_formula, parse_formula
+from .logic import (
+    Formula, FormulaAlgebra, Language, _atom_texts, _join_terms, format_formula, parse_formula
+)
 from .measure import (
     MeasureFn,
     ProbabilitySpace,
@@ -46,6 +50,38 @@ from .structures import (
 )
 
 
+_encode = json.encoder.encode_basestring_ascii  # the string writer of json.dumps
+
+
+def _list(items: list[str], depth: int) -> str:
+    """A nonempty list of written ``items`` at nesting ``depth``, as
+    ``json.dumps(indent=2)`` lays it out; an empty list is just ``[]``."""
+    pad = "\n" + "  " * depth
+    return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]"
+
+
+def _object(members: Iterable[tuple[str, str]], depth: int) -> str:
+    """A nonempty object of written names and values, laid out as ``_list``
+    lays out a list; each value is copied once, into the joined text."""
+    pad = "\n" + "  " * depth
+    sep = "," + pad + "  "
+    parts = []
+    for name, value in members:
+        parts += (sep, name, ": ", value)
+    parts[0] = "{" + pad + "  "
+    parts.append(pad + "}")
+    return "".join(parts)
+
+
+def _psi_keys(psi: FormulaAlgebra) -> tuple[list[int], list[str]]:
+    """The basis blocks' positions in canonical order, and their written texts."""
+    indices = [block.atom_indices() for block in psi.basis]
+    order = sorted(range(len(indices)), key=lambda j: indices[j][0])
+    # the blocks partition the atoms, so each atom's text is used once
+    atom_text = _atom_texts(psi.lang).__getitem__
+    return order, [_encode(_join_terms(psi.basis[j], map(atom_text, indices[j]))) for j in order]
+
+
 def to_json(st: ProbabilityStructure) -> str:
     """Serialize a structure to canonical document text."""
     report = validate(st)
@@ -53,38 +89,31 @@ def to_json(st: ProbabilityStructure) -> str:
         raise DocumentError(
             "refusing to serialize an invalid structure: " + "; ".join(report.problems)
         )
-    doc: dict = {
-        "kind": st.kind.value,
-        "propositions": list(st.lang.props),
-        "worlds": list(st.ps.space.worlds),
-    }
+    world = {w: _encode(w) for w in st.ps.space.worlds}
+
+    def world_list(ws: WorldSet) -> str:
+        return _list([world[w] for w in ws.names()], 2) if ws.bits else "[]"
+
+    chi, weights, images = st.ps.algebra.basis, st.ps.mu.weights, st.inc.images
+    chi_order = sorted(range(len(chi)), key=lambda j: chi[j].bits & -chi[j].bits)
+    psi_order, keys = _psi_keys(st.psi)
+    fields = [
+        ("kind", _encode(st.kind.value)),
+        ("propositions", _list([_encode(p) for p in st.lang.props], 1)),
+        ("worlds", _list(list(world.values()), 1)),
+    ]
     if st.kind is StructureKind.DS:
-        chi = st.ps.algebra.basis
-        order = sorted(range(len(chi)), key=lambda j: chi[j].bits & -chi[j].bits)
-        doc["chi_basis"] = [list(chi[j].names()) for j in order]
-        doc["measure"] = {
-            str(i): format_rational(st.ps.mu.weights[j]) for i, j in enumerate(order)
-        }
-        by_atom = sorted(zip(st.psi.basis, st.inc.images), key=lambda p: p[0].atoms)
-        doc["incidence"] = {
-            format_formula(block): list(image.names()) for block, image in by_atom
-        }
-    else:
-        weight_of_world = {
-            block.bits.bit_length() - 1: w
-            for block, w in zip(st.ps.algebra.basis, st.ps.mu.weights)
-        }
-        doc["measure"] = {
-            str(i): format_rational(weight_of_world[i]) for i in range(st.ps.space.size)
-        }
-        order = sorted(
-            range(len(st.psi.basis)), key=lambda j: st.psi.basis[j].atoms & -st.psi.basis[j].atoms
-        )
-        doc["psi_basis"] = [format_formula(st.psi.basis[j]) for j in order]
-        doc["incidence"] = {
-            format_formula(st.psi.basis[j]): list(st.inc.images[j].names()) for j in order
-        }
-    return json.dumps(doc, indent=2) + "\n"
+        fields.append(("chi_basis", _list([world_list(chi[j]) for j in chi_order], 1)))
+    # an ic structure's measurable blocks are the single worlds, in world order
+    measure = (
+        (_encode(str(i)), _encode(format_rational(weights[j]))) for i, j in enumerate(chi_order)
+    )
+    fields.append(("measure", _object(measure, 1)))
+    if st.kind is StructureKind.IC:
+        fields.append(("psi_basis", _list(keys, 1)))
+    incidence = zip(keys, (world_list(images[j]) for j in psi_order))
+    fields.append(("incidence", _object(incidence, 1)))
+    return _object(((_encode(name), value) for name, value in fields), 0) + "\n"
 
 
 def _pairs_hook(pairs):
@@ -96,16 +125,15 @@ def _pairs_hook(pairs):
     return d
 
 
-def _name_list(value, what: str) -> list[str]:
+def _name_list(value, what: Callable[[], str]) -> list[str]:
+    """``value``, if it is a list of strings; ``what()`` names it, only on an error."""
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise DocumentError(f"{what} must be a list of strings")
+        raise DocumentError(f"{what()} must be a list of strings")
     return value
 
 
-def _world_set(space: SampleSpace, names, what: Callable[[], str]) -> WorldSet:
+def _world_set(space: SampleSpace, names: list[str], what: Callable[[], str]) -> WorldSet:
     """The world set ``names`` lists; ``what()`` names it, only on an error."""
-    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
-        raise DocumentError(f"{what()} must be a list of strings")
     if len(set(names)) != len(names):
         raise DocumentError(f"{what()} repeats a world name")
     return space.subset(names)
@@ -173,26 +201,24 @@ def _incidence_items(raw_incidence, lang: Language) -> dict[str, tuple[Formula, 
     if not isinstance(raw_incidence, dict):
         raise DocumentError('field "incidence" must be an object')
     return {
-        key: (parse_formula(key, lang), _name_list(value, f"incidence of {key!r}"))
+        key: (parse_formula(key, lang), _name_list(value, lambda: f"incidence of {key!r}"))
         for key, value in raw_incidence.items()
     }
 
 
 def _build(kind: str, raw: dict) -> ProbabilityStructure:
-    lang = Language(tuple(_name_list(raw["propositions"], '"propositions"')))
-    space = SampleSpace(tuple(_name_list(raw["worlds"], '"worlds"')))
+    lang = Language(tuple(_name_list(raw["propositions"], lambda: '"propositions"')))
+    space = SampleSpace(tuple(_name_list(raw["worlds"], lambda: '"worlds"')))
     items = _incidence_items(raw["incidence"], lang)
 
     if kind == "ds":
         if not isinstance(raw["chi_basis"], list):
             raise DocumentError('field "chi_basis" must be a list')
-        chi = SetAlgebra(
-            space,
-            tuple(
-                _world_set(space, names, lambda: f"chi_basis block {j}")
-                for j, names in enumerate(raw["chi_basis"])
-            ),
-        )
+        chi_blocks = []
+        for j, names in enumerate(raw["chi_basis"]):
+            what = lambda: f"chi_basis block {j}"
+            chi_blocks.append(_world_set(space, _name_list(names, what), what))
+        chi = SetAlgebra(space, tuple(chi_blocks))
         mu = _measure_weights(raw["measure"], len(chi.basis))
         empty = space.nothing()  # most atoms have no worlds; they share one set
         by_atom: dict[int, tuple[Formula, WorldSet]] = {}
@@ -221,7 +247,7 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
     # canonical text spells each incidence key as its block, so parse it once
     blocks = [
         items[text][0] if text in items else parse_formula(text, lang)
-        for text in _name_list(raw["psi_basis"], '"psi_basis"')
+        for text in _name_list(raw["psi_basis"], lambda: '"psi_basis"')
     ]
     psi = FormulaAlgebra(lang, tuple(blocks))
     mu = _measure_weights(raw["measure"], space.size)

@@ -107,8 +107,9 @@ class Language(Value):
 
 def _atom_text(lang: Language, index: int) -> str:
     parts = []
-    for j, name in enumerate(lang.props):
-        parts.append(name if (index >> j) & 1 else "~" + name)
+    for name in lang.props:
+        parts.append(name if index & 1 else "~" + name)
+        index >>= 1
     return " & ".join(parts)
 
 
@@ -146,13 +147,14 @@ class Formula(Value):
     def is_true(self) -> bool:
         return self.atoms == self.lang.full_mask
 
-    def atom_indices(self) -> Iterator[int]:
+    def atom_indices(self) -> list[int]:
         """Indices of the atoms on which the sentence holds, ascending."""
-        bits = self.atoms
+        indices, bits = [], self.atoms
         while bits:
             low = bits & -bits
-            yield low.bit_length() - 1
+            indices.append(low.bit_length() - 1)
             bits ^= low
+        return indices
 
     def implies(self, other: Formula) -> bool:
         """Entailment: every atom of ``self`` is an atom of ``other``."""
@@ -330,16 +332,29 @@ def _syntax_error(text: str, index: int | None, message: str | None):
 
 def format_formula(f: Formula) -> str:
     """Canonical text: disjunction of atom conjunctions in index order."""
-    if f.is_false:
+    return _join_terms(f, [_atom_text(f.lang, k) for k in f.atom_indices()])
+
+
+def _join_terms(f: Formula, terms: Iterable[str]) -> str:
+    """The canonical text of ``f``, given the texts of its atoms in index order."""
+    if not f.atoms:
         return "false"
-    if f.is_true:
+    if f.atoms == f.lang.full_mask:
         return "true"
-    multi = len(f.lang.props) > 1
-    terms = []
-    for k in f.atom_indices():
-        text = _atom_text(f.lang, k)
-        terms.append(f"({text})" if multi else text)
+    if len(f.lang.props) > 1:
+        return "(" + ") | (".join(terms) + ")"
     return " | ".join(terms)
+
+
+def _atom_texts(lang: Language) -> list[str]:
+    """``_atom_text`` of every atom, in index order, built by doubling: the
+    atoms with proposition ``j`` negative come before those with it positive."""
+    first, *rest = lang.props
+    texts = ["~" + first, first]
+    for name in rest:
+        neg, pos = " & ~" + name, " & " + name
+        texts = [t + neg for t in texts] + [t + pos for t in texts]
+    return texts
 
 
 # --- finite algebras of formulas -------------------------------------------

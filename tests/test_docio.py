@@ -14,6 +14,7 @@ from probstruct import (
     Language,
     ProbabilityStructure,
     SampleSpace,
+    WorldSet,
     coats_ds,
     coats_ic,
     format_formula,
@@ -24,6 +25,7 @@ from probstruct import (
     random_total_ds,
     save,
     to_json,
+    trivial_algebra,
     validate,
 )
 import probstruct.docio as docio
@@ -35,6 +37,96 @@ def test_fixture_documents_round_trip_byte_identically():
     for build in (coats_ds, coats_ic):
         text = to_json(build())
         assert to_json(from_json(text)) == text
+
+
+def json_module_layout(st) -> str:
+    """The canonical document, built as a dict and laid out by ``json.dumps``.
+
+    This is how ``to_json`` wrote documents before it wrote them directly;
+    it is kept here as the oracle for the direct writer.
+    """
+    doc = {"kind": st.kind.value, "propositions": list(st.lang.props), "worlds": list(st.ps.space.worlds)}
+    chi = st.ps.algebra.basis
+    order = sorted(range(len(chi)), key=lambda j: chi[j].bits & -chi[j].bits)
+    if st.kind.value == "ds":
+        doc["chi_basis"] = [list(chi[j].names()) for j in order]
+    doc["measure"] = {str(i): str(st.ps.mu.weights[j]) for i, j in enumerate(order)}
+    psi = st.psi.basis
+    order = sorted(range(len(psi)), key=lambda j: psi[j].atoms & -psi[j].atoms)
+    if st.kind.value == "ic":
+        doc["psi_basis"] = [format_formula(psi[j]) for j in order]
+    doc["incidence"] = {format_formula(psi[j]): list(st.inc.images[j].names()) for j in order}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def bit_groups(rng, items, k: int) -> list[int]:
+    """The items split at random into ``k`` nonempty groups, each as a bitmask."""
+    items = list(items)
+    rng.shuffle(items)
+    masks = [1 << x for x in items[:k]]
+    for x in items[k:]:
+        masks[rng.randrange(k)] |= 1 << x
+    return masks
+
+
+def benchmark_shaped(rng, n: int, kind: str) -> ProbabilityStructure:
+    """``n`` propositions and 64 worlds, shaped as the benchmark's documents.
+
+    A ds has 48 atoms with worlds and 16 measurable blocks; an ic has half
+    its atoms in 64 blocks with worlds and every other atom a block of its
+    own with none.
+    """
+    lang = Language(tuple(f"p{j}" for j in range(n)))
+    space = SampleSpace(tuple(f"w{i}" for i in range(64)))
+    nums = [rng.randint(1, 9) for _ in range(64)]
+    if kind == "ds":
+        live = rng.sample(range(lang.n_atoms), 48)
+        image = dict(zip(live, bit_groups(rng, range(64), 48)))
+        chi = [sum(image[a] for a in live if m >> a & 1) for m in bit_groups(rng, live, 16)]
+        weights = [Fraction(x, sum(nums[:16])) for x in nums[:16]]
+        images = [image.get(k, 0) for k in range(lang.n_atoms)]
+        return ProbabilityStructure.ds(
+            space, [WorldSet(space, m) for m in chi], weights, lang, [WorldSet(space, m) for m in images]
+        )
+    live = rng.sample(range(lang.n_atoms), lang.n_atoms // 2)
+    dead = sorted(set(range(lang.n_atoms)) - set(live))
+    blocks = bit_groups(rng, live, 64) + [1 << a for a in dead]
+    images = bit_groups(rng, range(64), 64) + [0] * len(dead)
+    psi = FormulaAlgebra(lang, [Formula(lang, m) for m in blocks])
+    weights = [Fraction(x, sum(nums)) for x in nums]
+    return ProbabilityStructure.ic(space, weights, psi, [WorldSet(space, m) for m in images])
+
+
+def writer_cases():
+    rng = random.Random(11)
+    cases = [pytest.param(coats_ds, id="coats-ds"), pytest.param(coats_ic, id="coats-ic")]
+    for n in (1, 2):
+        lang = Language(tuple(f"p{j}" for j in range(n)))
+        space = SampleSpace(("w1", "w2"))
+        cases.append(pytest.param(
+            lambda lang=lang, space=space: ProbabilityStructure.ic(
+                space, [Fraction(1, 3), Fraction(2, 3)], trivial_algebra(lang), [space.everything()]
+            ),
+            id=f"trivial-algebra-{n}",
+        ))
+    for seed in range(40):
+        params = GenParams(1 + seed % 4, 1 + seed % 8, 7200 + seed)
+        cases.append(pytest.param(lambda p=params: random_ic(p), id=f"random-ic-{seed}"))
+        cases.append(pytest.param(lambda p=params: random_total_ds(p), id=f"random-ds-{seed}"))
+    for n in (8, 12):
+        for kind in ("ds", "ic"):
+            cases.append(pytest.param(
+                lambda n=n, kind=kind: benchmark_shaped(random.Random(n), n, kind), id=f"{kind}-{n}"
+            ))
+    return cases
+
+
+@pytest.mark.parametrize("build", writer_cases())
+def test_writer_matches_the_json_module_layout(build):
+    st = build()
+    text = to_json(st)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert text == json_module_layout(st)
 
 
 def test_save_load_files(tmp_path):

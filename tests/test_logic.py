@@ -25,7 +25,15 @@ from probstruct import (
     true_formula,
 )
 from probstruct.cli import main
-from probstruct.logic import MAX_NESTING, _parse_tokens, _prop_masks, _read_atoms
+import probstruct.logic as logic
+from probstruct.logic import (
+    MAX_NESTING,
+    _atom_text,
+    _atom_texts,
+    _parse_tokens,
+    _prop_masks,
+    _read_atoms,
+)
 
 GD = Language(("g", "d"))
 
@@ -488,6 +496,22 @@ def test_format_one_prop_language_drops_parens():
     lang = Language(("p",))
     assert format_formula(parse_formula("~p", lang)) == "~p"
     assert format_formula(parse_formula("p", lang)) == "p"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_atom_text_table_matches_atom_text(n):
+    lang = Language(tuple(f"p{j}" for j in range(n)))
+    assert _atom_texts(lang) == [_atom_text(lang, k) for k in range(lang.n_atoms)]
+
+
+def test_format_formula_builds_no_table(monkeypatch):
+    def refuse(lang):
+        raise AssertionError("format_formula built the table of every atom")
+
+    monkeypatch.setattr(logic, "_atom_texts", refuse)
+    lang = Language(tuple(f"p{j}" for j in range(16)))
+    assert format_formula(Formula(lang, 1)) == "(" + " & ".join(f"~p{j}" for j in range(16)) + ")"
+    assert format_formula(parse_formula("~d", GD)) == "(~g & ~d) | (g & ~d)"
 
 
 def test_format_parse_round_trip_exhaustive_two_props():

@@ -21,6 +21,14 @@ The layout is ``json.dumps(doc, indent=2)``'s: two-space indentation, one
 list element or object member per line, ``": "`` after each key, ``[]`` for
 an empty list, strings escaped to ASCII, and a trailing newline.  Loading
 canonical text and saving it again reproduces it byte for byte.
+
+``from_json`` reads formula text through the table ``to_json`` writes it
+from: text spelled as ``to_json`` writes it is looked up term by term, and
+a ds key that is one atom gives its index without building a formula.
+The table is built at most once per call, and only when the first text
+long enough to be a full conjunction is spelled that way.  Any other text
+goes to ``parse_formula``: through its table of literals, then its
+one-pass parser, which raises every error.
 """
 
 from __future__ import annotations
@@ -30,7 +38,14 @@ from typing import Callable, Iterable
 
 from .errors import DocumentError, ProbstructError
 from .logic import (
-    Formula, FormulaAlgebra, Language, _atom_texts, _join_terms, format_formula, parse_formula
+    Formula,
+    FormulaAlgebra,
+    Language,
+    _atom_text,
+    _atom_texts,
+    _join_terms,
+    format_formula,
+    parse_formula,
 )
 from .measure import (
     MeasureFn,
@@ -127,7 +142,8 @@ def _pairs_hook(pairs):
 
 def _name_list(value, what: Callable[[], str]) -> list[str]:
     """``value``, if it is a list of strings; ``what()`` names it, only on an error."""
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+    # most atoms of a ds document have no worlds: their lists are empty
+    if not isinstance(value, list) or value and not all(isinstance(x, str) for x in value):
         raise DocumentError(f"{what()} must be a list of strings")
     return value
 
@@ -147,6 +163,8 @@ _REDUNDANT = {
 
 def from_json(text: str, check: bool = True) -> ProbabilityStructure:
     """Parse document text; with ``check`` (the default), also validate."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise DocumentError(f"document text must be str or bytes, got {type(text).__name__}")
     try:
         raw = json.loads(text, object_pairs_hook=_pairs_hook)
     except json.JSONDecodeError as e:
@@ -197,11 +215,60 @@ def _measure_weights(raw_measure, count: int) -> MeasureFn:
     return MeasureFn(tuple(weights))
 
 
-def _incidence_items(raw_incidence, lang: Language) -> dict[str, tuple[Formula, list[str]]]:
+def _key_reader(lang: Language) -> Callable[[str], int | Formula]:
+    """A reader of formula text for one load: the atom index of one atom's
+    text as ``to_json`` writes it, else the formula.
+
+    Text is looked up term by term in the table of atom texts; text with a
+    term not in it goes to ``parse_formula``, which reads any spelling and
+    raises every error.  The first text with enough ``" & "`` for a full
+    conjunction (the test ``_read_atoms`` starts with) is parsed, and the
+    table is built only if its first term is spelled as ``to_json`` writes it.
+    """
+    n = len(lang.props)
+    spelled = (lambda t: "(" + t + ")") if n > 1 else (lambda t: t)
+    table = None
+
+    def read(text: str) -> int | Formula:
+        nonlocal table
+        if not table:
+            if table is not None or text.count(" & ") < n - 1:
+                return parse_formula(text, lang)
+            # this text decides whether the document is spelled as to_json
+            # writes it; if not, the table stays empty
+            f = parse_formula(text, lang)
+            k = (f.atoms & -f.atoms).bit_length() - 1
+            first = text.partition(" | ")[0]
+            canonical = k >= 0 and first == spelled(_atom_text(lang, k))
+            table = {spelled(t): j for j, t in enumerate(_atom_texts(lang))} if canonical else {}
+            return f
+        first, more, rest = text.partition(" | ")
+        k = table.get(first)
+        if k is not None:
+            if not more:
+                return k
+            try:
+                mask = 1 << k
+                for term in rest.split(" | "):
+                    mask |= 1 << table[term]
+                return Formula(lang, mask)
+            except KeyError:
+                pass
+        return parse_formula(text, lang)
+
+    return read
+
+
+def _formula(lang: Language, atoms: int | Formula) -> Formula:
+    """The formula ``_key_reader`` read."""
+    return Formula(lang, 1 << atoms) if atoms.__class__ is int else atoms
+
+
+def _incidence_items(raw_incidence, read) -> dict[str, tuple[int | Formula, list[str]]]:
     if not isinstance(raw_incidence, dict):
         raise DocumentError('field "incidence" must be an object')
     return {
-        key: (parse_formula(key, lang), _name_list(value, lambda: f"incidence of {key!r}"))
+        key: (read(key), _name_list(value, lambda: f"incidence of {key!r}"))
         for key, value in raw_incidence.items()
     }
 
@@ -209,7 +276,9 @@ def _incidence_items(raw_incidence, lang: Language) -> dict[str, tuple[Formula, 
 def _build(kind: str, raw: dict) -> ProbabilityStructure:
     lang = Language(tuple(_name_list(raw["propositions"], lambda: '"propositions"')))
     space = SampleSpace(tuple(_name_list(raw["worlds"], lambda: '"worlds"')))
-    items = _incidence_items(raw["incidence"], lang)
+    read = _key_reader(lang)
+    items = _incidence_items(raw["incidence"], read)
+    formula_text = lambda mask: format_formula(Formula(lang, mask))  # for error messages
 
     if kind == "ds":
         if not isinstance(raw["chi_basis"], list):
@@ -221,47 +290,49 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
         chi = SetAlgebra(space, tuple(chi_blocks))
         mu = _measure_weights(raw["measure"], len(chi.basis))
         empty = space.nothing()  # most atoms have no worlds; they share one set
-        by_atom: dict[int, tuple[Formula, WorldSet]] = {}
-        for f, names in items.values():
-            if f.atoms.bit_count() != 1:
-                raise DocumentError(
-                    f"ds incidence keys must be single atoms, got {format_formula(f)!r}"
-                )
-            k = f.atoms.bit_length() - 1
-            if k in by_atom:
-                raise DocumentError(f"duplicate incidence for atom {format_formula(f)!r}")
-            image = empty if names == [] else _world_set(
-                space, names, lambda: f"incidence of {format_formula(f)!r}"
+        parsed: list[Formula | None] = [None] * lang.n_atoms  # keys not found in the table
+        images: list[WorldSet | None] = [None] * lang.n_atoms
+        for atoms, names in items.values():
+            if atoms.__class__ is int:
+                k = atoms  # one atom, found in the table
+            else:
+                if atoms.atoms.bit_count() != 1:
+                    raise DocumentError(
+                        f"ds incidence keys must be single atoms, got {format_formula(atoms)!r}"
+                    )
+                k = atoms.atoms.bit_length() - 1
+                parsed[k] = atoms
+            if images[k] is not None:
+                raise DocumentError(f"duplicate incidence for atom {formula_text(1 << k)!r}")
+            images[k] = empty if names == [] else _world_set(
+                space, names, lambda: f"incidence of {formula_text(1 << k)!r}"
             )
-            by_atom[k] = f, image
-        if len(by_atom) != lang.n_atoms:
+        if len(items) != lang.n_atoms:  # no atom was listed twice
             raise DocumentError(
-                f"ds incidence must cover all {lang.n_atoms} atoms, got {len(by_atom)}"
+                f"ds incidence must cover all {lang.n_atoms} atoms, got {len(items)}"
             )
         # the keys are the single atoms, so they are the full algebra's basis
-        blocks, images = zip(*(by_atom[k] for k in range(lang.n_atoms)))
-        psi = FormulaAlgebra(lang, blocks)
+        psi = FormulaAlgebra(lang, [f or Formula(lang, 1 << k) for k, f in enumerate(parsed)])
         ps = ProbabilitySpace(space, chi, mu)
         return ProbabilityStructure(ps, lang, psi, IncidenceMap(space, images), StructureKind.DS)
 
-    # canonical text spells each incidence key as its block, so parse it once
+    # canonical text spells each incidence key as its block, so read it once
     blocks = [
-        items[text][0] if text in items else parse_formula(text, lang)
+        _formula(lang, items[text][0] if text in items else read(text))
         for text in _name_list(raw["psi_basis"], lambda: '"psi_basis"')
     ]
     psi = FormulaAlgebra(lang, tuple(blocks))
     mu = _measure_weights(raw["measure"], space.size)
     index_of_block = {block.atoms: j for j, block in enumerate(blocks)}
     image_of_block: dict[int, WorldSet] = {}
-    for f, names in items.values():
-        j = index_of_block.get(f.atoms)
+    for atoms, names in items.values():
+        mask = 1 << atoms if atoms.__class__ is int else atoms.atoms
+        j = index_of_block.get(mask)
         if j is None:
-            raise DocumentError(
-                f"incidence key {format_formula(f)!r} is not a psi_basis block"
-            )
+            raise DocumentError(f"incidence key {formula_text(mask)!r} is not a psi_basis block")
         if j in image_of_block:
-            raise DocumentError(f"duplicate incidence for block {format_formula(f)!r}")
-        image_of_block[j] = _world_set(space, names, lambda: f"incidence of {format_formula(f)!r}")
+            raise DocumentError(f"duplicate incidence for block {formula_text(mask)!r}")
+        image_of_block[j] = _world_set(space, names, lambda: f"incidence of {formula_text(mask)!r}")
     if len(image_of_block) != len(blocks):
         raise DocumentError(
             f"incidence must cover all {len(blocks)} psi_basis blocks, got {len(image_of_block)}"
@@ -271,11 +342,18 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
     return ProbabilityStructure(ps, lang, psi, IncidenceMap(space, images), StructureKind.IC)
 
 
+def _open(path, mode: str):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except TypeError:
+        raise DocumentError(f"document path must be str or os.PathLike, got {type(path).__name__}") from None
+
+
 def save(st: ProbabilityStructure, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open(path, "w") as fh:
         fh.write(to_json(st))
 
 
 def load(path, check: bool = True) -> ProbabilityStructure:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open(path, "r") as fh:
         return from_json(fh.read(), check=check)

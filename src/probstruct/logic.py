@@ -177,6 +177,9 @@ class Formula(Value):
 
 
 def _check_lang(a, b) -> None:
+    """Raise unless ``b`` is a formula in the language of ``a``."""
+    if not isinstance(b, Formula):
+        raise ValidationError(f"formula must be Formula, got {type(b).__name__}")
     if a.lang != b.lang:
         raise LanguageMismatchError(
             f"values belong to different languages: {a.lang.props} vs {b.lang.props}"
@@ -332,6 +335,7 @@ def _syntax_error(text: str, index: int | None, message: str | None):
 
 def format_formula(f: Formula) -> str:
     """Canonical text: disjunction of atom conjunctions in index order."""
+    require_type(f, Formula, "formula")
     return _join_terms(f, [_atom_text(f.lang, k) for k in f.atom_indices()])
 
 

@@ -213,6 +213,7 @@ def validate(st: ProbabilityStructure) -> ValidationReport:
     spaces) are enforced when the pieces are built; this re-checks everything
     a hand-written document could still get wrong.
     """
+    require_type(st, ProbabilityStructure, "structure")
     problems = st.ps.mu.weight_problems() + st.inc.partition_problems()
 
     if st.kind is StructureKind.IC:
@@ -222,7 +223,9 @@ def validate(st: ProbabilityStructure) -> ValidationReport:
                     f"ic structure requires every world set measurable, but "
                     f"measure basis block {block} is not a singleton"
                 )
-    else:
+    # the blocks partition the atoms, so they are all single atoms exactly
+    # when there is one per atom; walk them only to name the others
+    elif len(st.psi.basis) != st.lang.n_atoms:
         for block in st.psi.basis:
             if block.atoms.bit_count() != 1:
                 problems.append(
@@ -246,6 +249,7 @@ def _contained_image_union(st: ProbabilityStructure, f: Formula) -> tuple[int, i
 
 def incidence(st: ProbabilityStructure, phi: Formula) -> WorldSet:
     """Worlds where ``phi`` holds; defined only on the formula algebra."""
+    require_type(st, ProbabilityStructure, "structure")
     _check_lang(st.psi, phi)
     covered, bits = _contained_image_union(st, phi)
     if covered != phi.atoms:
@@ -257,6 +261,7 @@ def incidence(st: ProbabilityStructure, phi: Formula) -> WorldSet:
 
 
 def _require_kind(st: ProbabilityStructure, kind: StructureKind, op: str) -> None:
+    require_type(st, ProbabilityStructure, "structure")
     if st.kind is not kind:
         raise WrongKindError(f"{op} requires a {kind.value} structure, got {st.kind.value}")
 
@@ -271,6 +276,7 @@ def lower_incidence(st: ProbabilityStructure, xi: Formula) -> WorldSet:
 
 def upper_incidence(st: ProbabilityStructure, xi: Formula) -> WorldSet:
     """Complement of the lower incidence of the negation."""
+    require_type(xi, Formula, "formula")
     return ~lower_incidence(st, ~xi)
 
 
@@ -291,12 +297,14 @@ def bel(st: ProbabilityStructure, xi: Formula) -> Fraction:
 def plb(st: ProbabilityStructure, xi: Formula) -> Fraction:
     """Plausibility: the dual of belief."""
     _require_kind(st, StructureKind.DS, "plb")
+    require_type(xi, Formula, "formula")
     _require(st.ps.mu.weight_problems())
     return ONE - _bel(st, ~xi)
 
 
 def interval(st: ProbabilityStructure, xi: Formula) -> Interval:
     """Exact probability bounds for ``xi`` under either kind of structure."""
+    require_type(st, ProbabilityStructure, "structure")
     _require(st.ps.mu.weight_problems())
     if st.kind is StructureKind.IC:
         return Interval(

@@ -98,6 +98,7 @@ def ic_to_ds(ic: ProbabilityStructure) -> ProbabilityStructure:
     The language must have at most 6 propositions, since every atom becomes
     a world.
     """
+    require_type(ic, ProbabilityStructure, "structure")
     if ic.kind is not StructureKind.IC:
         raise WrongKindError(f"ic_to_ds requires an ic structure, got {ic.kind.value}")
     lang = ic.lang
@@ -111,6 +112,7 @@ def ic_to_ds(ic: ProbabilityStructure) -> ProbabilityStructure:
 def ds_to_ic(ds: ProbabilityStructure) -> ProbabilityStructure:
     """Collapse a total belief structure to an equivalent incidence-calculus
     structure with one world per measurable basis block."""
+    require_type(ds, ProbabilityStructure, "structure")
     if ds.kind is not StructureKind.DS:
         raise WrongKindError(f"ds_to_ic requires a ds structure, got {ds.kind.value}")
     if not is_total(ds):
@@ -134,6 +136,8 @@ def equivalent(a: ProbabilityStructure, b: ProbabilityStructure) -> EquivalenceR
     intervals everywhere; otherwise formulas are scanned in atom-bitmask
     order up to the first disagreement.
     """
+    require_type(a, ProbabilityStructure, "structure")
+    require_type(b, ProbabilityStructure, "structure")
     if a.lang != b.lang:
         raise LanguageMismatchError("structures are over different languages")
     if len(a.lang.props) > MAX_EQUIV_PROPS:
@@ -161,6 +165,7 @@ def equivalent(a: ProbabilityStructure, b: ProbabilityStructure) -> EquivalenceR
 
 def round_trip_check(a: ProbabilityStructure) -> EquivalenceReport:
     """Translate out and back, then compare against the original."""
+    require_type(a, ProbabilityStructure, "structure")
     if a.kind is StructureKind.IC:
         return equivalent(a, ds_to_ic(ic_to_ds(a)))
     return equivalent(a, ic_to_ds(ds_to_ic(a)))

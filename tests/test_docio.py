@@ -415,6 +415,136 @@ def test_other_spellings_load_through_the_parser(spelling, monkeypatch):
         assert to_json(loaded) == text
 
 
+def trivial_ic(n: int) -> str:
+    """An ic document of ``n`` propositions whose one block is ``true``."""
+    lang = Language(tuple(f"p{j}" for j in range(n)))
+    space = SampleSpace(("w1", "w2"))
+    halves = [Fraction(1, 2)] * 2
+    return to_json(ProbabilityStructure.ic(space, halves, trivial_algebra(lang), [space.everything()]))
+
+
+def with_repeated_term(text: str) -> str:
+    """``text`` with the last term of its last incidence key, and of the
+    ``psi_basis`` block spelled alike, written twice."""
+    doc = json.loads(text)
+    key = list(doc["incidence"])[-1]
+    longer = key + " | " + key.split(" | ")[-1]
+    doc["incidence"] = {longer if k == key else k: names for k, names in doc["incidence"].items()}
+    if "psi_basis" in doc:
+        doc["psi_basis"] = [longer if b == key else b for b in doc["psi_basis"]]
+    return json.dumps(doc, indent=2)
+
+
+def reader_cases():
+    rng = random.Random(9)
+    cases = [
+        pytest.param(lambda n=n, kind=kind: random_document(random.Random(n), n, kind), id=f"{kind}-{n}")
+        for n in range(1, 9)
+        for kind in ("ds", "ic")
+    ]
+    cases += [pytest.param(lambda n=n: trivial_ic(n), id=f"trivial-ic-{n}") for n in (1, 3)]
+    cases += [
+        pytest.param(lambda b=b: with_repeated_term(to_json(b())), id=f"repeated-term-{b.__name__}")
+        for b in (coats_ds, coats_ic)
+    ]
+    cases += [
+        pytest.param(lambda kind=kind: to_json(benchmark_shaped(rng, 12, kind)), id=f"{kind}-12")
+        for kind in ("ds", "ic")
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("make_text", reader_cases())
+def test_formula_text_loads_as_parse_formula_reads_it(make_text):
+    text = make_text()
+    doc = json.loads(text)
+    lang = Language(tuple(doc["propositions"]))
+    read = docio._key_reader(lang)
+    for formula_text in [*doc["incidence"], *doc.get("psi_basis", [])]:
+        assert docio._formula(lang, read(formula_text)) == parse_formula(formula_text, lang)
+    st = from_json(text)
+    image = dict(zip(st.psi.basis, st.inc.images))
+    for key, names in doc["incidence"].items():
+        assert list(image[parse_formula(key, lang)].names()) == names
+
+
+def count_atom_texts(monkeypatch) -> list:
+    calls = []
+    atom_texts = docio._atom_texts
+
+    def counted(lang):
+        calls.append(lang)
+        return atom_texts(lang)
+
+    monkeypatch.setattr(docio, "_atom_texts", counted)
+    return calls
+
+
+SHORT_KEYS = json.dumps({
+    "kind": "ic",
+    "propositions": ["a", "b", "c"],
+    "worlds": ["w1", "w2"],
+    "measure": {"0": "1/3", "1": "2/3"},
+    "psi_basis": ["~a", "a & b", "a & ~b"],
+    "incidence": {"~a": ["w1"], "a & b": [], "a & ~b": ["w2"]},
+})
+
+
+def test_the_atom_table_is_built_once_and_only_for_canonical_spelling(monkeypatch):
+    rng = random.Random(10)
+    canonical = [random_document(rng, n, kind) for n in (2, 5, 8) for kind in ("ds", "ic")]
+    reversed_literals = lambda lits: "(" + " & ".join(reversed(lits)) + ")"
+    other = [respelled(text, reversed_literals) for text in canonical]
+    short = [SHORT_KEYS, trivial_ic(3), trivial_ic(16)]
+    calls = count_atom_texts(monkeypatch)
+    for text in short + other:
+        from_json(text)
+    assert calls == []
+    for text, respelled_text in zip(canonical, other):
+        assert from_json(text) == from_json(respelled_text)
+        assert len(calls) == 1
+        calls.clear()
+
+
+# two faults in different keys: the text and world-list checks run over all
+# keys before the atom and block checks, and each pass goes in key order
+TWO_FAULTS = {
+    "non-atom, then a world list that is no list": (
+        coats_ds,
+        {"(~g & ~d)": ["s1", "s2"], "g": ["s3"], "(~g & d)": [], "(g & d)": "s4"},
+        "incidence of '(g & d)' must be a list of strings",
+    ),
+    "two non-atoms": (
+        coats_ds,
+        {"(~g & ~d)": ["s1", "s2"], "g": ["s3"], "d": ["s4"]},
+        "ds incidence keys must be single atoms, got '(g & ~d) | (g & d)'",
+    ),
+    "an atom twice, then an unknown world": (
+        coats_ds,
+        {"(~g & ~d)": ["s1", "s2"], "(g & ~d)": ["s3"], "(~g & ~d) | (~g & ~d)": [], "(g & d)": ["s9"]},
+        "duplicate incidence for atom '(~g & ~d)'",
+    ),
+    "a repeated world, then a non-atom": (
+        coats_ds,
+        {"(~g & ~d)": ["s1", "s1"], "g": ["s3"]},
+        "incidence of '(~g & ~d)' repeats a world name",
+    ),
+    "a key outside the basis, then a syntax error": (
+        coats_ic,
+        {"(~g & ~d)": ["w1"], "~g": ["w2"], "(~g & d) |": []},
+        "unexpected end of input (at position 10)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(TWO_FAULTS))
+def test_two_faults_report_the_first_check_that_fails(case):
+    build, incidence, message = TWO_FAULTS[case]
+    with pytest.raises(DocumentError) as err:
+        from_json(edited(build, lambda d: d.update({"incidence": incidence})))
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "build, key, names, message",
     [

@@ -11,16 +11,33 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probstruct import (
+    DocumentError,
     GenParams,
     ProbstructError,
+    ValidationError,
+    bel,
     coats_ds,
     coats_ic,
+    ds_to_ic,
+    equivalent,
     format_formula,
     from_json,
+    ic_to_ds,
+    incidence,
+    interval,
+    is_total,
+    load,
+    lower_incidence,
+    mobius_mass,
     parse_formula,
+    plb,
     random_ic,
     random_total_ds,
+    round_trip_check,
+    save,
     to_json,
+    upper_incidence,
+    validate,
 )
 from probstruct.cli import main
 
@@ -149,3 +166,45 @@ def test_mutated_formulas(workdir, text):
         pass
     assert run_cli(["interval", str(workdir / "coats.json"), text]) in (0, 1, 2, 3)
     assert run_cli(["parse", "--props", "g,d", text]) in (0, 1, 2, 3)
+
+
+STRUCTURE = "structure must be ProbabilityStructure, got int"
+FORMULA = "formula must be Formula, got str"
+
+# public calls with an argument of the wrong type: each once raised a bare
+# TypeError or AttributeError
+WRONG_TYPES = {
+    "from_json(None)": (lambda: from_json(None), DocumentError, "document text must be str or bytes, got NoneType"),
+    "from_json(5)": (lambda: from_json(5), DocumentError, "document text must be str or bytes, got int"),
+    "load(None)": (lambda: load(None), DocumentError, "document path must be str or os.PathLike, got NoneType"),
+    "save(coats_ds(), None)": (
+        lambda: save(coats_ds(), None), DocumentError, "document path must be str or os.PathLike, got NoneType"
+    ),
+    "to_json(5)": (lambda: to_json(5), ValidationError, STRUCTURE),
+    "validate(5)": (lambda: validate(5), ValidationError, STRUCTURE),
+    "interval(5, 'g')": (lambda: interval(5, "g"), ValidationError, STRUCTURE),
+    "interval(coats_ds(), 'g')": (lambda: interval(coats_ds(), "g"), ValidationError, FORMULA),
+    "interval(coats_ic(), 'g')": (lambda: interval(coats_ic(), "g"), ValidationError, FORMULA),
+    "bel(coats_ds(), 'g')": (lambda: bel(coats_ds(), "g"), ValidationError, FORMULA),
+    "plb(coats_ds(), 'g')": (lambda: plb(coats_ds(), "g"), ValidationError, FORMULA),
+    "incidence(coats_ic(), 'g')": (lambda: incidence(coats_ic(), "g"), ValidationError, FORMULA),
+    "lower_incidence(coats_ic(), 'g')": (lambda: lower_incidence(coats_ic(), "g"), ValidationError, FORMULA),
+    "upper_incidence(coats_ic(), 'g')": (lambda: upper_incidence(coats_ic(), "g"), ValidationError, FORMULA),
+    "is_total(5)": (lambda: is_total(5), ValidationError, STRUCTURE),
+    "mobius_mass(5)": (lambda: mobius_mass(5), ValidationError, STRUCTURE),
+    "ic_to_ds(5)": (lambda: ic_to_ds(5), ValidationError, STRUCTURE),
+    "ds_to_ic(5)": (lambda: ds_to_ic(5), ValidationError, STRUCTURE),
+    "equivalent(coats_ds(), 5)": (lambda: equivalent(coats_ds(), 5), ValidationError, STRUCTURE),
+    "round_trip_check(5)": (lambda: round_trip_check(5), ValidationError, STRUCTURE),
+    "format_formula(5)": (lambda: format_formula(5), ValidationError, "formula must be Formula, got int"),
+    "formula & 5": (lambda: parse_formula("g", LANG) & 5, ValidationError, "formula must be Formula, got int"),
+}
+
+
+@pytest.mark.parametrize("call", list(WRONG_TYPES))
+def test_wrong_argument_types_raise_probstruct_errors(call):
+    run, error, message = WRONG_TYPES[call]
+    with pytest.raises(Exception) as err:
+        run()
+    assert type(err.value) is error
+    assert str(err.value) == message

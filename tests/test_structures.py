@@ -7,6 +7,7 @@ import pytest
 
 from probstruct import (
     Formula,
+    FormulaAlgebra,
     GenParams,
     IncidenceMap,
     Interval,
@@ -18,6 +19,7 @@ from probstruct import (
     StructureKind,
     UndefinedIncidenceError,
     ValidationError,
+    WorldSet,
     WrongKindError,
     bel,
     coats_ds,
@@ -236,6 +238,29 @@ def test_validate_reports_bad_weight_sum():
 def test_validate_reports_negative_weight():
     st = reweighed(coats_ds(), (Fraction(-1, 2), Fraction(3, 2)))
     assert any("negative" in p for p in validate(st).problems)
+
+
+@pytest.mark.parametrize(
+    "groups, named",
+    [
+        ([[0], [1], [2], [3]], []),
+        ([[0], [1, 3], [2]], ["(g & ~d) | (g & d)"]),
+        ([[0, 2], [1, 3]], ["(~g & ~d) | (~g & d)", "(g & ~d) | (g & d)"]),
+        ([[0, 1, 2, 3]], ["true"]),
+    ],
+)
+def test_validate_names_every_ds_block_that_is_not_one_atom(groups, named):
+    # the coats ds with its atoms grouped into blocks, each block's image the
+    # union of its atoms' images
+    st = coats_ds()
+    psi = FormulaAlgebra(st.lang, [Formula(st.lang, sum(1 << k for k in g)) for g in groups])
+    images = [WorldSet(st.ps.space, sum(st.inc.images[k].bits for k in g)) for g in groups]
+    grouped = ProbabilityStructure(st.ps, st.lang, psi, IncidenceMap(st.ps.space, images), "ds")
+    assert validate(grouped).problems == tuple(
+        f"ds structure requires an incidence for every formula, but formula basis "
+        f"block {text} is not a single atom"
+        for text in named
+    )
 
 
 @pytest.mark.parametrize(

@@ -290,7 +290,7 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
         chi = SetAlgebra(space, tuple(chi_blocks))
         mu = _measure_weights(raw["measure"], len(chi.basis))
         empty = space.nothing()  # most atoms have no worlds; they share one set
-        parsed: list[Formula | None] = [None] * lang.n_atoms  # keys not found in the table
+        parsed: list[Formula | None] = [None] * lang.n_atoms  # keys read as formulas
         images: list[WorldSet | None] = [None] * lang.n_atoms
         for atoms, names in items.values():
             if atoms.__class__ is int:
@@ -356,4 +356,8 @@ def save(st: ProbabilityStructure, path) -> None:
 
 def load(path, check: bool = True) -> ProbabilityStructure:
     with _open(path, "r") as fh:
-        return from_json(fh.read(), check=check)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise DocumentError(f"document is not UTF-8 text: {e.reason} at byte {e.start}") from None
+    return from_json(text, check=check)

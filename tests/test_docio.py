@@ -135,6 +135,17 @@ def test_save_load_files(tmp_path):
     assert load(path) == coats_ds()
 
 
+def test_a_file_that_is_not_utf8_is_a_document_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe{}")
+    message = "document is not UTF-8 text: invalid start byte at byte 0"
+    with pytest.raises(DocumentError) as err:
+        load(path)
+    assert str(err.value) == message
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_random_structures_survive_round_trip():
     for seed in range(50):
         ic = random_ic(GenParams(1 + seed % 3, 1 + seed % 8, 7000 + seed))

@@ -11,22 +11,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .docio import load, save, to_json
 from .errors import NotTotalError, ProbstructError
-from .fixtures import FIXTURES
 from .logic import Language, format_formula, parse_formula
-from .structures import bel, interval, plb, validate
-from .translate import (
-    GenParams,
-    ds_to_ic,
-    equivalent,
-    ic_to_ds,
-    random_ic,
-    random_total_ds,
-)
+
+# Each command imports the modules it runs, so that a process compiles and
+# loads no more of the package than its one command needs.
 
 
 def cmd_validate(args) -> int:
+    from .docio import load
+    from .structures import validate
+
     st = load(args.file, check=False)
     report = validate(st)
     if report.ok:
@@ -38,25 +33,33 @@ def cmd_validate(args) -> int:
 
 
 def cmd_query(args) -> int:
+    from . import structures
+    from .docio import load
+
     st = load(args.file)
-    print(args.query(st, parse_formula(args.formula, st.lang)))
+    query = getattr(structures, args.command)  # interval, bel or plb
+    print(query(st, parse_formula(args.formula, st.lang)))
     return 0
 
 
 def cmd_translate(args) -> int:
+    from .docio import load, save, to_json
+    from .translate import ds_to_ic, ic_to_ds
+
     st = load(args.file)
     out = ic_to_ds(st) if args.to_ds else ds_to_ic(st)
-    text = to_json(out)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        save(out, args.output)
         print(args.output)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(to_json(out))
     return 0
 
 
 def cmd_equiv(args) -> int:
+    from .docio import load
+    from .translate import equivalent
+
     a = load(args.file_a)
     b = load(args.file_b)
     report = equivalent(a, b)
@@ -69,6 +72,8 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from .translate import GenParams, ds_to_ic, equivalent, ic_to_ds, random_ic, random_total_ds
+
     passed = 0
     total = 0
     for i in range(args.iters):
@@ -102,6 +107,9 @@ def _report_fuzz_failure(side: str, seed: int, report) -> None:
 
 
 def cmd_example(args) -> int:
+    from .docio import save
+    from .fixtures import FIXTURES
+
     build = FIXTURES.get(args.name)
     if build is None:
         names = ", ".join(sorted(FIXTURES))
@@ -137,15 +145,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=cmd_validate)
 
-    for name, query, blurb in (
-        ("interval", interval, "lower and upper probability of a formula"),
-        ("bel", bel, "belief in a formula (ds structures)"),
-        ("plb", plb, "plausibility of a formula (ds structures)"),
+    for name, blurb in (
+        ("interval", "lower and upper probability of a formula"),
+        ("bel", "belief in a formula (ds structures)"),
+        ("plb", "plausibility of a formula (ds structures)"),
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("file")
         p.add_argument("formula")
-        p.set_defaults(func=cmd_query, query=query)
+        p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("translate", help="translate a structure to the other kind")
     p.add_argument("file")

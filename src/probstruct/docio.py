@@ -343,21 +343,32 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
 
 
 def _open(path, mode: str):
-    try:
-        return open(path, mode, encoding="utf-8")
-    except TypeError:
-        raise DocumentError(f"document path must be str or os.PathLike, got {type(path).__name__}") from None
+    # open() would take an int, bool included, as a file descriptor to close
+    if not isinstance(path, int):
+        try:
+            return open(path, mode, encoding="utf-8")
+        except TypeError:
+            pass
+        except ValueError as e:  # a NUL character in the path
+            raise DocumentError(str(e)) from None
+    raise DocumentError(f"document path must be str or os.PathLike, got {type(path).__name__}")
 
 
 def save(st: ProbabilityStructure, path) -> None:
-    with _open(path, "w") as fh:
-        fh.write(to_json(st))
+    text = to_json(st)
+    try:
+        with _open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise DocumentError(str(e)) from e
 
 
 def load(path, check: bool = True) -> ProbabilityStructure:
-    with _open(path, "r") as fh:
-        try:
+    try:
+        with _open(path, "r") as fh:
             text = fh.read()
-        except UnicodeDecodeError as e:
-            raise DocumentError(f"document is not UTF-8 text: {e.reason} at byte {e.start}") from None
+    except UnicodeDecodeError as e:
+        raise DocumentError(f"document is not UTF-8 text: {e.reason} at byte {e.start}") from None
+    except OSError as e:
+        raise DocumentError(str(e)) from e
     return from_json(text, check=check)

@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs, exit codes, file handling."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -199,15 +200,53 @@ def test_cli_interval_matches_library(tmp_path, capsys):
         assert capsys.readouterr().out.strip() == str(interval(st, f))
 
 
-def test_cli_import_skips_dataclasses_and_inspect():
-    # -I -S: no site, environment or user paths, so only the import below loads
+def modules_after(code: str) -> set[str]:
+    """The modules loaded in a fresh interpreter once ``code`` has run."""
+    # -I -S: no site, environment or user paths, so only ``code`` loads
     # modules; -B: write no bytecode next to the sources
     src = str(Path(probstruct.__file__).resolve().parent.parent)
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import probstruct.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
+    code = f"import sys; sys.path.insert(0, {src!r}); {code}; print(); print(*sys.modules)"
     done = subprocess.run(
         [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, check=True
     )
-    assert done.stdout == "[]\n"
+    return set(done.stdout.splitlines()[-1].split())
+
+
+# what the command functions import, and importing the CLI does not
+LOADED_BY_COMMANDS = {"probstruct.docio", "probstruct.structures", "probstruct.translate", "probstruct.fixtures", "json"}
+
+
+def test_cli_import_skips_dataclasses_and_inspect(coats_files):
+    ds, _ = coats_files
+    assert not ({"dataclasses", "inspect"} | LOADED_BY_COMMANDS) & modules_after("import probstruct.cli")
+    # each command imports what it runs and no more
+    read = {"probstruct.docio", "probstruct.structures", "json"}
+    unused = {"probstruct.translate", "probstruct.fixtures", "dataclasses", "inspect"}
+    for argv, present, absent in (
+        (["interval", str(ds), "g"], read, unused),
+        (["validate", str(ds)], read, unused),
+        (["parse", "--props", "g,d", "~(g | d)"], {"probstruct.logic"}, unused | LOADED_BY_COMMANDS),
+        (["equiv", str(ds), str(ds)], read | {"probstruct.translate"}, unused - {"probstruct.translate"}),
+    ):
+        loaded = modules_after(f"from probstruct.cli import main; main({argv!r})")
+        assert present <= loaded, argv
+        assert not absent & loaded, argv
+
+
+# The help texts and usage errors as the CLI printed them while it still
+# imported every module up front: COLUMNS=80, under the Python named in the file.
+GOLDEN = json.loads((Path(__file__).resolve().parent / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.skipif(
+    "%d.%d" % sys.version_info[:2] != GOLDEN["python"],
+    reason=f"argparse words its help differently outside Python {GOLDEN['python']}",
+)
+@pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda case: " ".join(case["argv"]) or "no-command")
+def test_help_and_usage_errors_are_byte_identical(case, tmp_path):
+    src = str(Path(probstruct.__file__).resolve().parent.parent)
+    env = dict(os.environ, COLUMNS=str(GOLDEN["columns"]), PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "probstruct.cli", *case["argv"]], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (case["exit"], case["stdout"], case["stderr"])

@@ -1,6 +1,7 @@
 """Structure document serialization: canonical form, strict loading."""
 
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -144,6 +145,43 @@ def test_a_file_that_is_not_utf8_is_a_document_error(tmp_path, capsys):
     assert str(err.value) == message
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_file_system_errors_are_document_errors(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    into_missing_dir = tmp_path / "no-such-dir" / "x.json"
+    cases = [
+        (lambda: load(missing), ["validate", str(missing)], f"[Errno 2] No such file or directory: {str(missing)!r}"),
+        (lambda: load(tmp_path), ["interval", str(tmp_path), "g"], f"[Errno 21] Is a directory: {str(tmp_path)!r}"),
+        (
+            lambda: save(coats_ds(), into_missing_dir),
+            ["example", "coats-ds", "-o", str(into_missing_dir)],
+            f"[Errno 2] No such file or directory: {str(into_missing_dir)!r}",
+        ),
+    ]
+    for call, argv, message in cases:
+        with pytest.raises(DocumentError) as err:
+            call()
+        assert str(err.value) == message
+        assert isinstance(err.value.__cause__, OSError)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    with pytest.raises(DocumentError, match="^embedded null byte$"):
+        load("nul\0.json")
+
+
+def test_an_int_path_is_refused_before_anything_is_opened():
+    # open() would take these as file descriptors, read them and close them
+    for call, name in (
+        (lambda: load(0), "int"),
+        (lambda: load(True), "bool"),
+        (lambda: save(coats_ds(), 1), "int"),
+    ):
+        with pytest.raises(DocumentError) as err:
+            call()
+        assert str(err.value) == f"document path must be str or os.PathLike, got {name}"
+        os.fstat(0)
+        os.fstat(1)
 
 
 def test_random_structures_survive_round_trip():

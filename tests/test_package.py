@@ -1,0 +1,159 @@
+"""The package's public names, which load their submodules on first use.
+
+Each check runs in a fresh interpreter, so that no other test has imported
+a submodule first.
+"""
+
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import probstruct
+from probstruct import coats_ds
+
+SRC = str(Path(probstruct.__file__).resolve().parent.parent)
+
+PUBLIC = [
+    "DocumentError",
+    "EquivalenceReport",
+    "FIXTURES",
+    "Formula",
+    "FormulaAlgebra",
+    "FormulaSyntaxError",
+    "GenParams",
+    "IncidenceMap",
+    "Interval",
+    "Language",
+    "LanguageMismatchError",
+    "MeasureFn",
+    "NotMeasurableError",
+    "NotTotalError",
+    "ProbabilitySpace",
+    "ProbabilityStructure",
+    "ProbstructError",
+    "SampleSpace",
+    "SetAlgebra",
+    "StructureKind",
+    "UndefinedIncidenceError",
+    "UnknownPropositionError",
+    "ValidationError",
+    "ValidationReport",
+    "WorldSet",
+    "WrongKindError",
+    "basis_of",
+    "bel",
+    "coats_ds",
+    "coats_ic",
+    "discrete_algebra",
+    "ds_to_ic",
+    "equivalent",
+    "false_formula",
+    "format_formula",
+    "format_rational",
+    "from_json",
+    "full_algebra",
+    "generate_algebra",
+    "ic_to_ds",
+    "incidence",
+    "inner_measure",
+    "interval",
+    "is_total",
+    "load",
+    "lower_incidence",
+    "measure",
+    "mobius_mass",
+    "parse_formula",
+    "parse_rational",
+    "plb",
+    "random_ic",
+    "random_total_ds",
+    "round_trip_check",
+    "save",
+    "to_json",
+    "trivial_algebra",
+    "true_formula",
+    "upper_incidence",
+    "validate",
+]
+
+
+def run(code: str, stdin: bytes = b"") -> None:
+    """Runs ``code`` in a fresh interpreter that finds only this package."""
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", f"import sys; sys.path.insert(0, {SRC!r})\n{code}"],
+        input=stdin,
+        capture_output=True,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def test_all_is_unchanged():
+    assert probstruct.__all__ == PUBLIC
+    run(f"import probstruct; assert probstruct.__all__ == {PUBLIC!r}")
+
+
+@pytest.mark.parametrize("first", ["probstruct.docio", "probstruct.structures", "probstruct.measure"])
+def test_measure_stays_the_function_whatever_is_imported_first(first):
+    run(
+        f"import {first}\n"
+        "import probstruct, types\n"
+        "assert probstruct.measure is sys.modules['probstruct.measure'].measure\n"
+        "assert not isinstance(probstruct.measure, types.ModuleType)\n"
+    )
+
+
+@pytest.mark.parametrize("submodules_first", [False, True])
+def test_every_public_name_is_its_defining_modules_object(submodules_first):
+    run(
+        "import importlib, probstruct\n"
+        f"if {submodules_first}:\n"
+        "    for module in ('docio', 'errors', 'fixtures', 'logic', 'measure', 'structures', 'translate'):\n"
+        "        importlib.import_module('probstruct.' + module)\n"
+        "for name in probstruct.__all__:\n"
+        "    obj = getattr(probstruct, name)\n"
+        "    home = getattr(obj, '__module__', 'probstruct.fixtures')  # FIXTURES is a dict\n"
+        "    assert home.startswith('probstruct.'), name\n"
+        "    assert getattr(importlib.import_module(home), name) is obj, name\n"
+    )
+
+
+def test_star_import_and_dir_cover_all():
+    run(
+        "import probstruct\n"
+        "assert set(probstruct.__all__) <= set(dir(probstruct))\n"
+        "names = {}\n"
+        "exec('from probstruct import *', names)\n"
+        "assert set(probstruct.__all__) <= set(names)\n"
+    )
+
+
+def test_unknown_names_raise():
+    run(
+        "import probstruct\n"
+        "try:\n"
+        "    probstruct.nope\n"
+        "except AttributeError as e:\n"
+        "    assert str(e) == \"module 'probstruct' has no attribute 'nope'\", e\n"
+        "else:\n"
+        "    raise SystemExit('no AttributeError')\n"
+        "try:\n"
+        "    from probstruct import nope\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('no ImportError')\n"
+    )
+    assert not hasattr(probstruct, "nope")
+
+
+def test_a_pickled_structure_loads_after_importing_only_the_package():
+    run(
+        "import pickle, probstruct\n"
+        "st = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert type(st) is probstruct.ProbabilityStructure\n"
+        "assert st == probstruct.coats_ds()\n",
+        stdin=pickle.dumps(coats_ds()),
+    )

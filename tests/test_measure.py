@@ -264,3 +264,19 @@ def test_inner_measure_matches_sup_oracle(ps):
     for bits in range(1 << ps.space.size):
         a = WorldSet(ps.space, bits)
         assert inner_measure(ps, a) == oracle_inner(ps, a)
+
+
+def test_set_algebra_member_is_a_union_of_blocks():
+    ps = coat_space()
+    space, algebra = ps.space, ps.algebra
+    assert algebra.member(space.subset(["s1", "s2"]))
+    assert algebra.member(space.everything())
+    assert algebra.member(space.nothing())
+    assert not algebra.member(space.subset(["s1"]))
+    assert not algebra.member(space.subset(["s1", "s2", "s3"]))
+    discrete = discrete_algebra(space)
+    for bits in range(16):
+        assert discrete.member(WorldSet(space, bits))
+    other = SampleSpace(("s1", "s2", "s3", "s5"))
+    with pytest.raises(ValidationError, match="world sets belong to different sample spaces"):
+        algebra.member(other.subset(["s1", "s2"]))

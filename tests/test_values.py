@@ -4,6 +4,7 @@ repr, pickling and copying."""
 import copy
 import itertools
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -221,3 +222,86 @@ def test_wrong_argument_types_raise_validation_error(call):
         build()
     assert type(err.value) is ValidationError
     assert str(err.value) == message
+
+
+# --- what the logic and measure twins share --------------------------------
+
+NAME_ERRORS = {
+    "no propositions": (lambda: Language(()), "a language needs between 1 and 16 propositions, got 0"),
+    "17 propositions": (
+        lambda: Language(f"p{i}" for i in range(17)),
+        "a language needs between 1 and 16 propositions, got 17",
+    ),
+    "a proposition no identifier": (lambda: Language(("a", "1b")), "invalid proposition name '1b'"),
+    "a proposition with a newline": (lambda: Language(("a\n",)), "invalid proposition name 'a\\n'"),
+    "a proposition no string": (lambda: Language(("a", 5)), "invalid proposition name 5"),
+    "true": (lambda: Language(("a", "true")), "proposition name 'true' is reserved"),
+    "false": (lambda: Language(("false",)), "proposition name 'false' is reserved"),
+    "a repeated proposition": (lambda: Language(("a", "b", "a")), "duplicate proposition name 'a'"),
+    "a repeat before a bad name": (lambda: Language(("a", "a", "b c")), "duplicate proposition name 'a'"),
+    "no worlds": (lambda: SampleSpace([]), "a sample space needs between 1 and 64 worlds, got 0"),
+    "65 worlds": (
+        lambda: SampleSpace(f"w{i}" for i in range(65)),
+        "a sample space needs between 1 and 64 worlds, got 65",
+    ),
+    "a world no identifier": (lambda: SampleSpace(("w1", "w 2")), "invalid world name 'w 2'"),
+    "a world no string": (lambda: SampleSpace(("w1", None)), "invalid world name None"),
+    "a repeated world": (lambda: SampleSpace(("w1", "w2", "w2")), "duplicate world name 'w2'"),
+    "a bad name before a repeat": (lambda: SampleSpace(("w-1", "w1", "w1")), "invalid world name 'w-1'"),
+}
+
+
+@pytest.mark.parametrize("case", list(NAME_ERRORS))
+def test_name_check_messages(case):
+    build, message = NAME_ERRORS[case]
+    with pytest.raises(Exception) as err:
+        build()
+    assert type(err.value) is ValidationError
+    assert str(err.value) == message
+
+
+def test_names_at_the_size_limits_and_world_names_reserve_nothing():
+    assert len(Language(f"p{i}" for i in range(16)).props) == 16
+    assert len(SampleSpace(f"w{i}" for i in range(64)).worlds) == 64
+    assert SampleSpace(("true", "false", "_x9")).worlds == ("true", "false", "_x9")
+
+
+def _scan(mask: int, width: int) -> list[int]:
+    """The set bits of ``mask`` below ``width``, by testing each position."""
+    return [i for i in range(width) if mask >> i & 1]
+
+
+def _masks(width: int, seed: int) -> list[int]:
+    """Empty, every single bit, full, and a few seeded masks of ``width`` bits."""
+    rng = random.Random(seed)
+    full = (1 << width) - 1
+    singles = [1 << i for i in range(width)] if width <= 64 else [1, 1 << width // 2, 1 << width - 1]
+    return [0, full, full ^ 1, full >> 1, *singles, *(rng.getrandbits(width) for _ in range(8))]
+
+
+@pytest.mark.parametrize("n_props", [1, 2, 3, 6, 12])
+def test_atom_indices_match_a_range_scan(n_props):
+    lang = Language(f"p{i}" for i in range(n_props))
+    for mask in _masks(lang.n_atoms, n_props):
+        assert Formula(lang, mask).atom_indices() == _scan(mask, lang.n_atoms)
+
+
+@pytest.mark.parametrize("n_worlds", [1, 2, 7, 64])
+def test_world_names_match_a_range_scan(n_worlds):
+    space = SampleSpace(f"w{i}" for i in range(n_worlds))
+    for mask in _masks(n_worlds, n_worlds):
+        want = tuple(space.worlds[i] for i in _scan(mask, n_worlds))
+        assert WorldSet(space, mask).names() == want
+
+
+def test_twin_values_compare_by_fields():
+    for a, b, c in (
+        (Language(("a", "b")), Language(["a", "b"]), Language(("b", "a"))),
+        (SampleSpace(("w1", "w2")), SampleSpace(["w1", "w2"]), SampleSpace(("w2", "w1"))),
+        (Formula(Language(("a",)), 1), Formula(Language(("a",)), 1), Formula(Language(("b",)), 1)),
+        (WorldSet(_space(), 1), WorldSet(_space(), 1), WorldSet(SampleSpace(("w1", "w3")), 1)),
+    ):
+        assert a == a and not a != a
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a != c and not a == c
+        assert a != a.__reduce__()[1] and a != None  # noqa: E711

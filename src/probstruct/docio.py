@@ -63,6 +63,7 @@ from .structures import (
     StructureKind,
     validate,
 )
+from .value import low_bit
 
 
 _encode = json.encoder.encode_basestring_ascii  # the string writer of json.dumps
@@ -110,7 +111,7 @@ def to_json(st: ProbabilityStructure) -> str:
         return _list([world[w] for w in ws.names()], 2) if ws.bits else "[]"
 
     chi, weights, images = st.ps.algebra.basis, st.ps.mu.weights, st.inc.images
-    chi_order = sorted(range(len(chi)), key=lambda j: chi[j].bits & -chi[j].bits)
+    chi_order = sorted(range(len(chi)), key=lambda j: low_bit(chi[j].bits))
     psi_order, keys = _psi_keys(st.psi)
     fields = [
         ("kind", _encode(st.kind.value)),
@@ -155,6 +156,7 @@ def _world_set(space: SampleSpace, names: list[str], what: Callable[[], str]) ->
     return space.subset(names)
 
 
+_FIELDS = ("kind", "propositions", "worlds", "chi_basis", "measure", "psi_basis", "incidence")
 _REDUNDANT = {
     ("ds", "psi_basis"): 'redundant field "psi_basis": every formula of a ds structure has an incidence',
     ("ic", "chi_basis"): 'redundant field "chi_basis": every world set of an ic structure is measurable',
@@ -177,12 +179,14 @@ def from_json(text: str, check: bool = True) -> ProbabilityStructure:
     kind = raw.get("kind")
     if kind not in ("ic", "ds"):
         raise DocumentError('field "kind" must be "ic" or "ds"')
-    required = {"kind", "propositions", "worlds", "measure", "incidence"}
-    required.add("chi_basis" if kind == "ds" else "psi_basis")
-    for field in set(raw) - required:
-        raise DocumentError(_REDUNDANT.get((kind, field), f"unknown field {field!r}"))
-    for field in required - set(raw):
-        raise DocumentError(f"missing field {field!r}")
+    implied = "psi_basis" if kind == "ds" else "chi_basis"
+    required = [field for field in _FIELDS if field != implied]
+    for field in raw:
+        if field not in required:
+            raise DocumentError(_REDUNDANT.get((kind, field), f"unknown field {field!r}"))
+    for field in required:
+        if field not in raw:
+            raise DocumentError(f"missing field {field!r}")
 
     try:
         st = _build(kind, raw)
@@ -237,7 +241,7 @@ def _key_reader(lang: Language) -> Callable[[str], int | Formula]:
             # this text decides whether the document is spelled as to_json
             # writes it; if not, the table stays empty
             f = parse_formula(text, lang)
-            k = (f.atoms & -f.atoms).bit_length() - 1
+            k = low_bit(f.atoms).bit_length() - 1
             first = text.partition(" | ")[0]
             canonical = k >= 0 and first == spelled(_atom_text(lang, k))
             table = {spelled(t): j for j, t in enumerate(_atom_texts(lang))} if canonical else {}

@@ -35,13 +35,10 @@ from .errors import (
     UnknownPropositionError,
     ValidationError,
 )
-from .value import Value, as_tuple, require_type, setfield
+from .value import Value, as_tuple, check_names, is_union, low_bit, require_type, set_bits, setfield
 
 MAX_PROPS = 16
 MAX_NESTING = 100  # deepest parenthesis nesting the parser accepts
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_RESERVED = frozenset({"true", "false"})
 
 
 class Language(Value):
@@ -58,21 +55,7 @@ class Language(Value):
     __slots__ = _fields + ("n_atoms", "full_mask", "_names", "_literals")
 
     def __init__(self, props: Iterable[str]):
-        props = as_tuple(props, "propositions")
-        if not 1 <= len(props) <= MAX_PROPS:
-            raise ValidationError(
-                f"a language needs between 1 and {MAX_PROPS} propositions, "
-                f"got {len(props)}"
-            )
-        seen = set()
-        for name in props:
-            if not isinstance(name, str) or not _NAME_RE.match(name):
-                raise ValidationError(f"invalid proposition name {name!r}")
-            if name in _RESERVED:
-                raise ValidationError(f"proposition name {name!r} is reserved")
-            if name in seen:
-                raise ValidationError(f"duplicate proposition name {name!r}")
-            seen.add(name)
+        props = check_names(props, MAX_PROPS, "a language", "proposition", ("true", "false"))
         setfield(self, "props", props)
         setfield(self, "n_atoms", 1 << len(props))
         setfield(self, "full_mask", (1 << self.n_atoms) - 1)
@@ -85,24 +68,6 @@ class Language(Value):
             codes["~" + name] = 1 << 2 * len(props) + j
             codes[name] = codes["~" + name] | 1 << j
         setfield(self, "_literals", codes)
-
-    # every check that two values share a language compares languages
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is self.__class__:
-            return self.props == other.props
-        return NotImplemented
-
-    def __ne__(self, other):
-        if self is other:
-            return False
-        if other.__class__ is self.__class__:
-            return self.props != other.props
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.props)
 
 
 def _atom_text(lang: Language, index: int) -> str:
@@ -131,14 +96,6 @@ class Formula(Value):
         setfield(self, "lang", lang)
         setfield(self, "atoms", atoms)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.atoms == other.atoms and self.lang == other.lang
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.lang, self.atoms))
-
     @property
     def is_false(self) -> bool:
         return self.atoms == 0
@@ -149,12 +106,7 @@ class Formula(Value):
 
     def atom_indices(self) -> list[int]:
         """Indices of the atoms on which the sentence holds, ascending."""
-        indices, bits = [], self.atoms
-        while bits:
-            low = bits & -bits
-            indices.append(low.bit_length() - 1)
-            bits ^= low
-        return indices
+        return set_bits(self.atoms)
 
     def implies(self, other: Formula) -> bool:
         """Entailment: every atom of ``self`` is an atom of ``other``."""
@@ -400,11 +352,7 @@ class FormulaAlgebra(Value):
     def member(self, f: Formula) -> bool:
         """True iff ``f`` is a union of basis blocks."""
         _check_lang(self, f)
-        covered = 0
-        for block in self.basis:
-            if block.atoms & ~f.atoms == 0:
-                covered |= block.atoms
-        return covered == f.atoms
+        return is_union((block.atoms for block in self.basis), f.atoms)
 
     def members(self) -> Iterator[Formula]:
         """Every member, i.e. all unions of basis blocks (2**k of them)."""
@@ -427,8 +375,7 @@ def trivial_algebra(lang: Language) -> FormulaAlgebra:
 
 
 def _sorted_blocks(masks: Iterable[int], lang: Language) -> tuple[Formula, ...]:
-    # canonical basis order: ascending lowest atom index
-    return tuple(Formula(lang, m) for m in sorted(masks, key=lambda m: m & -m))
+    return tuple(Formula(lang, m) for m in sorted(masks, key=low_bit))
 
 
 def generate_algebra(generators: Iterable[Formula], lang: Language) -> FormulaAlgebra:

@@ -17,11 +17,10 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import NotMeasurableError, ValidationError
-from .value import Value, as_tuple, require_type, setfield
+from .value import Value, as_tuple, check_names, is_union, require_type, set_bits, setfield
 
 MAX_WORLDS = 64
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RATIONAL_RE = re.compile(r"-?\d+(?:/[1-9]\d*)?\Z")
 
 ZERO = Fraction(0)
@@ -64,38 +63,7 @@ class SampleSpace(Value):
     __slots__ = _fields
 
     def __init__(self, worlds: Iterable[str]):
-        worlds = as_tuple(worlds, "worlds")
-        if not 1 <= len(worlds) <= MAX_WORLDS:
-            raise ValidationError(
-                f"a sample space needs between 1 and {MAX_WORLDS} worlds, "
-                f"got {len(worlds)}"
-            )
-        seen = set()
-        for name in worlds:
-            if not isinstance(name, str) or not _NAME_RE.match(name):
-                raise ValidationError(f"invalid world name {name!r}")
-            if name in seen:
-                raise ValidationError(f"duplicate world name {name!r}")
-            seen.add(name)
-        setfield(self, "worlds", worlds)
-
-    # every check that two values share a sample space compares spaces
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is self.__class__:
-            return self.worlds == other.worlds
-        return NotImplemented
-
-    def __ne__(self, other):
-        if self is other:
-            return False
-        if other.__class__ is self.__class__:
-            return self.worlds != other.worlds
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.worlds)
+        setfield(self, "worlds", check_names(worlds, MAX_WORLDS, "a sample space", "world"))
 
     @property
     def size(self) -> int:
@@ -140,26 +108,13 @@ class WorldSet(Value):
         setfield(self, "space", space)
         setfield(self, "bits", bits)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.bits == other.bits and self.space == other.space
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.space, self.bits))
-
     @property
     def is_empty(self) -> bool:
         return self.bits == 0
 
     def names(self) -> tuple[str, ...]:
         """Names of the member worlds, in world order."""
-        names, bits = [], self.bits
-        while bits:
-            low = bits & -bits
-            names.append(self.space.worlds[low.bit_length() - 1])
-            bits ^= low
-        return tuple(names)
+        return tuple(map(self.space.worlds.__getitem__, set_bits(self.bits)))
 
     def issubset(self, other: WorldSet) -> bool:
         _check_space(self, other)
@@ -215,11 +170,7 @@ class SetAlgebra(Value):
 
     def member(self, x: WorldSet) -> bool:
         _check_space(self, x)
-        covered = 0
-        for block in self.basis:
-            if block.bits & ~x.bits == 0:
-                covered |= block.bits
-        return covered == x.bits
+        return is_union((block.bits for block in self.basis), x.bits)
 
 
 def discrete_algebra(space: SampleSpace) -> SetAlgebra:

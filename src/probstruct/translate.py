@@ -36,7 +36,7 @@ from .structures import (
     interval,
     is_total,
 )
-from .value import Value, require_type, setfield
+from .value import Value, low_bit, require_type, setfield
 
 MAX_EQUIV_PROPS = 4
 
@@ -219,7 +219,7 @@ def random_total_ds(params: GenParams) -> ProbabilityStructure:
     # grouping whole images guarantees every measurable block is a union of
     # incidences, i.e. the structure is total
     nonempty = [bits for bits in atom_bits if bits]
-    block_bits = sorted(_random_grouping(rng, nonempty), key=lambda b: b & -b)
+    block_bits = sorted(_random_grouping(rng, nonempty), key=low_bit)
     chi_basis = tuple(WorldSet(space, bits) for bits in block_bits)
 
     return ProbabilityStructure.ds(

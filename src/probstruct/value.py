@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from operator import attrgetter
 
 from .errors import ValidationError
@@ -28,6 +29,45 @@ def as_tuple(items, what: str) -> tuple:
         raise ValidationError(f"{what} must be iterable, got {type(items).__name__}") from None
 
 
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+def check_names(names, limit: int, owner: str, noun: str, reserved=()) -> tuple:
+    """``names`` as a tuple of 1 to ``limit`` distinct identifiers, none ``reserved``."""
+    names = as_tuple(names, noun + "s")
+    if not 1 <= len(names) <= limit:
+        raise ValidationError(f"{owner} needs between 1 and {limit} {noun}s, got {len(names)}")
+    seen = set()
+    for name in names:
+        if not isinstance(name, str) or not _NAME_RE.match(name):
+            raise ValidationError(f"invalid {noun} name {name!r}")
+        if name in reserved:
+            raise ValidationError(f"{noun} name {name!r} is reserved")
+        if name in seen:
+            raise ValidationError(f"duplicate {noun} name {name!r}")
+        seen.add(name)
+    return names
+
+
+def low_bit(mask: int) -> int:
+    """The lowest set bit of ``mask``; sorting blocks by it gives canonical basis order."""
+    return mask & -mask
+
+
+def set_bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    positions = []
+    while mask:
+        positions.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return positions
+
+
+def is_union(blocks, mask: int) -> bool:
+    """Whether ``mask`` is a union of the partition ``blocks``: each lies inside it or misses it."""
+    return all(block & mask in (0, block) for block in blocks)
+
+
 class Value:
     """An immutable value with the fields named in ``_fields``.
 
@@ -35,8 +75,9 @@ class Value:
     ``AttributeError``.  Equality, hash, ``repr`` and pickling go by the
     fields, and values of different classes never compare equal.  Each
     subclass writes its own ``__init__``, which checks its arguments and
-    stores the fields with ``setfield``.  The classes compared in hot loops
-    write their own ``__eq__``, ``__ne__`` and ``__hash__`` as well.
+    stores the fields with ``setfield``.  ``__ne__`` answers a value
+    compared with itself at once: every check that two values share a
+    language or a sample space makes that comparison.
     """
 
     __slots__ = ()
@@ -55,6 +96,13 @@ class Value:
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self is other or self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __ne__(self, other):
+        if self is other:
+            return False
+        if other.__class__ is self.__class__:
+            return self._key(self) != self._key(other)
         return NotImplemented
 
     def __hash__(self):

@@ -250,3 +250,44 @@ def test_help_and_usage_errors_are_byte_identical(case, tmp_path):
         [sys.executable, "-m", "probstruct.cli", *case["argv"]], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert (done.returncode, done.stdout, done.stderr) == (case["exit"], case["stdout"], case["stderr"])
+
+
+# documents with several field faults: the report once depended on set order
+SEVERAL_FIELD_FAULTS = {
+    '{"kind": "ds"}': "error: missing field 'propositions'\n",
+    '{"kind": "ic", "note": 1, "psi_basis": [], "zeta": 2}': "error: unknown field 'note'\n",
+}
+
+
+def test_output_is_the_same_under_every_hash_seed(coats_files, tmp_path):
+    ds, ic = coats_files
+    commands = []
+    for i, text in enumerate(SEVERAL_FIELD_FAULTS):
+        (tmp_path / f"faults{i}.json").write_text(text)
+        commands.append(["validate", str(tmp_path / f"faults{i}.json")])
+    commands += [
+        ["interval", str(ds), "g | ~d"],
+        ["interval", str(ic), "~d"],
+        ["equiv", str(ds), str(ic)],
+        ["fuzz", "--props", "2", "--worlds", "3", "--iters", "20", "--seed", "5"],
+    ]
+    src = str(Path(probstruct.__file__).resolve().parent.parent)
+    for argv in commands:
+        # one process per hash seed, the three running side by side
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "probstruct.cli", *argv],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for seed in ("0", "1", "2")
+        ]
+        results = {(*run.communicate(), run.returncode) for run in runs}
+        assert len(results) == 1, (argv, results)
+        [(out, err, code)] = results
+        if argv[0] == "validate":
+            assert (out, err, code) == ("", SEVERAL_FIELD_FAULTS[Path(argv[1]).read_text()], 2)
+        else:
+            assert (err, code) == ("", 0), argv

@@ -633,3 +633,62 @@ def test_validate_lists_a_weight_sum_too_long_to_write(tmp_path, capsys):
     assert err == "measure weights do not sum to 1 (the sum is too long to write out)\n"
     with pytest.raises(DocumentError, match="too long to write out"):
         load(path)
+
+
+def fields(build, drop=(), before=None, after=None) -> str:
+    """``build()``'s document without the fields ``drop``, with the fields of
+    ``before`` put first and those of ``after`` last."""
+    doc = json.loads(to_json(build()))
+    for field in drop:
+        del doc[field]
+    return json.dumps({**(before or {}), **doc, **(after or {})})
+
+
+# the first unknown field in document order, else the first missing field in
+# the format's order: kind, propositions, worlds, chi_basis, measure,
+# psi_basis, incidence
+SEVERAL_FIELD_FAULTS = {
+    "ds with only a kind": ('{"kind": "ds"}', "missing field 'propositions'"),
+    "ic with only a kind": ('{"kind": "ic"}', "missing field 'propositions'"),
+    "ds without worlds and measure": (
+        fields(coats_ds, drop=("measure", "worlds")),
+        "missing field 'worlds'",
+    ),
+    "ds without incidence, measure and chi_basis": (
+        fields(coats_ds, drop=("incidence", "measure", "chi_basis")),
+        "missing field 'chi_basis'",
+    ),
+    "ic without incidence, psi_basis and measure": (
+        fields(coats_ic, drop=("incidence", "psi_basis", "measure")),
+        "missing field 'measure'",
+    ),
+    "ic without incidence and psi_basis": (
+        fields(coats_ic, drop=("incidence", "psi_basis")),
+        "missing field 'psi_basis'",
+    ),
+    "two unknown fields": (fields(coats_ds, after={"zeta": 1, "alpha": 2}), "unknown field 'zeta'"),
+    "an unknown field first in the document": (
+        fields(coats_ic, before={"zz": 1}, after={"aa": 2}),
+        "unknown field 'zz'",
+    ),
+    "an unknown field, then a redundant one": (
+        fields(coats_ds, after={"note": 1, "psi_basis": []}),
+        "unknown field 'note'",
+    ),
+    "a redundant field, then an unknown one": (
+        fields(coats_ds, after={"psi_basis": [], "note": 1}),
+        'redundant field "psi_basis": every formula of a ds structure has an incidence',
+    ),
+    "an unknown field and a missing one": (
+        fields(coats_ic, drop=("measure",), after={"comment": "x"}),
+        "unknown field 'comment'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SEVERAL_FIELD_FAULTS))
+def test_several_field_faults_report_a_fixed_one(case):
+    text, message = SEVERAL_FIELD_FAULTS[case]
+    with pytest.raises(DocumentError) as err:
+        from_json(text)
+    assert str(err.value) == message

@@ -63,7 +63,7 @@ from .structures import (
     StructureKind,
     validate,
 )
-from .value import low_bit
+from .value import low_bit, set_bits
 
 
 _encode = json.encoder.encode_basestring_ascii  # the string writer of json.dumps
@@ -91,7 +91,7 @@ def _object(members: Iterable[tuple[str, str]], depth: int) -> str:
 
 def _psi_keys(psi: FormulaAlgebra) -> tuple[list[int], list[str]]:
     """The basis blocks' positions in canonical order, and their written texts."""
-    indices = [block.atom_indices() for block in psi.basis]
+    indices = [set_bits(block.atoms) for block in psi.basis]
     order = sorted(range(len(indices)), key=lambda j: indices[j][0])
     # the blocks partition the atoms, so each atom's text is used once
     atom_text = _atom_texts(psi.lang).__getitem__
@@ -105,10 +105,10 @@ def to_json(st: ProbabilityStructure) -> str:
         raise DocumentError(
             "refusing to serialize an invalid structure: " + "; ".join(report.problems)
         )
-    world = {w: _encode(w) for w in st.ps.space.worlds}
+    world = [_encode(w) for w in st.ps.space.worlds]
 
     def world_list(ws: WorldSet) -> str:
-        return _list([world[w] for w in ws.names()], 2) if ws.bits else "[]"
+        return _list([world[i] for i in set_bits(ws.bits)], 2) if ws.bits else "[]"
 
     chi, weights, images = st.ps.algebra.basis, st.ps.mu.weights, st.inc.images
     chi_order = sorted(range(len(chi)), key=lambda j: low_bit(chi[j].bits))
@@ -116,7 +116,7 @@ def to_json(st: ProbabilityStructure) -> str:
     fields = [
         ("kind", _encode(st.kind.value)),
         ("propositions", _list([_encode(p) for p in st.lang.props], 1)),
-        ("worlds", _list(list(world.values()), 1)),
+        ("worlds", _list(world, 1)),
     ]
     if st.kind is StructureKind.DS:
         fields.append(("chi_basis", _list([world_list(chi[j]) for j in chi_order], 1)))

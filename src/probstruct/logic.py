@@ -288,7 +288,7 @@ def _syntax_error(text: str, index: int | None, message: str | None):
 def format_formula(f: Formula) -> str:
     """Canonical text: disjunction of atom conjunctions in index order."""
     require_type(f, Formula, "formula")
-    return _join_terms(f, [_atom_text(f.lang, k) for k in f.atom_indices()])
+    return _join_terms(f, [_atom_text(f.lang, k) for k in set_bits(f.atoms)])
 
 
 def _join_terms(f: Formula, terms: Iterable[str]) -> str:

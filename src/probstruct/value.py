@@ -1,4 +1,5 @@
-"""The base class of the package's immutable value types."""
+"""The base class of the package's immutable value types, and the name checks and bit
+operations that formulas and world sets share."""
 
 from __future__ import annotations
 

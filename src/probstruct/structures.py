@@ -16,8 +16,13 @@ Two kinds are distinguished by where the partiality lives:
   world sets are measurable.  Belief is the inner measure of the incidence;
   plausibility is its dual.
 
-Either way, ``interval`` returns exact lower and upper probabilities for any
-formula, and the two recipes agree whenever both apply.
+Either way, a query splits the basis blocks by the formula ``xi`` in one
+pass: those inside ``xi`` give ``lo`` (the measure of their images in an
+``ic`` structure, the inner measure in a ``ds`` one), those inside ``~xi``
+give ``1 - hi``, and those that meet both make the gap between them, or
+leave a ``ds`` incidence undefined.  The same pass refuses images that do
+not partition the worlds.  So ``interval`` returns exact lower and upper
+probabilities for any formula, and the two recipes agree whenever both apply.
 """
 
 from __future__ import annotations
@@ -26,14 +31,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import UndefinedIncidenceError, ValidationError, WrongKindError
-from .logic import (
-    Formula,
-    FormulaAlgebra,
-    Language,
-    _check_lang,
-    format_formula,
-    full_algebra,
-)
+from .logic import Formula, FormulaAlgebra, Language, _check_lang, format_formula, full_algebra
 from .measure import (
     ONE,
     ZERO,
@@ -60,7 +58,7 @@ class IncidenceMap(Value):
     """World-set images of the formula-algebra basis blocks, in basis order.
 
     Whether the images are pairwise disjoint and cover the sample space is
-    checked by ``validate`` and by the ``ic`` and ``ds`` constructors, not here.
+    checked by ``validate``, the ``ic`` and ``ds`` constructors and the queries.
     """
 
     _fields = ("space", "images")
@@ -163,13 +161,7 @@ class ProbabilityStructure(Value):
         setfield(self, "kind", kind)
 
     @classmethod
-    def ic(
-        cls,
-        space: SampleSpace,
-        world_weights,
-        psi: FormulaAlgebra,
-        images,
-    ) -> ProbabilityStructure:
+    def ic(cls, space: SampleSpace, world_weights, psi: FormulaAlgebra, images) -> ProbabilityStructure:
         """Incidence-calculus structure: weights are given per world."""
         ps = ProbabilitySpace(space, discrete_algebra(space), MeasureFn(world_weights))
         inc = IncidenceMap(space, images)
@@ -236,62 +228,73 @@ def validate(st: ProbabilityStructure) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
-def _contained_image_union(st: ProbabilityStructure, f: Formula) -> tuple[int, int]:
-    """(covered atom mask, union of image bits) over basis blocks inside f."""
-    covered = 0
-    bits = 0
+def _split(st: ProbabilityStructure, xi: Formula) -> tuple[WorldSet, WorldSet, bool]:
+    """One pass over the basis: the union of the images of the blocks inside
+    ``xi``, that of the blocks inside ``~xi``, and whether a block meets both.
+    Raises ``ValidationError`` unless the images partition the worlds."""
+    _check_lang(st.psi, xi)
+    f = xi.atoms
+    inside = outside = seen = total = 0
+    mixed = False
     for block, image in zip(st.psi.basis, st.inc.images):
-        if block.atoms & ~f.atoms == 0:
-            covered |= block.atoms
-            bits |= image.bits
-    return covered, bits
+        bits = image.bits
+        seen |= bits
+        total += bits  # exceeds ``seen`` iff two images share a world
+        common = block.atoms & f
+        if common == block.atoms:
+            inside |= bits
+        elif common:
+            mixed = True
+        else:
+            outside |= bits
+    space = st.ps.space
+    if total != seen or seen != space.full_bits:
+        _require(st.inc.partition_problems())
+    return WorldSet(space, inside), WorldSet(space, outside), mixed
+
+
+def _defined(st: ProbabilityStructure, xi: Formula) -> tuple[WorldSet, WorldSet]:
+    """The incidences of ``xi`` and ``~xi``, for a member of the formula algebra."""
+    inside, outside, mixed = _split(st, xi)
+    if mixed:
+        raise UndefinedIncidenceError(
+            f"incidence is undefined on {format_formula(xi)}: not a member of the formula algebra"
+        )
+    return inside, outside
 
 
 def incidence(st: ProbabilityStructure, phi: Formula) -> WorldSet:
     """Worlds where ``phi`` holds; defined only on the formula algebra."""
     require_type(st, ProbabilityStructure, "structure")
-    _check_lang(st.psi, phi)
-    covered, bits = _contained_image_union(st, phi)
-    if covered != phi.atoms:
-        raise UndefinedIncidenceError(
-            f"incidence is undefined on {format_formula(phi)}: "
-            "not a member of the formula algebra"
-        )
-    return WorldSet(st.ps.space, bits)
+    return _defined(st, phi)[0]
 
 
 def _require_kind(st: ProbabilityStructure, kind: StructureKind, op: str) -> None:
     require_type(st, ProbabilityStructure, "structure")
     if st.kind is not kind:
-        raise WrongKindError(f"{op} requires a {kind.value} structure, got {st.kind.value}")
+        article = "an" if kind is StructureKind.IC else "a"
+        raise WrongKindError(f"{op} requires {article} {kind.value} structure, got {st.kind.value}")
 
 
 def lower_incidence(st: ProbabilityStructure, xi: Formula) -> WorldSet:
     """Union of the incidences of all algebra members entailing ``xi``."""
     _require_kind(st, StructureKind.IC, "lower_incidence")
-    _check_lang(st.psi, xi)
-    _, bits = _contained_image_union(st, xi)
-    return WorldSet(st.ps.space, bits)
+    return _split(st, xi)[0]
 
 
 def upper_incidence(st: ProbabilityStructure, xi: Formula) -> WorldSet:
     """Complement of the lower incidence of the negation."""
-    require_type(xi, Formula, "formula")
-    return ~lower_incidence(st, ~xi)
+    _require_kind(st, StructureKind.IC, "upper_incidence")
+    return ~_split(st, xi)[1]
 
 
-# The public queries check the weights once per call (a structure built
-# directly or by ``from_json(check=False)`` may not have a distribution);
-# ``_bel`` does not, for the loops inside them.
-def _bel(st: ProbabilityStructure, xi: Formula) -> Fraction:
-    return inner_measure(st.ps, incidence(st, xi))
-
-
+# The public queries check the weights once per call: a structure built
+# directly or by ``from_json(check=False)`` may not have a distribution.
 def bel(st: ProbabilityStructure, xi: Formula) -> Fraction:
     """Belief: the inner measure of the incidence of ``xi``."""
     _require_kind(st, StructureKind.DS, "bel")
     _require(st.ps.mu.weight_problems())
-    return _bel(st, xi)
+    return inner_measure(st.ps, incidence(st, xi))
 
 
 def plb(st: ProbabilityStructure, xi: Formula) -> Fraction:
@@ -299,7 +302,7 @@ def plb(st: ProbabilityStructure, xi: Formula) -> Fraction:
     _require_kind(st, StructureKind.DS, "plb")
     require_type(xi, Formula, "formula")
     _require(st.ps.mu.weight_problems())
-    return ONE - _bel(st, ~xi)
+    return ONE - inner_measure(st.ps, incidence(st, ~xi))
 
 
 def interval(st: ProbabilityStructure, xi: Formula) -> Interval:
@@ -307,11 +310,10 @@ def interval(st: ProbabilityStructure, xi: Formula) -> Interval:
     require_type(st, ProbabilityStructure, "structure")
     _require(st.ps.mu.weight_problems())
     if st.kind is StructureKind.IC:
-        return Interval(
-            measure(st.ps, lower_incidence(st, xi)),
-            measure(st.ps, upper_incidence(st, xi)),
-        )
-    return Interval(_bel(st, xi), ONE - _bel(st, ~xi))
+        inside, outside, _ = _split(st, xi)
+        return Interval(measure(st.ps, inside), measure(st.ps, ~outside))
+    inside, outside = _defined(st, xi)
+    return Interval(inner_measure(st.ps, inside), ONE - inner_measure(st.ps, outside))
 
 
 def _focal_weights(st: ProbabilityStructure) -> list[tuple[int, Fraction]]:
@@ -366,18 +368,15 @@ def mobius_mass(st: ProbabilityStructure) -> dict[Formula, Fraction]:
             f"(max {MAX_MOBIUS_PROPS} propositions)"
         )
     size = 1 << st.lang.n_atoms
-    bel_table = [_bel(st, Formula(st.lang, m)) for m in range(size)]
+    bel_table = [inner_measure(st.ps, incidence(st, Formula(st.lang, m))) for m in range(size)]
     masses: dict[Formula, Fraction] = {}
     for a in range(size):
-        acc = ZERO
-        b = a
-        pa = a.bit_count()
-        while True:
-            term = bel_table[b]
-            if (pa - b.bit_count()) & 1:
-                acc -= term
+        acc, b = ZERO, a
+        while True:  # every b inside a, down to 0
+            if (a ^ b).bit_count() & 1:
+                acc -= bel_table[b]
             else:
-                acc += term
+                acc += bel_table[b]
             if b == 0:
                 break
             b = (b - 1) & a

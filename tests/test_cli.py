@@ -252,6 +252,17 @@ def test_help_and_usage_errors_are_byte_identical(case, tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (case["exit"], case["stdout"], case["stderr"])
 
 
+@pytest.mark.skipif(
+    "%d.%d" % sys.version_info[:2] != GOLDEN["python"],
+    reason=f"argparse words its help differently outside Python {GOLDEN['python']}",
+)
+def test_help_and_usage_errors_are_the_same_under_every_hash_seed(under_hash_seeds):
+    golden = [(case["exit"], case["stdout"], case["stderr"]) for case in GOLDEN["cases"]]
+    runs = under_hash_seeds([case["argv"] for case in GOLDEN["cases"]], COLUMNS=str(GOLDEN["columns"]))
+    for seed, got in runs.items():
+        assert got == golden, seed
+
+
 # documents with several field faults: the report once depended on set order
 SEVERAL_FIELD_FAULTS = {
     '{"kind": "ds"}': "error: missing field 'propositions'\n",

@@ -58,3 +58,10 @@ def test_readme_python_example_prints_its_comments(capsys):
 def test_readme_json_example_is_the_coats_ds_document():
     (block,) = fenced("json")
     assert json.loads(block) == json.loads(to_json(coats_ds()))
+
+
+@pytest.mark.parametrize("steps", sessions(), ids=lambda steps: "-".join(argv[0] for argv, _ in steps))
+def test_readme_shell_sessions_under_every_hash_seed(steps, under_hash_seeds):
+    shown = [(0, "".join(f"{line}\n" for line in lines), "") for _, lines in steps]
+    for seed, got in under_hash_seeds([argv for argv, _ in steps]).items():
+        assert got == shown, seed

@@ -1,6 +1,7 @@
 """Incidence, belief/plausibility, intervals, validation, totality."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from probstruct import (
     MeasureFn,
     ProbabilitySpace,
     ProbabilityStructure,
+    ProbstructError,
     SampleSpace,
     StructureKind,
     UndefinedIncidenceError,
@@ -27,9 +29,11 @@ from probstruct import (
     false_formula,
     format_formula,
     incidence,
+    inner_measure,
     interval,
     is_total,
     lower_incidence,
+    measure,
     mobius_mass,
     parse_formula,
     plb,
@@ -177,6 +181,146 @@ def test_interval_duality_random():
             for mask in range(16):
                 xi = Formula(st.lang, mask)
                 assert interval(st, xi).lo == 1 - interval(st, ~xi).hi
+
+
+# --- the queries against the two-walk oracle ---------------------------------
+# The queries split the basis blocks by the formula in one pass.  The oracle is
+# the query that pass replaced: one walk per formula, over the blocks inside
+# it, then ``measure`` or ``inner_measure``.
+
+
+def _contained_image_union(st, f):
+    """(covered atom mask, union of image bits) over basis blocks inside f."""
+    covered = bits = 0
+    for block, image in zip(st.psi.basis, st.inc.images):
+        if block.atoms & ~f.atoms == 0:
+            covered |= block.atoms
+            bits |= image.bits
+    return covered, bits
+
+
+def oracle_incidence(st, phi):
+    covered, bits = _contained_image_union(st, phi)
+    if covered != phi.atoms:
+        raise UndefinedIncidenceError(
+            f"incidence is undefined on {format_formula(phi)}: not a member of the formula algebra"
+        )
+    return WorldSet(st.ps.space, bits)
+
+
+def oracle_lower(st, xi):
+    return WorldSet(st.ps.space, _contained_image_union(st, xi)[1])
+
+
+def oracle_bel(st, xi):
+    return inner_measure(st.ps, oracle_incidence(st, xi))
+
+
+def oracle_interval(st, xi):
+    if st.kind is StructureKind.IC:
+        return Interval(measure(st.ps, oracle_lower(st, xi)), measure(st.ps, ~oracle_lower(st, ~xi)))
+    return Interval(oracle_bel(st, xi), 1 - oracle_bel(st, ~xi))
+
+
+# per kind: each query and its oracle
+ORACLES = {
+    StructureKind.IC: {
+        interval: oracle_interval,
+        incidence: oracle_incidence,
+        lower_incidence: oracle_lower,
+        upper_incidence: lambda st, xi: ~oracle_lower(st, ~xi),
+    },
+    StructureKind.DS: {
+        interval: oracle_interval,
+        incidence: oracle_incidence,
+        bel: oracle_bel,
+        plb: lambda st, xi: 1 - oracle_bel(st, ~xi),
+    },
+}
+
+
+def outcome(query, st, xi):
+    """The answer, or the type and message of the error raised."""
+    try:
+        return query(st, xi)
+    except ProbstructError as err:
+        return type(err), str(err)
+
+
+def assert_matches_oracle(st, masks):
+    for mask in masks:
+        xi = Formula(st.lang, mask)
+        for query, oracle in ORACLES[st.kind].items():
+            assert outcome(query, st, xi) == outcome(oracle, st, xi), (query.__name__, format_formula(xi))
+
+
+def regrouped(st, groups) -> ProbabilityStructure:
+    """``st`` with its atoms grouped into the blocks ``groups`` (atom index
+    lists), each block's image the union of its atoms' images, through the
+    direct constructor: a ds whose formula algebra is not the full one."""
+    psi = FormulaAlgebra(st.lang, [Formula(st.lang, sum(1 << k for k in g)) for g in groups])
+    images = [WorldSet(st.ps.space, sum(st.inc.images[k].bits for k in g)) for g in groups]
+    return ProbabilityStructure(st.ps, st.lang, psi, IncidenceMap(st.ps.space, images), st.kind)
+
+
+def random_groups(rng, n_atoms, n_groups):
+    """The atoms split at random into at most ``n_groups`` nonempty groups."""
+    groups = [[] for _ in range(n_groups)]
+    for k in range(n_atoms):
+        groups[rng.randrange(n_groups)].append(k)
+    return [g for g in groups if g]
+
+
+# every formula up to 3 propositions; at 4, every 7th of the 65,536 (all of
+# them would add 13 s to the suite)
+@pytest.mark.parametrize("n_props, seeds, step", [(1, range(10), 1), (2, range(10), 1), (3, range(4), 1), (4, range(1), 7)])
+def test_queries_match_the_oracle_on_seeded_structures(n_props, seeds, step):
+    for seed in seeds:
+        for build in (random_ic, random_total_ds):
+            st = build(GenParams(n_props, 1 + seed % 8, 4100 + seed))
+            assert_matches_oracle(st, range(0, 1 << (1 << n_props), step))
+
+
+@pytest.mark.parametrize("n_props", [1, 2, 3])
+def test_queries_match_the_oracle_where_a_block_meets_both_sides(n_props):
+    rng = random.Random(4200 + n_props)
+    for seed in range(6):
+        base = random_total_ds(GenParams(n_props, 2 + seed, 4300 + seed))
+        st = regrouped(base, random_groups(rng, base.lang.n_atoms, max(1, base.lang.n_atoms // 2)))
+        assert len(st.psi.basis) < st.lang.n_atoms
+        assert_matches_oracle(st, range(1 << (1 << n_props)))
+
+
+def twelve_props(seed, n_worlds, n_blocks):
+    """A 12-proposition ic and ds with their atoms spread over ``n_blocks``
+    ψ blocks and ``n_worlds`` worlds, and the ds regrouped into those blocks."""
+    rng = random.Random(seed)
+    lang = Language(tuple(f"p{i}" for i in range(12)))
+    space = SampleSpace(tuple(f"w{i}" for i in range(n_worlds)))
+    groups = random_groups(rng, lang.n_atoms, n_blocks)
+    psi = FormulaAlgebra(lang, [Formula(lang, sum(1 << k for k in g)) for g in groups])
+    block_images = [0] * len(groups)
+    atom_images = [0] * lang.n_atoms
+    for w in range(n_worlds):
+        block_images[rng.randrange(len(groups))] |= 1 << w
+        atom_images[rng.randrange(lang.n_atoms)] |= 1 << w
+    weights = [Fraction(rng.randrange(1, 5)) for _ in range(n_worlds)]
+    weights = [w / sum(weights) for w in weights]
+    ic = ProbabilityStructure.ic(space, weights, psi, [WorldSet(space, b) for b in block_images])
+    halves = (space.subset(space.worlds[: n_worlds // 2]), space.subset(space.worlds[n_worlds // 2 :]))
+    ds = ProbabilityStructure.ds(space, halves, (Fraction(1, 3), Fraction(2, 3)), lang,
+                                 [WorldSet(space, b) for b in atom_images])
+    return rng, ic, ds, regrouped(ds, groups)
+
+
+@pytest.mark.parametrize("seed, n_worlds, n_blocks", [(1, 6, 5), (2, 12, 9), (3, 64, 40)])
+def test_queries_match_the_oracle_at_twelve_propositions(seed, n_worlds, n_blocks):
+    rng, *structures = twelve_props(seed, n_worlds, n_blocks)
+    for st in structures:
+        blocks = [block.atoms for block in st.psi.basis]
+        members = [sum(b for b in blocks if rng.random() < 0.5) for _ in range(3)]
+        masks = [0, st.lang.full_mask, *members, *(rng.getrandbits(st.lang.n_atoms) for _ in range(3))]
+        assert_matches_oracle(st, masks)
 
 
 def test_interval_class_validates():
@@ -364,6 +508,71 @@ def test_named_constructors_require_partitioning_images():
     atom_images = (space.subset(["w1"]), space.subset([]))
     with pytest.raises(ValidationError, match="incidence images do not cover worlds {w2}"):
         ProbabilityStructure.ds(space, chi_basis, (HALF, HALF), lang, atom_images)
+
+
+def overlapping_coats_ds() -> ProbabilityStructure:
+    """The coats ds with the image of ``~g & ~d`` widened to {s1, s2, s3}."""
+    st = coats_ds()
+    images = (st.ps.space.subset(["s1", "s2", "s3"]), *st.inc.images[1:])
+    return ProbabilityStructure(st.ps, st.lang, st.psi, IncidenceMap(st.ps.space, images), "ds")
+
+
+def uncovering_coats_ic() -> ProbabilityStructure:
+    """The coats ic with no block's image holding w2."""
+    st = coats_ic()
+    images = (st.ps.space.subset(["w1"]), st.ps.space.nothing(), st.ps.space.nothing())
+    return ProbabilityStructure(st.ps, st.lang, st.psi, IncidenceMap(st.ps.space, images), "ic")
+
+
+OVERLAP = "incidence images overlap on {s3}: images of distinct blocks must be disjoint"
+UNCOVERED = "incidence images do not cover worlds {w2}"
+
+
+@pytest.mark.parametrize(
+    "build, queries, message",
+    [
+        (overlapping_coats_ds, (interval, bel, plb, incidence), OVERLAP),
+        (uncovering_coats_ic, (interval, lower_incidence, upper_incidence, incidence), UNCOVERED),
+    ],
+)
+def test_queries_refuse_images_that_do_not_partition_the_worlds(build, queries, message):
+    st = build()
+    assert validate(st).problems == (message,)
+    for query in queries:
+        for text in ("g", "~g", "~d", "true"):
+            with pytest.raises(ValidationError) as caught:
+                query(st, parse_formula(text, st.lang))
+            assert str(caught.value) == message, (query.__name__, text)
+    if st.kind is StructureKind.DS:
+        with pytest.raises(ValidationError, match=OVERLAP):
+            mobius_mass(st)
+
+
+def test_queries_report_bad_weights_before_bad_images():
+    st = reweighed(overlapping_coats_ds(), (Fraction(1, 4), Fraction(1, 4)))
+    for query in (interval, bel, plb):
+        with pytest.raises(ValidationError) as caught:
+            query(st, parse_formula("g", st.lang))
+        assert str(caught.value) == "measure weights sum to 1/2, expected 1", query.__name__
+
+
+@pytest.mark.parametrize(
+    "query, build, message",
+    [
+        (lower_incidence, coats_ds, "lower_incidence requires an ic structure, got ds"),
+        (upper_incidence, coats_ds, "upper_incidence requires an ic structure, got ds"),
+        (bel, coats_ic, "bel requires a ds structure, got ic"),
+        (plb, coats_ic, "plb requires a ds structure, got ic"),
+        (is_total, coats_ic, "is_total requires a ds structure, got ic"),
+        (mobius_mass, coats_ic, "mobius_mass requires a ds structure, got ic"),
+    ],
+)
+def test_wrong_kind_messages(query, build, message):
+    st = build()
+    args = (st,) if query in (is_total, mobius_mass) else (st, true_formula(st.lang))
+    with pytest.raises(WrongKindError) as caught:
+        query(*args)
+    assert str(caught.value) == message
 
 
 def test_validate_reports_kind_violations():

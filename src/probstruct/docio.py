@@ -22,21 +22,22 @@ list element or object member per line, ``": "`` after each key, ``[]`` for
 an empty list, strings escaped to ASCII, and a trailing newline.  Loading
 canonical text and saving it again reproduces it byte for byte.
 
-``from_json`` reads formula text through the table ``to_json`` writes it
-from: text spelled as ``to_json`` writes it is looked up term by term, and
-a ds key that is one atom gives its index without building a formula.
-The table is built at most once per call, and only when the first text
-long enough to be a full conjunction is spelled that way.  Any other text
-goes to ``parse_formula``: through its table of literals, then its
-one-pass parser, which raises every error.
+``from_json`` reads the incidence in one pass.  An ic key spelled as its
+``psi_basis`` block is found by that text; other keys are looked up term by
+term in the table of atom texts ``to_json`` writes from, built once per call
+and only if the first key begins with one, or else parsed by
+``parse_formula``, which raises every error.  Text that does not parse and
+world lists that are not of strings raise in key order; the first key with
+no block of its own, or with a bad world, is held until the fields before
+``incidence`` are checked.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .errors import DocumentError, ProbstructError
+from .errors import DocumentError, ProbstructError, ValidationError
 from .logic import (
     Formula,
     FormulaAlgebra,
@@ -44,7 +45,9 @@ from .logic import (
     _atom_text,
     _atom_texts,
     _join_terms,
+    _read_atoms,
     format_formula,
+    full_algebra,
     parse_formula,
 )
 from .measure import (
@@ -133,27 +136,43 @@ def to_json(st: ProbabilityStructure) -> str:
 
 
 def _pairs_hook(pairs):
-    d = {}
-    for key, value in pairs:
-        if key in d:
-            raise DocumentError(f"duplicate key {key!r}")
-        d[key] = value
+    d = dict(pairs)
+    if len(d) != len(pairs):  # name the first key met a second time
+        seen = set()  # set.add returns None, so each new key is added and passed over
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise DocumentError(f"duplicate key {key!r}")
     return d
 
 
-def _name_list(value, what: Callable[[], str]) -> list[str]:
-    """``value``, if it is a list of strings; ``what()`` names it, only on an error."""
-    # most atoms of a ds document have no worlds: their lists are empty
-    if not isinstance(value, list) or value and not all(isinstance(x, str) for x in value):
-        raise DocumentError(f"{what()} must be a list of strings")
+def _name_list(value, what: str) -> list[str]:
+    """``value``, if it is a list of strings; ``what`` names it in the error."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise DocumentError(f"{what} must be a list of strings")
     return value
 
 
-def _world_set(space: SampleSpace, names: list[str], what: Callable[[], str]) -> WorldSet:
-    """The world set ``names`` lists; ``what()`` names it, only on an error."""
+def _world_bits(space: SampleSpace, names, what: str) -> int | None:
+    """The bits of the worlds ``names`` lists; None if a name repeats or is no
+    world.  Raises unless ``names`` is a list of strings, which ``what`` names."""
+    if names.__class__ is list:
+        try:
+            bits = sum(map(space._bits.__getitem__, names))
+            if bits.bit_count() == len(names):  # a name listed twice would carry
+                return bits
+        except (KeyError, TypeError):  # not a world name, or not even hashable
+            pass
+    _name_list(names, what)
+    return None
+
+
+def _world_fault(space: SampleSpace, names: list[str], what: str) -> str:
+    """Why the world names ``names``, which ``what`` names, make no world set."""
     if len(set(names)) != len(names):
-        raise DocumentError(f"{what()} repeats a world name")
-    return space.subset(names)
+        return f"{what} repeats a world name"
+    try:
+        space.subset(names)  # raises: a name is no world
+    except ValidationError as e:
+        return str(e)
 
 
 _FIELDS = ("kind", "propositions", "worlds", "chi_basis", "measure", "psi_basis", "incidence")
@@ -219,131 +238,104 @@ def _measure_weights(raw_measure, count: int) -> MeasureFn:
     return MeasureFn(tuple(weights))
 
 
-def _key_reader(lang: Language) -> Callable[[str], int | Formula]:
-    """A reader of formula text for one load: the atom index of one atom's
-    text as ``to_json`` writes it, else the formula.
-
-    Text is looked up term by term in the table of atom texts; text with a
-    term not in it goes to ``parse_formula``, which reads any spelling and
-    raises every error.  The first text with enough ``" & "`` for a full
-    conjunction (the test ``_read_atoms`` starts with) is parsed, and the
-    table is built only if its first term is spelled as ``to_json`` writes it.
-    """
+def _atom_table(lang: Language, keys) -> dict[str, int]:
+    """The atom index of each atom's text as ``to_json`` writes it, if the
+    first key begins with such a text; else empty, and nothing is built."""
     n = len(lang.props)
-    spelled = (lambda t: "(" + t + ")") if n > 1 else (lambda t: t)
-    table = None
-
-    def read(text: str) -> int | Formula:
-        nonlocal table
-        if not table:
-            if table is not None or text.count(" & ") < n - 1:
-                return parse_formula(text, lang)
-            # this text decides whether the document is spelled as to_json
-            # writes it; if not, the table stays empty
-            f = parse_formula(text, lang)
-            k = low_bit(f.atoms).bit_length() - 1
-            first = text.partition(" | ")[0]
-            canonical = k >= 0 and first == spelled(_atom_text(lang, k))
-            table = {spelled(t): j for j, t in enumerate(_atom_texts(lang))} if canonical else {}
-            return f
-        first, more, rest = text.partition(" | ")
-        k = table.get(first)
-        if k is not None:
-            if not more:
-                return k
-            try:
-                mask = 1 << k
-                for term in rest.split(" | "):
-                    mask |= 1 << table[term]
-                return Formula(lang, mask)
-            except KeyError:
-                pass
-        return parse_formula(text, lang)
-
-    return read
+    first = next(iter(keys), "").partition(" | ")[0]
+    atom = _read_atoms(first, lang)  # the mask of the term's atom, if it is one
+    spelled = "({})" if n > 1 else "{}"
+    if atom is None or first != spelled.format(_atom_text(lang, atom.bit_length() - 1)):
+        return {}
+    texts = _atom_texts(lang)
+    return dict(zip([f"({t})" for t in texts] if n > 1 else texts, range(len(texts))))
 
 
-def _formula(lang: Language, atoms: int | Formula) -> Formula:
-    """The formula ``_key_reader`` read."""
-    return Formula(lang, 1 << atoms) if atoms.__class__ is int else atoms
+def _read_block(text: str, lang: Language, atom: dict[str, int]) -> tuple[int, int]:
+    """The lowest atom (-1 if none) and the atom mask of formula text: text
+    whose terms are all in the table ``atom`` is read from it, any other is
+    parsed, which reads every spelling and raises every error."""
+    k = atom.get(text)
+    if k is not None:  # one atom
+        return k, 1 << k
+    atoms = [atom.get(term) for term in text.split(" | ")] if atom else [None]
+    if None in atoms:
+        mask = parse_formula(text, lang).atoms
+        return low_bit(mask).bit_length() - 1, mask
+    mask = 0
+    for k in atoms:
+        mask |= 1 << k
+    return min(atoms), mask
 
 
-def _incidence_items(raw_incidence, read) -> dict[str, tuple[int | Formula, list[str]]]:
-    if not isinstance(raw_incidence, dict):
-        raise DocumentError('field "incidence" must be an object')
-    return {
-        key: (read(key), _name_list(value, lambda: f"incidence of {key!r}"))
-        for key, value in raw_incidence.items()
-    }
+_KEY_FAULTS = {  # a key of no block, a block listed twice, blocks left without a key
+    "ds": ("ds incidence keys must be single atoms, got {!r}", "duplicate incidence for atom {!r}",
+           "ds incidence must cover all {} atoms, got {}"),
+    "ic": ("incidence key {!r} is not a psi_basis block", "duplicate incidence for block {!r}",
+           "incidence must cover all {} psi_basis blocks, got {}"),
+}
 
 
 def _build(kind: str, raw: dict) -> ProbabilityStructure:
-    lang = Language(tuple(_name_list(raw["propositions"], lambda: '"propositions"')))
-    space = SampleSpace(tuple(_name_list(raw["worlds"], lambda: '"worlds"')))
-    read = _key_reader(lang)
-    items = _incidence_items(raw["incidence"], read)
-    formula_text = lambda mask: format_formula(Formula(lang, mask))  # for error messages
-
-    if kind == "ds":
-        if not isinstance(raw["chi_basis"], list):
-            raise DocumentError('field "chi_basis" must be a list')
-        chi_blocks = []
-        for j, names in enumerate(raw["chi_basis"]):
-            what = lambda: f"chi_basis block {j}"
-            chi_blocks.append(_world_set(space, _name_list(names, what), what))
-        chi = SetAlgebra(space, tuple(chi_blocks))
-        mu = _measure_weights(raw["measure"], len(chi.basis))
-        empty = space.nothing()  # most atoms have no worlds; they share one set
-        parsed: list[Formula | None] = [None] * lang.n_atoms  # keys read as formulas
-        images: list[WorldSet | None] = [None] * lang.n_atoms
-        for atoms, names in items.values():
-            if atoms.__class__ is int:
-                k = atoms  # one atom, found in the table
-            else:
-                if atoms.atoms.bit_count() != 1:
-                    raise DocumentError(
-                        f"ds incidence keys must be single atoms, got {format_formula(atoms)!r}"
-                    )
-                k = atoms.atoms.bit_length() - 1
-                parsed[k] = atoms
-            if images[k] is not None:
-                raise DocumentError(f"duplicate incidence for atom {formula_text(1 << k)!r}")
-            images[k] = empty if names == [] else _world_set(
-                space, names, lambda: f"incidence of {formula_text(1 << k)!r}"
-            )
-        if len(items) != lang.n_atoms:  # no atom was listed twice
-            raise DocumentError(
-                f"ds incidence must cover all {lang.n_atoms} atoms, got {len(items)}"
-            )
-        # the keys are the single atoms, so they are the full algebra's basis
-        psi = FormulaAlgebra(lang, [f or Formula(lang, 1 << k) for k, f in enumerate(parsed)])
-        ps = ProbabilitySpace(space, chi, mu)
-        return ProbabilityStructure(ps, lang, psi, IncidenceMap(space, images), StructureKind.DS)
-
-    # canonical text spells each incidence key as its block, so read it once
-    blocks = [
-        _formula(lang, items[text][0] if text in items else read(text))
-        for text in _name_list(raw["psi_basis"], lambda: '"psi_basis"')
-    ]
-    psi = FormulaAlgebra(lang, tuple(blocks))
-    mu = _measure_weights(raw["measure"], space.size)
-    index_of_block = {block.atoms: j for j, block in enumerate(blocks)}
-    image_of_block: dict[int, WorldSet] = {}
-    for atoms, names in items.values():
-        mask = 1 << atoms if atoms.__class__ is int else atoms.atoms
-        j = index_of_block.get(mask)
+    lang = Language(tuple(_name_list(raw["propositions"], '"propositions"')))
+    space = SampleSpace(tuple(_name_list(raw["worlds"], '"worlds"')))
+    incidence = raw["incidence"]
+    if not isinstance(incidence, dict):
+        raise DocumentError('field "incidence" must be an object')
+    atom = _atom_table(lang, incidence)
+    # The fields before incidence are read first, but a fault in them or in
+    # the keys' blocks and worlds is held until every key and list is read.
+    fault = None
+    try:
+        if kind == "ds":
+            if not isinstance(raw["chi_basis"], list):
+                raise DocumentError('field "chi_basis" must be a list')
+            chi = []
+            for j, names in enumerate(raw["chi_basis"]):
+                what = f"chi_basis block {j}"
+                bits = _world_bits(space, names, what)
+                if bits is None:
+                    raise DocumentError(_world_fault(space, names, what))
+                chi.append(WorldSet(space, bits))
+            algebra = SetAlgebra(space, chi)
+            # the blocks are the single atoms, which the table finds by their text
+            psi, blocks, block_of = full_algebra(lang), [], atom
+        else:
+            texts = _name_list(raw["psi_basis"], '"psi_basis"')
+            blocks = [_read_block(text, lang, atom) for text in texts]
+            psi = FormulaAlgebra(lang, [Formula(lang, mask) for _, mask in blocks])
+            algebra, block_of = discrete_algebra(space), dict(zip(texts, range(len(texts))))
+        mu = _measure_weights(raw["measure"], len(algebra.basis))
+    except ProbstructError as e:
+        psi, blocks, block_of, fault = None, [], {}, str(e)
+    of_low = {low: j for j, (low, _) in enumerate(blocks)}
+    no_block, twice, missing = _KEY_FAULTS[kind]
+    images: list[WorldSet | None] = [None] * (0 if psi is None else len(psi.basis))
+    empty = space.nothing()  # most blocks have no worlds; they share one set
+    for key, names in incidence.items():
+        j = block_of.get(key)
+        if j is None:  # spelled unlike its block: find that by its lowest atom
+            low, mask = _read_block(key, lang, atom)
+            j = low if kind == "ds" else of_low.get(low)
+            if fault or j is None or psi.basis[j].atoms != mask:
+                j = None
+        bits = 0 if names == [] else _world_bits(space, names, f"incidence of {key!r}")
+        if fault:
+            continue
         if j is None:
-            raise DocumentError(f"incidence key {formula_text(mask)!r} is not a psi_basis block")
-        if j in image_of_block:
-            raise DocumentError(f"duplicate incidence for block {formula_text(mask)!r}")
-        image_of_block[j] = _world_set(space, names, lambda: f"incidence of {formula_text(mask)!r}")
-    if len(image_of_block) != len(blocks):
-        raise DocumentError(
-            f"incidence must cover all {len(blocks)} psi_basis blocks, got {len(image_of_block)}"
-        )
-    images = tuple(image_of_block[j] for j in range(len(blocks)))
-    ps = ProbabilitySpace(space, discrete_algebra(space), mu)
-    return ProbabilityStructure(ps, lang, psi, IncidenceMap(space, images), StructureKind.IC)
+            fault = no_block.format(format_formula(Formula(lang, mask)))
+        elif images[j] is not None:
+            fault = twice.format(format_formula(psi.basis[j]))
+        elif bits is None:
+            fault = _world_fault(space, names, f"incidence of {format_formula(psi.basis[j])!r}")
+        else:
+            images[j] = WorldSet(space, bits) if bits else empty
+    if fault:
+        raise DocumentError(fault)
+    if len(incidence) != len(images):  # each key has a block of its own
+        raise DocumentError(missing.format(len(images), len(incidence)))
+    ps = ProbabilitySpace(space, algebra, mu)
+    return ProbabilityStructure(ps, lang, psi, IncidenceMap(space, images), StructureKind(kind))
 
 
 def _open(path, mode: str):

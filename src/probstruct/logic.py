@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from functools import reduce
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -330,22 +331,26 @@ class FormulaAlgebra(Value):
     def __init__(self, lang: Language, basis: Iterable[Formula]):
         require_type(lang, Language, "algebra language")
         basis = as_tuple(basis, "basis blocks")
-        covered = 0
-        for block in basis:
-            if not isinstance(block, Formula):
-                raise ValidationError(f"basis block must be Formula, got {type(block).__name__}")
-            if block.lang != lang:
-                raise LanguageMismatchError("basis block belongs to a different language")
-            if block.is_false:
-                raise ValidationError("basis blocks must be nonempty")
-            if covered & block.atoms:
-                raise ValidationError(
-                    f"basis blocks overlap: {format_formula(block)} is not disjoint "
-                    "from earlier blocks"
-                )
-            covered |= block.atoms
-        if covered != lang.full_mask:
-            raise ValidationError("basis blocks do not cover every atom")
+        # nonempty masks partition the atoms when their sum and their union are
+        # both every atom; only if not, the loop runs to name the first fault
+        masks = [b.atoms for b in basis if b.__class__ is Formula and b.lang is lang and b.atoms]
+        if len(masks) != len(basis) or not sum(masks) == lang.full_mask == reduce(int.__or__, masks, 0):
+            covered = 0
+            for block in basis:
+                if not isinstance(block, Formula):
+                    raise ValidationError(f"basis block must be Formula, got {type(block).__name__}")
+                if block.lang != lang:
+                    raise LanguageMismatchError("basis block belongs to a different language")
+                if block.is_false:
+                    raise ValidationError("basis blocks must be nonempty")
+                if covered & block.atoms:
+                    raise ValidationError(
+                        f"basis blocks overlap: {format_formula(block)} is not disjoint "
+                        "from earlier blocks"
+                    )
+                covered |= block.atoms
+            if covered != lang.full_mask:
+                raise ValidationError("basis blocks do not cover every atom")
         setfield(self, "lang", lang)
         setfield(self, "basis", basis)
 
@@ -366,7 +371,7 @@ class FormulaAlgebra(Value):
 
 def full_algebra(lang: Language) -> FormulaAlgebra:
     """The algebra of all formulas: basis blocks are the single atoms."""
-    return FormulaAlgebra(lang, tuple(Formula(lang, 1 << k) for k in range(lang.n_atoms)))
+    return FormulaAlgebra(lang, [Formula(lang, 1 << k) for k in range(lang.n_atoms)])
 
 
 def trivial_algebra(lang: Language) -> FormulaAlgebra:

@@ -60,10 +60,11 @@ class SampleSpace(Value):
     """An ordered, finite set of distinct world names."""
 
     _fields = ("worlds",)
-    __slots__ = _fields
+    __slots__ = _fields + ("_bits",)
 
     def __init__(self, worlds: Iterable[str]):
         setfield(self, "worlds", check_names(worlds, MAX_WORLDS, "a sample space", "world"))
+        setfield(self, "_bits", {name: 1 << i for i, name in enumerate(self.worlds)})  # name -> bit
 
     @property
     def size(self) -> int:
@@ -75,8 +76,8 @@ class SampleSpace(Value):
 
     def index(self, name: str) -> int:
         try:
-            return self.worlds.index(name)
-        except ValueError:
+            return self._bits[name].bit_length() - 1
+        except (KeyError, TypeError):  # TypeError: a name that cannot be hashed
             raise ValidationError(f"unknown world name {name!r}") from None
 
     def subset(self, names: Iterable[str]) -> WorldSet:

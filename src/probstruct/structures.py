@@ -300,8 +300,8 @@ def bel(st: ProbabilityStructure, xi: Formula) -> Fraction:
 def plb(st: ProbabilityStructure, xi: Formula) -> Fraction:
     """Plausibility: the dual of belief."""
     _require_kind(st, StructureKind.DS, "plb")
-    require_type(xi, Formula, "formula")
     _require(st.ps.mu.weight_problems())
+    require_type(xi, Formula, "formula")  # before ~ is applied to it
     return ONE - inner_measure(st.ps, incidence(st, ~xi))
 
 

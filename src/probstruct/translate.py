@@ -119,14 +119,15 @@ def ds_to_ic(ds: ProbabilityStructure) -> ProbabilityStructure:
         raise NotTotalError("ds_to_ic requires a total structure")
     masks, weights = zip(*_focal_weights(ds))
     space = SampleSpace(tuple(f"w{j + 1}" for j in range(len(masks))))
-    blocks = {mask: 1 << j for j, mask in enumerate(masks)}  # atom mask -> new world bits
-    dead = ds.lang.full_mask & ~sum(masks)  # the masks of a total structure are disjoint
-    blocks.update({1 << k: 0 for k in range(ds.lang.n_atoms) if (dead >> k) & 1})
-
-    basis = _sorted_blocks(blocks.keys(), ds.lang)
-    psi = FormulaAlgebra(ds.lang, basis)
-    images = tuple(WorldSet(space, blocks[block.atoms]) for block in basis)
-    return ProbabilityStructure.ic(space, weights, psi, images)
+    # lowest atom -> (atom mask, image); the masks of a total structure are
+    # disjoint, and each atom outside them is a block of its own with no worlds
+    blocks = {low_bit(m).bit_length() - 1: (m, WorldSet(space, 1 << j)) for j, m in enumerate(masks)}
+    empty = space.nothing()
+    dead = bin(ds.lang.full_mask & ~sum(masks))[:1:-1]  # character k is bit k
+    blocks.update({k: (1 << k, empty) for k, bit in enumerate(dead) if bit == "1"})
+    order = sorted(blocks)
+    psi = FormulaAlgebra(ds.lang, [Formula(ds.lang, blocks[k][0]) for k in order])
+    return ProbabilityStructure.ic(space, weights, psi, [blocks[k][1] for k in order])
 
 
 def equivalent(a: ProbabilityStructure, b: ProbabilityStructure) -> EquivalenceReport:

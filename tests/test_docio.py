@@ -31,6 +31,9 @@ from probstruct import (
 )
 import probstruct.docio as docio
 import probstruct.logic as logic
+from probstruct.logic import full_algebra
+from probstruct.measure import ProbabilitySpace, SetAlgebra, discrete_algebra
+from probstruct.structures import IncidenceMap
 from probstruct.cli import main
 
 
@@ -271,6 +274,9 @@ def test_rejects_runaway_input(make_text, tmp_path, capsys):
 def test_rejects_duplicate_keys():
     with pytest.raises(DocumentError, match="duplicate key"):
         from_json('{"kind": "ic", "kind": "ds"}')
+    # two keys repeat: the one met a second time first is named
+    with pytest.raises(DocumentError, match="^duplicate key 'a'$"):
+        from_json('{"b": 1, "a": 2, "a": 3, "b": 4}')
 
 
 def test_rejects_bad_rational():
@@ -508,9 +514,12 @@ def test_formula_text_loads_as_parse_formula_reads_it(make_text):
     text = make_text()
     doc = json.loads(text)
     lang = Language(tuple(doc["propositions"]))
-    read = docio._key_reader(lang)
+    atom = docio._atom_table(lang, doc["incidence"])
+    for atom_text, k in atom.items():
+        assert parse_formula(atom_text, lang).atoms == 1 << k
     for formula_text in [*doc["incidence"], *doc.get("psi_basis", [])]:
-        assert docio._formula(lang, read(formula_text)) == parse_formula(formula_text, lang)
+        mask = parse_formula(formula_text, lang).atoms
+        assert docio._read_block(formula_text, lang, atom) == ((mask & -mask).bit_length() - 1, mask)
     st = from_json(text)
     image = dict(zip(st.psi.basis, st.inc.images))
     for key, names in doc["incidence"].items():
@@ -613,6 +622,150 @@ def test_incidence_list_errors_name_the_canonical_key(build, key, names, message
     with pytest.raises(DocumentError) as err:
         from_json(edited(build, mutate))
     assert str(err.value) == message
+
+
+# --- the two-pass reader, kept as the oracle of the one-pass reader -----------
+
+
+def reference_name_list(value, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise DocumentError(f"{what} must be a list of strings")
+    return value
+
+
+def reference_world_set(space, names: list[str], what: str) -> WorldSet:
+    if len(set(names)) != len(names):
+        raise DocumentError(f"{what} repeats a world name")
+    return space.subset(names)
+
+
+def reference_build(kind: str, raw: dict) -> ProbabilityStructure:
+    """``docio._build`` as it was before it read the incidence in one pass.
+
+    The first pass parses every incidence key and checks that its value is a
+    list of strings; the second, after the other fields, matches the keys to
+    atoms or blocks and makes their world sets.  Keys are read with
+    ``parse_formula``, which the reader's table must agree with.
+    """
+    lang = Language(tuple(reference_name_list(raw["propositions"], '"propositions"')))
+    space = SampleSpace(tuple(reference_name_list(raw["worlds"], '"worlds"')))
+    if not isinstance(raw["incidence"], dict):
+        raise DocumentError('field "incidence" must be an object')
+    items = {
+        key: (parse_formula(key, lang).atoms, reference_name_list(names, f"incidence of {key!r}"))
+        for key, names in raw["incidence"].items()
+    }
+    formula_text = lambda mask: format_formula(Formula(lang, mask))
+
+    if kind == "ds":
+        if not isinstance(raw["chi_basis"], list):
+            raise DocumentError('field "chi_basis" must be a list')
+        chi_blocks = []
+        for j, names in enumerate(raw["chi_basis"]):
+            what = f"chi_basis block {j}"
+            chi_blocks.append(reference_world_set(space, reference_name_list(names, what), what))
+        chi = SetAlgebra(space, chi_blocks)
+        mu = docio._measure_weights(raw["measure"], len(chi.basis))
+        images = [None] * lang.n_atoms
+        for mask, names in items.values():
+            if mask.bit_count() != 1:
+                raise DocumentError(f"ds incidence keys must be single atoms, got {formula_text(mask)!r}")
+            k = mask.bit_length() - 1
+            if images[k] is not None:
+                raise DocumentError(f"duplicate incidence for atom {formula_text(mask)!r}")
+            images[k] = reference_world_set(space, names, f"incidence of {formula_text(mask)!r}")
+        if len(items) != lang.n_atoms:
+            raise DocumentError(f"ds incidence must cover all {lang.n_atoms} atoms, got {len(items)}")
+        ps = ProbabilitySpace(space, chi, mu)
+        return ProbabilityStructure(ps, lang, full_algebra(lang), IncidenceMap(space, images), "ds")
+
+    blocks = [
+        items[text][0] if text in items else parse_formula(text, lang).atoms
+        for text in reference_name_list(raw["psi_basis"], '"psi_basis"')
+    ]
+    psi = FormulaAlgebra(lang, [Formula(lang, mask) for mask in blocks])
+    mu = docio._measure_weights(raw["measure"], space.size)
+    index_of_block = {mask: j for j, mask in enumerate(blocks)}
+    image_of_block = {}
+    for mask, names in items.values():
+        j = index_of_block.get(mask)
+        if j is None:
+            raise DocumentError(f"incidence key {formula_text(mask)!r} is not a psi_basis block")
+        if j in image_of_block:
+            raise DocumentError(f"duplicate incidence for block {formula_text(mask)!r}")
+        image_of_block[j] = reference_world_set(space, names, f"incidence of {formula_text(mask)!r}")
+    if len(image_of_block) != len(blocks):
+        raise DocumentError(
+            f"incidence must cover all {len(blocks)} psi_basis blocks, got {len(image_of_block)}"
+        )
+    images = [image_of_block[j] for j in range(len(blocks))]
+    ps = ProbabilitySpace(space, discrete_algebra(space), mu)
+    return ProbabilityStructure(ps, lang, psi, IncidenceMap(space, images), "ic")
+
+
+def inject_fault(doc: dict, rng, fault: str) -> None:
+    """Put one fault of the kind ``fault`` into a random incidence entry."""
+    items = list(doc["incidence"].items())
+    i = rng.randrange(len(items))
+    key, names = items[i]
+    names = names if isinstance(names, list) else []  # a second fault in the same entry
+    if fault == "key of two blocks":  # no atom of a ds, no block of an ic
+        items[i] = (key + " | " + items[i - 1][0], names)
+    elif fault == "a block twice":
+        items.insert(rng.randrange(len(items) + 1), (key + " | " + key, []))
+    elif fault == "syntax error":
+        items[i] = (key + " |", names)
+    elif fault == "world list no list":
+        items[i] = (key, "w0")
+    elif fault == "world list not of strings":
+        items[i] = (key, names + [0])
+    elif fault == "repeated world":
+        items[i] = (key, names + ["w0", "w0"])
+    else:  # "unknown world"
+        items[i] = (key, names + ["w9"])
+    doc["incidence"] = dict(items)
+
+
+FAULT_KINDS = (
+    "key of two blocks", "a block twice", "syntax error", "world list no list",
+    "world list not of strings", "repeated world", "unknown world",
+)
+
+
+def load_outcome(text: str):
+    """The structure ``from_json`` loads from ``text``, or its error message."""
+    try:
+        return from_json(text)
+    except DocumentError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("kind", ["ds", "ic"])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_the_one_pass_reader_agrees_with_the_two_pass_reference(n, kind, monkeypatch):
+    rng = random.Random(1300 + 2 * n + (kind == "ic"))
+    canonical = random_document(rng, n, kind)
+    doc = json.loads(canonical)
+    keys = list(doc["incidence"].items())
+    rng.shuffle(keys)
+    doc["incidence"] = dict(keys)
+    texts = [canonical, json.dumps(doc)]  # canonical, and with its keys reordered
+    if n > 1:
+        texts.append(respelled(canonical, RESPELLINGS[rng.choice(sorted(RESPELLINGS))]))
+    for text in list(texts):
+        for count in (1, 1, 2, 2, 2):
+            doc = json.loads(text)
+            for fault in rng.sample(FAULT_KINDS, count):
+                inject_fault(doc, rng, fault)
+            texts.append(json.dumps(doc))
+    for text in texts:
+        got = load_outcome(text)
+        with monkeypatch.context() as patched:
+            patched.setattr(docio, "_build", reference_build)
+            want = load_outcome(text)
+        assert got == want
+        if text == canonical:
+            assert to_json(got) == canonical
 
 
 def test_validate_lists_a_weight_sum_too_long_to_write(tmp_path, capsys):

@@ -28,6 +28,7 @@ from probstruct import (
     coats_ic,
     false_formula,
     format_formula,
+    from_json,
     incidence,
     inner_measure,
     interval,
@@ -39,6 +40,7 @@ from probstruct import (
     plb,
     random_ic,
     random_total_ds,
+    to_json,
     true_formula,
     upper_incidence,
     validate,
@@ -475,6 +477,18 @@ def test_queries_check_the_weights_once_per_call(query, monkeypatch):
         calls.clear()
         QUERIES[query](st)
         assert len(calls) == 1, (query, st.kind)
+
+
+@pytest.mark.parametrize("query", [bel, plb, interval], ids=lambda q: q.__name__)
+def test_queries_check_the_weights_before_the_formula(query):
+    text = to_json(coats_ds()).replace('"1/2"', '"1/4"', 1)
+    unchecked = from_json(text, check=False)  # its weights sum to 3/4
+    with pytest.raises(ValidationError) as caught:
+        query(unchecked, "g")
+    assert str(caught.value) == "measure weights sum to 3/4, expected 1"
+    with pytest.raises(ValidationError) as caught:
+        query(coats_ds(), "g")
+    assert str(caught.value) == "formula must be Formula, got str"
 
 
 def test_validate_reports_overlapping_images():

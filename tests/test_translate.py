@@ -36,6 +36,7 @@ from probstruct import (
     trivial_algebra,
     validate,
 )
+from probstruct.logic import FormulaAlgebra, _sorted_blocks
 from probstruct.structures import _focal_weights
 
 HALF = Fraction(1, 2)
@@ -181,6 +182,43 @@ def test_ds_to_ic_on_coats():
     }
     assert validate(ic).ok
     assert equivalent(coats_ds(), ic).equivalent
+
+
+def reference_ds_to_ic(ds):
+    """``ds_to_ic`` as it was before it keyed blocks by their lowest atom:
+    a dict keyed by full-width atom masks, and one shift per atom."""
+    masks, weights = zip(*_focal_weights(ds))
+    space = SampleSpace(tuple(f"w{j + 1}" for j in range(len(masks))))
+    blocks = {mask: 1 << j for j, mask in enumerate(masks)}
+    dead = ds.lang.full_mask & ~sum(masks)
+    blocks.update({1 << k: 0 for k in range(ds.lang.n_atoms) if (dead >> k) & 1})
+    basis = _sorted_blocks(blocks.keys(), ds.lang)
+    psi = FormulaAlgebra(ds.lang, basis)
+    images = tuple(WorldSet(space, blocks[block.atoms]) for block in basis)
+    return ProbabilityStructure.ic(space, weights, psi, images)
+
+
+def test_ds_to_ic_matches_the_full_width_reference():
+    for seed in range(120):
+        ds = random_total_ds(GenParams(1 + seed % 4, 1 + seed % 8, 9100 + seed))
+        assert ds_to_ic(ds) == reference_ds_to_ic(ds)
+    # 12 propositions: 64 worlds among 48 atoms, measured in up to 16 groups
+    # of whole images, so that the structure is total
+    rng = random.Random(12)
+    lang = Language(tuple(f"p{i}" for i in range(12)))
+    space = SampleSpace(tuple(f"w{i}" for i in range(64)))
+    live = rng.sample(range(lang.n_atoms), 48)
+    image_bits = [0] * lang.n_atoms
+    for i in range(64):
+        image_bits[rng.choice(live)] |= 1 << i
+    groups = {}
+    for bits in filter(None, image_bits):
+        urn = rng.randrange(16)
+        groups[urn] = groups.get(urn, 0) | bits
+    chi_basis = [WorldSet(space, bits) for bits in groups.values()]
+    weights = [Fraction(1, len(chi_basis))] * len(chi_basis)
+    ds = ProbabilityStructure.ds(space, chi_basis, weights, lang, [WorldSet(space, b) for b in image_bits])
+    assert ds_to_ic(ds) == reference_ds_to_ic(ds)
 
 
 def test_ds_to_ic_member_set():

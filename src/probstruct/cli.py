@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import NotTotalError, ProbstructError
+from .errors import NotTotalError, ProbstructError, ValidationError
 from .logic import Language, format_formula, parse_formula
 
 # Each command imports the modules it runs, so that a process compiles and
@@ -74,6 +74,9 @@ def cmd_equiv(args) -> int:
 def cmd_fuzz(args) -> int:
     from .translate import GenParams, ds_to_ic, equivalent, ic_to_ds, random_ic, random_total_ds
 
+    last = args.seed + args.iters - 1
+    if args.seed < 1 << 64 <= last:  # refuse before any seed runs
+        raise ValidationError(f"last seed {last} must be a 64-bit nonnegative integer")
     passed = 0
     total = 0
     for i in range(args.iters):

@@ -25,11 +25,14 @@ canonical text and saving it again reproduces it byte for byte.
 ``from_json`` reads the incidence in one pass.  An ic key spelled as its
 ``psi_basis`` block is found by that text; other keys are looked up term by
 term in the table of atom texts ``to_json`` writes from, built once per call
-and only if the first key begins with one, or else parsed by
-``parse_formula``, which raises every error.  Text that does not parse and
-world lists that are not of strings raise in key order; the first key with
-no block of its own, or with a bad world, is held until the fields before
-``incidence`` are checked.
+and only if the first key begins with one, or else read literal by literal
+(``logic._read_atoms``) or, failing that, parsed by ``parse_formula``, which
+raises every error.  Text that does not parse and world lists that are not
+of strings raise in key order; the first key with no block of its own, or
+with a bad world, is held until the fields before ``incidence`` are checked.
+A ds structure's blocks are the single atoms: ``from_json`` builds them
+without re-checking them, and ``to_json`` writes their keys straight from
+the table of atom texts, whatever order the blocks are in.
 """
 
 from __future__ import annotations
@@ -92,8 +95,17 @@ def _object(members: Iterable[tuple[str, str]], depth: int) -> str:
     return "".join(parts)
 
 
+def _atom_keys(lang: Language) -> Iterable[str]:
+    """Each atom's text as ``to_json`` writes it, in index order."""
+    return map("({})".format, _atom_texts(lang)) if len(lang.props) > 1 else _atom_texts(lang)
+
+
 def _psi_keys(psi: FormulaAlgebra) -> tuple[list[int], list[str]]:
     """The basis blocks' positions in canonical order, and their written texts."""
+    if len(psi.basis) == psi.lang.n_atoms:
+        # the blocks partition the atoms, so each is one atom, and its mask sorts as its index
+        order = sorted(range(len(psi.basis)), key=[block.atoms for block in psi.basis].__getitem__)
+        return order, list(map(_encode, _atom_keys(psi.lang)))
     indices = [set_bits(block.atoms) for block in psi.basis]
     order = sorted(range(len(indices)), key=lambda j: indices[j][0])
     # the blocks partition the atoms, so each atom's text is used once
@@ -241,26 +253,26 @@ def _measure_weights(raw_measure, count: int) -> MeasureFn:
 def _atom_table(lang: Language, keys) -> dict[str, int]:
     """The atom index of each atom's text as ``to_json`` writes it, if the
     first key begins with such a text; else empty, and nothing is built."""
-    n = len(lang.props)
     first = next(iter(keys), "").partition(" | ")[0]
     atom = _read_atoms(first, lang)  # the mask of the term's atom, if it is one
-    spelled = "({})" if n > 1 else "{}"
+    spelled = "({})" if len(lang.props) > 1 else "{}"
     if atom is None or first != spelled.format(_atom_text(lang, atom.bit_length() - 1)):
         return {}
-    texts = _atom_texts(lang)
-    return dict(zip([f"({t})" for t in texts] if n > 1 else texts, range(len(texts))))
+    return dict(zip(_atom_keys(lang), range(lang.n_atoms)))
 
 
 def _read_block(text: str, lang: Language, atom: dict[str, int]) -> tuple[int, int]:
     """The lowest atom (-1 if none) and the atom mask of formula text: text
-    whose terms are all in the table ``atom`` is read from it, any other is
-    parsed, which reads every spelling and raises every error."""
+    whose terms are all in the table ``atom`` is read from it, any other by
+    ``_read_atoms`` or, if that gives up, parsed, which reads every spelling
+    and raises every error."""
     k = atom.get(text)
     if k is not None:  # one atom
         return k, 1 << k
     atoms = [atom.get(term) for term in text.split(" | ")] if atom else [None]
     if None in atoms:
-        mask = parse_formula(text, lang).atoms
+        # _read_atoms gives None, never 0, for text it does not read
+        mask = _read_atoms(text, lang) or parse_formula(text, lang).atoms
         return low_bit(mask).bit_length() - 1, mask
     mask = 0
     for k in atoms:
@@ -314,6 +326,9 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
     empty = space.nothing()  # most blocks have no worlds; they share one set
     for key, names in incidence.items():
         j = block_of.get(key)
+        if j is not None and names == [] and images[j] is None:  # the commonest key: no worlds
+            images[j] = empty
+            continue
         if j is None:  # spelled unlike its block: find that by its lowest atom
             low, mask = _read_block(key, lang, atom)
             j = low if kind == "ds" else of_low.get(low)

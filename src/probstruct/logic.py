@@ -370,8 +370,18 @@ class FormulaAlgebra(Value):
 
 
 def full_algebra(lang: Language) -> FormulaAlgebra:
-    """The algebra of all formulas: basis blocks are the single atoms."""
-    return FormulaAlgebra(lang, [Formula(lang, 1 << k) for k in range(lang.n_atoms)])
+    """The algebra of all formulas: basis blocks are the single atoms.  They
+    are in range and partition the atoms, so no ``__init__`` checks them."""
+    require_type(lang, Language, "algebra language")
+    blocks = list(map(object.__new__, itertools.repeat(Formula, lang.n_atoms)))
+    set_lang, set_atoms = Formula.lang.__set__, Formula.atoms.__set__  # past Value.__setattr__
+    for k, block in enumerate(blocks):
+        set_lang(block, lang)
+        set_atoms(block, 1 << k)
+    algebra = object.__new__(FormulaAlgebra)
+    setfield(algebra, "lang", lang)
+    setfield(algebra, "basis", tuple(blocks))
+    return algebra
 
 
 def trivial_algebra(lang: Language) -> FormulaAlgebra:

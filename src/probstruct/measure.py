@@ -157,7 +157,7 @@ class SetAlgebra(Value):
         for block in basis:
             if not isinstance(block, WorldSet):
                 raise ValidationError(f"basis block must be WorldSet, got {type(block).__name__}")
-            if block.space != space:
+            if block.space is not space and block.space != space:
                 raise ValidationError("basis block belongs to a different sample space")
             if block.is_empty:
                 raise ValidationError("basis blocks must be nonempty")

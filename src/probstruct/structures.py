@@ -72,7 +72,7 @@ class IncidenceMap(Value):
                 raise ValidationError(
                     f"incidence image must be WorldSet, got {type(image).__name__}"
                 )
-            if image.space != space:
+            if image.space is not space and image.space != space:  # most share one space
                 raise ValidationError("incidence image is over a different sample space")
         setfield(self, "space", space)
         setfield(self, "images", images)

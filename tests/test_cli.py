@@ -23,6 +23,7 @@ from probstruct import (
     to_json,
 )
 from probstruct.cli import main
+import probstruct.translate as translate
 
 
 @pytest.fixture
@@ -174,6 +175,20 @@ def test_fuzz_rejects_zero_iters(capsys):
 
 def test_fuzz_rejects_out_of_range_params(capsys):
     assert main(["fuzz", "--props", "9", "--iters", "1"]) == 2
+
+
+def test_fuzz_refuses_seeds_past_64_bits_before_any_check(capsys, monkeypatch):
+    def no_check(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(translate, "equivalent", no_check)
+    last = 1 << 64
+    assert main(["fuzz", "--iters", "2", "--seed", str(last - 1)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: last seed {last} must be a 64-bit nonnegative integer\n")
+    monkeypatch.undo()
+    assert main(["fuzz", "--props", "1", "--worlds", "1", "--iters", "1", "--seed", str(last - 1)]) == 0
+    assert capsys.readouterr().out == "2/2 translation checks passed\n"
 
 
 def test_parse_command(capsys):

@@ -14,6 +14,7 @@ from probstruct import (
     GenParams,
     Language,
     ProbabilityStructure,
+    ProbstructError,
     SampleSpace,
     WorldSet,
     coats_ds,
@@ -490,10 +491,40 @@ def with_repeated_term(text: str) -> str:
     return json.dumps(doc, indent=2)
 
 
+def reordered(text: str, rng) -> str:
+    """``text`` with the terms of each formula, and the literals of each term,
+    in a seeded order, and each term in parentheses or not: spellings that
+    ``_read_atoms`` reads."""
+
+    def formula(f: str) -> str:
+        terms = f.split(" | ")
+        rng.shuffle(terms)
+        spelled = []
+        for term in terms:
+            literals = term.strip("()").split(" & ")
+            rng.shuffle(literals)
+            spelled.append(("({})" if rng.random() < 0.5 else "{}").format(" & ".join(literals)))
+        return " | ".join(spelled)
+
+    doc = json.loads(text)
+    if "psi_basis" in doc:
+        doc["psi_basis"] = [formula(f) for f in doc["psi_basis"]]
+    doc["incidence"] = {formula(f): names for f, names in doc["incidence"].items()}
+    return json.dumps(doc)
+
+
 def reader_cases():
     rng = random.Random(9)
     cases = [
         pytest.param(lambda n=n, kind=kind: random_document(random.Random(n), n, kind), id=f"{kind}-{n}")
+        for n in range(1, 9)
+        for kind in ("ds", "ic")
+    ]
+    cases += [
+        pytest.param(
+            lambda n=n, kind=kind: reordered(random_document(random.Random(n), n, kind), random.Random(90 + n)),
+            id=f"reordered-{kind}-{n}",
+        )
         for n in range(1, 9)
         for kind in ("ds", "ic")
     ]
@@ -524,6 +555,55 @@ def test_formula_text_loads_as_parse_formula_reads_it(make_text):
     image = dict(zip(st.psi.basis, st.inc.images))
     for key, names in doc["incidence"].items():
         assert list(image[parse_formula(key, lang)].names()) == names
+
+
+def test_reordered_text_is_read_without_the_parser(monkeypatch):
+    rng = random.Random(12)
+    texts = [reordered(random_document(rng, n, kind), rng) for n in range(1, 9) for kind in ("ds", "ic")]
+    calls = []
+    monkeypatch.setattr(docio, "parse_formula", lambda text, lang: calls.append(text))
+    for text in texts:
+        from_json(text)
+    assert calls == []
+
+
+# each replaces the key "(~g & ~d)": literals repeated, missing or unknown
+MALFORMED_KEYS = [
+    "(~g & ~g)", "(~d & ~g & ~d)", "(~g & ~d & ~g & ~d)", "(g & ~g)", "(~g & )", "(& ~d)",
+    "(~g)", "(~g & ~d &)", "(~g & x)", "(~g & ~d & x)", "(~g & ~D)", "(~g & ~d",
+]
+
+
+@pytest.mark.parametrize("build", [coats_ds, coats_ic])
+@pytest.mark.parametrize("key", MALFORMED_KEYS)
+def test_malformed_literals_load_as_the_parser_reads_them(build, key):
+    def with_key(text):
+        def mutate(d):
+            d["incidence"] = {text if k == "(~g & ~d)" else k: v for k, v in d["incidence"].items()}
+
+        return edited(build, mutate)
+
+    try:
+        canonical = format_formula(parse_formula(key, build().lang))
+    except ProbstructError as e:
+        want = str(e)
+    else:  # the key loads as its canonical text does
+        want = load_outcome(with_key(canonical))
+    assert load_outcome(with_key(key)) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
+def test_a_ds_with_its_atoms_in_any_order_writes_the_same_bytes(n):
+    rng = random.Random(1500 + n)
+    text = to_json(benchmark_shaped(rng, n, "ds")) if n > 8 else random_document(rng, n, "ds")
+    st = from_json(text)
+    order = list(range(st.lang.n_atoms))
+    rng.shuffle(order)
+    psi = FormulaAlgebra(st.lang, [st.psi.basis[j] for j in order])
+    inc = IncidenceMap(st.ps.space, [st.inc.images[j] for j in order])
+    shuffled = ProbabilityStructure(st.ps, st.lang, psi, inc, "ds")
+    assert shuffled.psi != st.psi
+    assert to_json(shuffled) == text
 
 
 def count_atom_texts(monkeypatch) -> list:

@@ -602,6 +602,21 @@ def test_trivial_and_full_algebras():
     assert len(list(full_algebra(GD).members())) == 16
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_full_algebra_equals_the_checked_construction(n):
+    lang = Language(tuple(f"p{j}" for j in range(n)))
+    algebra = full_algebra(lang)
+    assert algebra == FormulaAlgebra(lang, [Formula(lang, 1 << k) for k in range(lang.n_atoms)])
+    assert type(algebra.basis) is tuple
+    assert all(block.lang is lang for block in algebra.basis)
+
+
+def test_full_algebra_refuses_a_language_that_is_not_one():
+    for lang in (5, ("g", "d"), None):
+        with pytest.raises(ValidationError, match="algebra language must be Language"):
+            full_algebra(lang)
+
+
 def test_generate_algebra_from_two_singleton_blocks():
     # separating two atoms lumps the rest into one block
     gens = [Formula(GD, 0b0100), Formula(GD, 0b0001)]

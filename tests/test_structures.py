@@ -18,6 +18,7 @@ from probstruct import (
     ProbabilityStructure,
     ProbstructError,
     SampleSpace,
+    SetAlgebra,
     StructureKind,
     UndefinedIncidenceError,
     ValidationError,
@@ -50,6 +51,21 @@ HALF = Fraction(1, 2)
 
 
 # --- incidence ---------------------------------------------------------------
+
+
+def test_images_and_blocks_over_an_equal_space_are_accepted():
+    space, equal = SampleSpace(("s1", "s2")), SampleSpace(("s1", "s2"))
+    assert equal is not space
+    halves = (WorldSet(equal, 1), WorldSet(equal, 2))
+    assert IncidenceMap(space, halves).images == halves
+    assert SetAlgebra(space, halves).basis == halves
+    other = SampleSpace(("s1", "s3"))
+    with pytest.raises(ValidationError) as err:
+        IncidenceMap(space, (WorldSet(space, 1), WorldSet(other, 2)))
+    assert str(err.value) == "incidence image is over a different sample space"
+    with pytest.raises(ValidationError) as err:
+        SetAlgebra(space, (WorldSet(space, 1), WorldSet(other, 2)))
+    assert str(err.value) == "basis block belongs to a different sample space"
 
 
 def test_incidence_on_algebra_members():

@@ -2,7 +2,7 @@
 
 Two dual ways of attaching partial probabilistic knowledge to a finite
 propositional language, a common interval query, translations in both
-directions that preserve every formula's interval, and a brute-force
+directions that preserve every formula's interval, and an exact
 equivalence checker.
 """
 

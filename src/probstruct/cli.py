@@ -13,6 +13,7 @@ import sys
 
 from .errors import NotTotalError, ProbstructError, ValidationError
 from .logic import Language, format_formula, parse_formula
+from .value import safe_repr
 
 # Each command imports the modules it runs, so that a process compiles and
 # loads no more of the package than its one command needs.
@@ -64,7 +65,7 @@ def cmd_equiv(args) -> int:
     b = load(args.file_b)
     report = equivalent(a, b)
     if report.equivalent:
-        print(f"EQUIVALENT ({report.checked_count} formulas checked)")
+        print(f"EQUIVALENT ({safe_repr(report.checked_count)} formulas checked)")
         return 0
     f, in_a, in_b = report.witness
     print(f"NOT EQUIVALENT: witness {format_formula(f)}: {in_a} vs {in_b}")

@@ -27,8 +27,10 @@ probabilities for any formula, and the two recipes agree whenever both apply.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 
 from .errors import UndefinedIncidenceError, ValidationError, WrongKindError
 from .logic import Formula, FormulaAlgebra, Language, _check_lang, format_formula, full_algebra
@@ -128,7 +130,7 @@ class ProbabilityStructure(Value):
     """
 
     _fields = ("ps", "lang", "psi", "inc", "kind")
-    __slots__ = _fields
+    __slots__ = _fields + ("_masses",)  # see ``_masses``
 
     def __init__(
         self,
@@ -316,38 +318,42 @@ def interval(st: ProbabilityStructure, xi: Formula) -> Interval:
     return Interval(inner_measure(st.ps, inside), ONE - inner_measure(st.ps, outside))
 
 
-def _focal_weights(st: ProbabilityStructure) -> list[tuple[int, Fraction]]:
-    """The mass function as (atom mask, weight) pairs: a formula's lower
-    probability sums the weights whose mask it contains.  A ds measurable
-    block's mask holds every atom whose image meets the block."""
+def _masses(st: ProbabilityStructure) -> tuple[tuple[tuple[int, int], ...], int, bool]:
+    """The mass function as (atom mask, numerator) pairs, their denominator and
+    whether the weights are a distribution.  An ic has a pair per formula block,
+    a ds one per measurable block, whose mask holds each atom whose image meets
+    it.  Kept in a slot outside the fields once the images partition the worlds."""
+    cached = getattr(st, "_masses", None)
+    if cached:
+        return cached
     _require(st.inc.partition_problems())
+    den = math.lcm(*(w.denominator for w in st.ps.mu.weights))
+    nums = [w.numerator * (den // w.denominator) for w in st.ps.mu.weights]
+    chi = list(zip((block.bits for block in st.ps.algebra.basis), nums))
     if st.kind is StructureKind.IC:
-        return [
-            (block.atoms, measure(st.ps, image))
-            for block, image in zip(st.psi.basis, st.inc.images)
-        ]
-    masks = [0] * len(st.ps.algebra.basis)
-    for block, image in zip(st.psi.basis, st.inc.images):
-        if image.bits:
-            for j, chi_block in enumerate(st.ps.algebra.basis):
-                if image.bits & chi_block.bits:
-                    masks[j] |= block.atoms
-    return list(zip(masks, st.ps.mu.weights))
+        pairs = []
+        for block, image in zip(st.psi.basis, st.inc.images):
+            inside = [(bits, n) for bits, n in chi if bits & ~image.bits == 0] if image.bits else []
+            if sum(bits for bits, _ in inside) != image.bits:
+                measure(st.ps, image)  # not a union of measurable blocks: refused there
+            pairs.append((block.atoms, sum(n for _, n in inside)))
+    else:
+        images = zip(st.psi.basis, st.inc.images)
+        live = [(block.atoms, image.bits) for block, image in images if image.bits]
+        pairs = [(sum(atoms for atoms, bits in live if bits & chi_bits), n) for chi_bits, n in chi]
+    setfield(st, "_masses", (tuple(pairs), den, min(nums) >= 0 and sum(nums) == den))
+    return st._masses
 
 
 def is_total(st: ProbabilityStructure) -> bool:
     """True iff every measurable set is the incidence of some formula.
 
-    That holds exactly when the focal masks are pairwise disjoint: an atom
-    whose image meets two measurable blocks lands in both their masks.
+    That holds exactly when the focal masks are disjoint, summing to their
+    union: an atom whose image meets two measurable blocks is in both masks.
     """
     _require_kind(st, StructureKind.DS, "is_total")
-    seen = 0
-    for mask, _ in _focal_weights(st):
-        if seen & mask:
-            return False
-        seen |= mask
-    return True
+    masks = [mask for mask, _ in _masses(st)[0]]
+    return sum(masks) == reduce(int.__or__, masks)
 
 
 MAX_MOBIUS_PROPS = 3

@@ -14,15 +14,18 @@ Both directions preserve the probability interval of every formula:
   singleton blocks.
 
 Both directions and ``equivalent`` read structures only through their mass
-functions (``structures._focal_weights``), which determine every interval;
-``equivalent`` scans formulas in order only to name the first witness.
-Seeded generators plus ``round_trip_check`` drive randomized testing.
+functions (``structures._masses``), which determine every interval;
+``equivalent`` names its witness from the difference of the two.  Seeded
+generators plus ``round_trip_check`` drive randomized testing.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
+from functools import reduce
 from typing import Optional
 
 from .errors import LanguageMismatchError, NotTotalError, ValidationError, WrongKindError
@@ -32,21 +35,22 @@ from .structures import (
     Interval,
     ProbabilityStructure,
     StructureKind,
-    _focal_weights,
+    _masses,
+    _require,
     interval,
     is_total,
 )
 from .value import Value, low_bit, require_type, setfield
 
-MAX_EQUIV_PROPS = 4
+MAX_GEN_PROPS = 4
 
 
 class EquivalenceReport(Value):
     """Outcome of comparing two structures formula by formula.
 
     ``witness`` is the first formula (in atom-bitmask order) whose intervals
-    disagree, together with both intervals; ``checked_count`` is how many
-    formulas were compared before stopping.
+    disagree, together with both intervals; ``checked_count`` is its place in
+    that order, counting from 1, or every formula (2**n_atoms) if none does.
     """
 
     _fields = ("equivalent", "checked_count", "witness")
@@ -72,8 +76,8 @@ class GenParams(Value):
     def __init__(self, n_props: int, n_worlds: int, seed: int):
         for name, value in zip(self._fields, (n_props, n_worlds, seed)):
             require_type(value, int, name)
-        if not 1 <= n_props <= MAX_EQUIV_PROPS:
-            raise ValidationError(f"n_props must be 1..{MAX_EQUIV_PROPS}, got {n_props}")
+        if not 1 <= n_props <= MAX_GEN_PROPS:
+            raise ValidationError(f"n_props must be 1..{MAX_GEN_PROPS}, got {n_props}")
         if not 1 <= n_worlds <= 8:
             raise ValidationError(f"n_worlds must be 1..8, got {n_worlds}")
         if not 0 <= seed < 1 << 64:
@@ -81,14 +85,6 @@ class GenParams(Value):
         setfield(self, "n_props", n_props)
         setfield(self, "n_worlds", n_worlds)
         setfield(self, "seed", seed)
-
-
-def _atom_world_name(lang: Language, index: int) -> str:
-    # identifier-safe rendering of the atom's literals, e.g. "notg_d"
-    parts = []
-    for j, name in enumerate(lang.props):
-        parts.append(name if (index >> j) & 1 else "not" + name)
-    return "_".join(parts)
 
 
 def ic_to_ds(ic: ProbabilityStructure) -> ProbabilityStructure:
@@ -102,9 +98,11 @@ def ic_to_ds(ic: ProbabilityStructure) -> ProbabilityStructure:
     if ic.kind is not StructureKind.IC:
         raise WrongKindError(f"ic_to_ds requires an ic structure, got {ic.kind.value}")
     lang = ic.lang
-    space = SampleSpace(tuple(_atom_world_name(lang, k) for k in range(lang.n_atoms)))
-    masks, weights = zip(*_focal_weights(ic))
-    chi_basis = tuple(WorldSet(space, mask) for mask in masks)
+    literals = [("not" + name, name) for name in reversed(lang.props)]  # worlds like "notg_d"
+    space = SampleSpace(["_".join(reversed(atom)) for atom in itertools.product(*literals)])
+    pairs, den, _ = _masses(ic)
+    chi_basis = tuple(WorldSet(space, mask) for mask, _ in pairs)
+    weights = tuple(Fraction(num, den) for _, num in pairs)
     atom_images = tuple(WorldSet(space, 1 << k) for k in range(lang.n_atoms))
     return ProbabilityStructure.ds(space, chi_basis, weights, lang, atom_images)
 
@@ -117,7 +115,7 @@ def ds_to_ic(ds: ProbabilityStructure) -> ProbabilityStructure:
         raise WrongKindError(f"ds_to_ic requires a ds structure, got {ds.kind.value}")
     if not is_total(ds):
         raise NotTotalError("ds_to_ic requires a total structure")
-    masks, weights = zip(*_focal_weights(ds))
+    masks = [mask for mask, _ in _masses(ds)[0]]
     space = SampleSpace(tuple(f"w{j + 1}" for j in range(len(masks))))
     # lowest atom -> (atom mask, image); the masks of a total structure are
     # disjoint, and each atom outside them is a block of its own with no worlds
@@ -127,39 +125,64 @@ def ds_to_ic(ds: ProbabilityStructure) -> ProbabilityStructure:
     blocks.update({k: (1 << k, empty) for k, bit in enumerate(dead) if bit == "1"})
     order = sorted(blocks)
     psi = FormulaAlgebra(ds.lang, [Formula(ds.lang, blocks[k][0]) for k in order])
-    return ProbabilityStructure.ic(space, weights, psi, [blocks[k][1] for k in order])
+    return ProbabilityStructure.ic(space, ds.ps.mu.weights, psi, [blocks[k][1] for k in order])
+
+
+def _net(pairs) -> dict[int, int]:
+    """The (mask, amount) pairs summed per mask, without the masks that sum to 0."""
+    net: dict[int, int] = {}
+    for mask, amount in pairs:
+        net[mask] = net.get(mask, 0) + amount
+    return {mask: amount for mask, amount in net.items() if amount}
+
+
+def _lowest_split(group: list[tuple[int, int]], start: int = 1) -> int:
+    """The lowest bit t (as a mask) at which the masks of ``group`` that hold t
+    and agree below it have a nonzero sum, or 0.  The masks, all alike below
+    ``start``, are walked as a binary trie from bit 0 up."""
+    first = group[0][0]
+    split = low_bit(reduce(int.__or__, [m ^ first for m, _ in group]))  # where they part
+    shared = first & -start & (split - 1 if split else first)  # held by all, up to the split
+    found = [low_bit(shared)] if shared and sum(d for _, d in group) else []
+    for side in (0, split) if split else ():
+        found.append(_lowest_split([p for p in group if p[0] & split == side], split))
+    return min(filter(None, found), default=0)
+
+
+def _witness_mask(diff: dict[int, int]) -> int:
+    """The first formula, in atom-bitmask order, whose intervals differ when the
+    masses differ by the nonzero ``diff``: lower bounds first differ at its
+    smallest mask, upper bounds at H, 0 if ``diff`` does not sum to 0, else the
+    smallest nonempty atom set with a nonzero sum over the masks holding it.
+    H's top bit t is the lowest split; below t it is 0 if the masses holding t
+    sum to nonzero, else H of those masses cut below t."""
+    high, rest = 0, diff
+    while not sum(rest.values()):
+        t = _lowest_split(list(rest.items()))
+        high |= t
+        rest = _net((mask & (t - 1), d) for mask, d in rest.items() if mask & t)
+    return min(min(diff), high)
 
 
 def equivalent(a: ProbabilityStructure, b: ProbabilityStructure) -> EquivalenceReport:
     """Compare the interval of every formula of the shared language.
 
-    Exact equality, no tolerance.  Equal mass functions mean equal
-    intervals everywhere; otherwise formulas are scanned in atom-bitmask
-    order up to the first disagreement.
+    Exact equality, no tolerance.  Equal mass functions mean equal intervals
+    everywhere; otherwise the difference of the two names the first formula,
+    in atom-bitmask order, whose intervals differ.
     """
     require_type(a, ProbabilityStructure, "structure")
     require_type(b, ProbabilityStructure, "structure")
     if a.lang != b.lang:
         raise LanguageMismatchError("structures are over different languages")
-    if len(a.lang.props) > MAX_EQUIV_PROPS:
-        raise ValidationError(
-            f"language too large for brute-force comparison "
-            f"(max {MAX_EQUIV_PROPS} propositions)"
-        )
-    diff: dict[int, Fraction] = {}  # mass of a minus mass of b, per atom mask
-    for sign, st in ((1, a), (-1, b)):
-        for mask, w in _focal_weights(st):
-            diff[mask] = diff.get(mask, 0) + sign * w
-    diff = {mask: d for mask, d in diff.items() if d}
-    full = a.lang.full_mask
+    (mass_a, den_a, ok_a), (mass_b, den_b, ok_b) = _masses(a), _masses(b)
+    if not (ok_a and ok_b):
+        _require(a.ps.mu.weight_problems() or b.ps.mu.weight_problems())
+    den = math.lcm(den_a, den_b)  # the mass of a minus that of b, over ``den``, per atom mask:
+    diff = _net([(m, n * den // den_a) for m, n in mass_a] + [(m, -n * den // den_b) for m, n in mass_b])
     if not diff:
-        return EquivalenceReport(True, full + 1, None)
-    # lower probabilities differ on x exactly when the differences over the
-    # masks inside x do not cancel; the smallest mask in diff contains no
-    # other, so the scan stops there at the latest
-    for m in range(full + 1):
-        if any(sum(d for mask, d in diff.items() if mask & ~x == 0) for x in (m, full ^ m)):
-            break
+        return EquivalenceReport(True, a.lang.full_mask + 1, None)
+    m = _witness_mask(diff)
     f = Formula(a.lang, m)
     return EquivalenceReport(False, m + 1, (f, interval(a, f), interval(b, f)))
 

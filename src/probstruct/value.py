@@ -50,6 +50,16 @@ def check_names(names, limit: int, owner: str, noun: str, reserved=()) -> tuple:
     return names
 
 
+def safe_repr(value) -> str:
+    """``repr(value)``, with an integer past the digit limit as ``2^k`` (a power of two) or in hex."""
+    try:
+        return repr(value)
+    except ValueError:
+        if value.__class__ is not int:
+            raise
+        return f"2^{value.bit_length() - 1}" if value & (value - 1) == 0 else hex(value)
+
+
 def low_bit(mask: int) -> int:
     """The lowest set bit of ``mask``; sorting blocks by it gives canonical basis order."""
     return mask & -mask
@@ -110,7 +120,7 @@ class Value:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={safe_repr(getattr(self, name))}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,9 @@ import probstruct
 from probstruct import (
     Formula,
     GenParams,
+    Language,
+    ProbabilityStructure,
+    SampleSpace,
     coats_ds,
     coats_ic,
     format_formula,
@@ -21,6 +25,7 @@ from probstruct import (
     random_total_ds,
     save,
     to_json,
+    trivial_algebra,
 )
 from probstruct.cli import main
 import probstruct.translate as translate
@@ -142,6 +147,19 @@ def test_equiv_output(coats_files, capsys):
     assert capsys.readouterr().out.strip() == "EQUIVALENT (16 formulas checked)"
 
 
+def test_equiv_counts_past_four_propositions(tmp_path, capsys):
+    # 2**(2**n) formulas: in full up to 13 propositions (2,467 digits); from
+    # 14 on, past the interpreter's limit on digits, as a power of two
+    for n_props, count in ((5, "4294967296"), (14, "2^16384")):
+        lang = Language(tuple(f"p{i}" for i in range(n_props)))
+        space = SampleSpace(("w1",))
+        st = ProbabilityStructure.ic(space, (Fraction(1),), trivial_algebra(lang), (space.everything(),))
+        path = tmp_path / f"vacuous-{n_props}.json"
+        save(st, str(path))
+        assert main(["equiv", str(path), str(path)]) == 0
+        assert capsys.readouterr() == (f"EQUIVALENT ({count} formulas checked)\n", "")
+
+
 def test_equiv_witness(coats_files, tmp_path, capsys):
     ds, _ = coats_files
     doc = json.loads(to_json(coats_ds()))
@@ -175,6 +193,9 @@ def test_fuzz_rejects_zero_iters(capsys):
 
 def test_fuzz_rejects_out_of_range_params(capsys):
     assert main(["fuzz", "--props", "9", "--iters", "1"]) == 2
+    # the generators stop at 4 propositions, though equivalent does not
+    assert main(["fuzz", "--props", "5", "--iters", "1"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: n_props must be 1..4, got 5"
 
 
 def test_fuzz_refuses_seeds_past_64_bits_before_any_check(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Translations, equivalence checking, random generators, round trips."""
 
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -12,10 +14,13 @@ from probstruct import (
     Interval,
     Language,
     LanguageMismatchError,
+    MeasureFn,
     NotTotalError,
+    ProbabilitySpace,
     ProbabilityStructure,
     ProbstructError,
     SampleSpace,
+    SetAlgebra,
     StructureKind,
     ValidationError,
     WorldSet,
@@ -37,9 +42,31 @@ from probstruct import (
     validate,
 )
 from probstruct.logic import FormulaAlgebra, _sorted_blocks
-from probstruct.structures import _focal_weights
+from probstruct.structures import _masses
+from probstruct.translate import _witness_mask
 
 HALF = Fraction(1, 2)
+
+
+def _focal_weights(st):
+    """The mass function as (atom mask, weight) pairs in ``Fraction``
+    arithmetic: the reference for the cached integer ``_masses``.  A ds
+    measurable block's mask holds every atom whose image meets the block."""
+    problems = st.inc.partition_problems()
+    if problems:
+        raise ValidationError("; ".join(problems))
+    if st.kind is StructureKind.IC:
+        return [
+            (block.atoms, measure(st.ps, image))
+            for block, image in zip(st.psi.basis, st.inc.images)
+        ]
+    masks = [0] * len(st.ps.algebra.basis)
+    for block, image in zip(st.psi.basis, st.inc.images):
+        if image.bits:
+            for j, chi_block in enumerate(st.ps.algebra.basis):
+                if image.bits & chi_block.bits:
+                    masks[j] |= block.atoms
+    return list(zip(masks, st.ps.mu.weights))
 
 
 def _lower_table(st):
@@ -323,14 +350,161 @@ def test_equivalent_requires_shared_language():
         equivalent(coats_ic(), other)
 
 
-def test_equivalent_language_cap():
-    lang = Language(("a", "b", "c", "e", "f"))
-    space = SampleSpace(("w1",))
-    st = ProbabilityStructure.ic(
-        space, (Fraction(1),), trivial_algebra(lang), (space.everything(),)
+def test_equivalent_answers_past_four_propositions():
+    # no formula scan, so no cap below the language's own 16 propositions
+    for n_props in (5, 12):
+        lang = Language(tuple(f"p{i}" for i in range(n_props)))
+        space = SampleSpace(("w1", "w2"))
+        p0 = parse_formula("p0", lang)
+        vacuous = ProbabilityStructure.ic(space, (HALF, HALF), trivial_algebra(lang), (space.everything(),))
+        split = ProbabilityStructure.ic(
+            space, (HALF, HALF), FormulaAlgebra(lang, (~p0, p0)), (space.subset(["w1"]), space.subset(["w2"]))
+        )
+        report = equivalent(vacuous, vacuous)
+        assert (report.equivalent, report.checked_count, report.witness) == (True, 1 << lang.n_atoms, None)
+        report = equivalent(vacuous, split)
+        # the first atom is the first formula: its upper bound drops to 1/2,
+        # since the block of p0 lies inside its negation
+        f, in_a, in_b = report.witness
+        assert f.atoms == 1 and report.checked_count == 2
+        assert (in_a, in_b) == (Interval(0, 1), Interval(0, HALF))
+
+
+def _scan_witness(diff, full):
+    """How ``equivalent`` once named its witness: scan the formulas in
+    atom-bitmask order for the first x whose lower bound, or that of ~x,
+    sees a nonzero sum of the mass differences ``diff``."""
+    for m in range(full + 1):
+        if any(sum(d for mask, d in diff.items() if mask & ~x == 0) for x in (m, full ^ m)):
+            return m
+
+
+def test_witness_matches_the_formula_scan():
+    rng = random.Random(1616)
+    kinds = set()
+    for _ in range(20000):
+        full = (1 << rng.randint(1, 8)) - 1
+        masks = rng.sample(range(1, full + 1), rng.randint(1, min(8, full)))
+        diff = {m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in masks}
+        if rng.randrange(4):  # differences of two distributions sum to 0
+            diff[masks[-1]] -= sum(diff.values())
+        diff = {m: d for m, d in diff.items() if d} or {masks[0]: 1}
+        got = _witness_mask(diff)
+        assert got == _scan_witness(diff, full), (diff, full)
+        kinds.add((sum(diff.values()) == 0, got < min(diff)))
+    # a sum other than 0 puts the witness at 0; otherwise either side can decide it
+    assert kinds == {(False, True), (True, False), (True, True)}
+
+
+def _bad_weights(st, weights):
+    """``st`` with other weights on its measurable blocks, built past the checks."""
+    ps = ProbabilitySpace(st.ps.space, st.ps.algebra, MeasureFn(weights))
+    return ProbabilityStructure(ps, st.lang, st.psi, st.inc, st.kind)
+
+
+def test_equivalent_checks_the_weights_of_both_sides():
+    bad = _bad_weights(coats_ds(), (1, 1))
+    assert validate(bad).problems == ("measure weights sum to 2, expected 1",)
+    with pytest.raises(ValidationError) as queried:
+        interval(bad, parse_formula("g", bad.lang))
+    for a, b in ((bad, bad), (bad, coats_ds()), (coats_ds(), bad), (coats_ic(), bad)):
+        for _ in range(2):  # and again once the masses are cached
+            with pytest.raises(ValidationError) as compared:
+                equivalent(a, b)
+            assert str(compared.value) == str(queried.value)
+    # the images are checked before the weights, on either side
+    space = bad.ps.space
+    lost = IncidenceMap(space, (space.nothing(), *bad.inc.images[1:]))
+    both = ProbabilityStructure(bad.ps, bad.lang, bad.psi, lost, bad.kind)
+    for a, b in ((both, bad), (bad, both)):
+        with pytest.raises(ValidationError, match="^incidence images do not cover worlds"):
+            equivalent(a, b)
+
+
+def test_translations_keep_their_refusals_and_their_order():
+    ds, ic = coats_ds(), coats_ic()
+    for _ in range(2):  # the second time the source's masses are cached
+        with pytest.raises(ValidationError, match="^measure weights sum to 2, expected 1$"):
+            ds_to_ic(_bad_weights(ds, (1, 1)))
+        # ic_to_ds checks the weights it gives the new structure
+        with pytest.raises(ValidationError, match="^measure weight -1/2 of block 1 is negative$"):
+            ic_to_ds(_bad_weights(ic, (Fraction(3, 2), Fraction(-1, 2))))
+    not_total = ProbabilityStructure.ds(
+        SampleSpace(("s1", "s2")),
+        (SampleSpace(("s1", "s2")).everything(),),
+        (Fraction(1),),
+        Language(("a",)),
+        (SampleSpace(("s1", "s2")).subset(["s1", "s2"]), SampleSpace(("s1", "s2")).nothing()),
     )
-    with pytest.raises(ValidationError, match="too large"):
-        equivalent(st, st)
+    assert is_total(not_total)
+    split = ProbabilityStructure.ds(
+        not_total.ps.space,
+        (not_total.ps.space.subset(["s1"]), not_total.ps.space.subset(["s2"])),
+        (HALF, HALF),
+        not_total.lang,
+        not_total.inc.images,
+    )
+    assert not is_total(split)
+    with pytest.raises(NotTotalError):  # before the weights
+        ds_to_ic(_bad_weights(split, (1, 1)))
+
+
+def _invalid_variants(st, rng):
+    """``st`` with its weights, or one world of its images, disturbed."""
+    n = len(st.ps.mu.weights)
+    yield _bad_weights(st, [Fraction(rng.randint(-3, 5), rng.randint(1, 6)) for _ in range(n)])
+    space = st.ps.space
+    images = [image.bits for image in st.inc.images]
+    j, world = rng.randrange(len(images)), 1 << rng.randrange(space.size)
+    images[j] ^= world  # a world lost from, or shared by, the images
+    inc = IncidenceMap(space, [WorldSet(space, bits) for bits in images])
+    yield ProbabilityStructure(st.ps, st.lang, st.psi, inc, st.kind)
+
+
+def test_masses_match_the_fraction_reference():
+    rng = random.Random(2024)
+    structures = [coats_ds(), coats_ic(), uncovered_ds()]
+    for seed in range(150):
+        params = GenParams(1 + seed % 4, 1 + seed % 8, 7000 + seed)
+        for st in (random_ic(params), random_total_ds(params), _random_ds(rng, params.n_props, params.n_worlds)):
+            structures += [st, *_invalid_variants(st, rng)]
+    # an ic whose world sets are not all measurable
+    ic = coats_ic()
+    coarse = ProbabilitySpace(ic.ps.space, SetAlgebra(ic.ps.space, (ic.ps.space.everything(),)), MeasureFn((1,)))
+    structures.append(ProbabilityStructure(coarse, ic.lang, ic.psi, ic.inc, ic.kind))
+    outcomes = set()
+    for st in structures:
+        try:
+            expected = _focal_weights(st)
+        except ProbstructError as e:
+            for _ in range(2):  # refused on every call, and never cached
+                with pytest.raises(type(e)) as refused:
+                    _masses(st)
+                assert str(refused.value) == str(e)
+                assert not hasattr(st, "_masses")
+            outcomes.add(type(e).__name__)
+            continue
+        pairs, den, ok = _masses(st)
+        assert [(mask, Fraction(num, den)) for mask, num in pairs] == expected
+        assert den == math.lcm(*(w.denominator for w in st.ps.mu.weights))
+        assert ok == (not st.ps.mu.weight_problems())
+        assert _masses(st) is st._masses
+        outcomes.add(ok)
+    assert outcomes == {True, False, "ValidationError", "NotMeasurableError"}
+
+
+def test_cached_masses_leave_equality_hashing_and_pickling_alone():
+    for build in (coats_ds, coats_ic):
+        st = build()
+        before = hash(st)
+        _masses(st)
+        assert hasattr(st, "_masses")
+        assert st == build() and hash(st) == before == hash(build())
+        assert repr(st) == repr(build())
+        back = pickle.loads(pickle.dumps(st))
+        assert back == st and not hasattr(back, "_masses")
+        with pytest.raises(AttributeError):
+            st._masses = None
 
 
 def test_lower_table_matches_interval():

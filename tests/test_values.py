@@ -34,6 +34,7 @@ from probstruct import (
     interval,
     parse_formula,
 )
+from probstruct.value import safe_repr
 
 HALF = Fraction(1, 2)
 
@@ -144,6 +145,21 @@ def test_repr_examples():
     assert repr(GenParams(2, 4, 7)) == "GenParams(n_props=2, n_worlds=4, seed=7)"
     assert repr(WorldSet(_space(), 2)) == "WorldSet(space=SampleSpace(worlds=('w1', 'w2')), bits=2)"
     assert repr(ValidationReport(())) == "ValidationReport(problems=())"
+
+
+def test_repr_of_integers_past_the_digit_limit():
+    # 2**65536 formulas at 16 propositions: too many digits for str, so a
+    # power of two reads 2^k and any other integer is written in hex
+    assert safe_repr(1 << 65536) == "2^65536"
+    assert safe_repr((1 << 65536) + 1) == hex((1 << 65536) + 1)
+    assert safe_repr(1 << 64) == str(1 << 64) and safe_repr("a") == "'a'"
+    lang = Language(tuple(f"p{i}" for i in range(16)))
+    f = Formula(lang, 1 << 65535)
+    report = EquivalenceReport(False, f.atoms + 1, (f, Interval(0, 1), Interval(0, HALF)))
+    text = repr(report)
+    assert text.startswith("EquivalenceReport(equivalent=False, checked_count=0x8000")
+    assert "atoms=2^65535), Interval(" in text
+    assert "checked_count=2^65536," in repr(EquivalenceReport(True, 1 << 65536, None))
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)

@@ -323,9 +323,8 @@ def _masses(st: ProbabilityStructure) -> tuple[tuple[tuple[int, int], ...], int,
     whether the weights are a distribution.  An ic has a pair per formula block,
     a ds one per measurable block, whose mask holds each atom whose image meets
     it.  Kept in a slot outside the fields once the images partition the worlds."""
-    cached = getattr(st, "_masses", None)
-    if cached:
-        return cached
+    if hasattr(st, "_masses"):
+        return st._masses
     _require(st.inc.partition_problems())
     den = math.lcm(*(w.denominator for w in st.ps.mu.weights))
     nums = [w.numerator * (den // w.denominator) for w in st.ps.mu.weights]

@@ -179,7 +179,8 @@ def equivalent(a: ProbabilityStructure, b: ProbabilityStructure) -> EquivalenceR
     if not (ok_a and ok_b):
         _require(a.ps.mu.weight_problems() or b.ps.mu.weight_problems())
     den = math.lcm(den_a, den_b)  # the mass of a minus that of b, over ``den``, per atom mask:
-    diff = _net([(m, n * den // den_a) for m, n in mass_a] + [(m, -n * den // den_b) for m, n in mass_b])
+    up_a, up_b = den // den_a, den // den_b
+    diff = _net([(m, n * up_a) for m, n in mass_a] + [(m, -n * up_b) for m, n in mass_b])
     if not diff:
         return EquivalenceReport(True, a.lang.full_mask + 1, None)
     m = _witness_mask(diff)

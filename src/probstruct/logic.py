@@ -396,21 +396,18 @@ def _sorted_blocks(masks: Iterable[int], lang: Language) -> tuple[Formula, ...]:
 def generate_algebra(generators: Iterable[Formula], lang: Language) -> FormulaAlgebra:
     """Smallest algebra containing the generators.
 
-    Atoms that fall inside exactly the same generators cannot be separated,
-    so the basis blocks are the equivalence classes of that relation.
+    Atoms inside exactly the same generators cannot be separated, so each
+    generator in turn splits every block into its parts inside and outside
+    it.  The cost follows the number of blocks, not the ``2**n`` atoms.
     """
     gens = list(generators)
     for g in gens:
         if g.lang != lang:
             raise LanguageMismatchError("generator belongs to a different language")
-    classes: dict[int, int] = {}
-    for k in range(lang.n_atoms):
-        sig = 0
-        for i, g in enumerate(gens):
-            if (g.atoms >> k) & 1:
-                sig |= 1 << i
-        classes[sig] = classes.get(sig, 0) | (1 << k)
-    return FormulaAlgebra(lang, _sorted_blocks(classes.values(), lang))
+    blocks = [lang.full_mask]
+    for g in gens:
+        blocks = [part for b in blocks for part in (b & g.atoms, b & ~g.atoms) if part]
+    return FormulaAlgebra(lang, _sorted_blocks(blocks, lang))
 
 
 def basis_of(member_list: Iterable[Formula]) -> FormulaAlgebra:

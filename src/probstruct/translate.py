@@ -30,7 +30,7 @@ from typing import Optional
 
 from .errors import LanguageMismatchError, NotTotalError, ValidationError, WrongKindError
 from .logic import Formula, FormulaAlgebra, Language, _sorted_blocks
-from .measure import SampleSpace, WorldSet
+from .measure import MAX_WORLDS, SampleSpace, WorldSet
 from .structures import (
     Interval,
     ProbabilityStructure,
@@ -42,7 +42,7 @@ from .structures import (
 )
 from .value import Value, low_bit, require_type, setfield
 
-MAX_GEN_PROPS = 4
+_ATOM_WORLD_PROPS = MAX_WORLDS.bit_length() - 1  # the most propositions whose atoms can each be a world
 
 
 class EquivalenceReport(Value):
@@ -68,7 +68,8 @@ class EquivalenceReport(Value):
 
 
 class GenParams(Value):
-    """Bounds for the seeded random generators."""
+    """Bounds for the seeded random generators: at most 6 propositions, as ``ic_to_ds``
+    makes a world of each atom, and at most ``MAX_WORLDS`` worlds."""
 
     _fields = ("n_props", "n_worlds", "seed")
     __slots__ = _fields
@@ -76,10 +77,9 @@ class GenParams(Value):
     def __init__(self, n_props: int, n_worlds: int, seed: int):
         for name, value in zip(self._fields, (n_props, n_worlds, seed)):
             require_type(value, int, name)
-        if not 1 <= n_props <= MAX_GEN_PROPS:
-            raise ValidationError(f"n_props must be 1..{MAX_GEN_PROPS}, got {n_props}")
-        if not 1 <= n_worlds <= 8:
-            raise ValidationError(f"n_worlds must be 1..8, got {n_worlds}")
+        for name, value, top in (("n_props", n_props, _ATOM_WORLD_PROPS), ("n_worlds", n_worlds, MAX_WORLDS)):
+            if not 1 <= value <= top:
+                raise ValidationError(f"{name} must be 1..{top}, got {value}")
         if not 0 <= seed < 1 << 64:
             raise ValidationError("seed must be a 64-bit nonnegative integer")
         setfield(self, "n_props", n_props)
@@ -91,13 +91,15 @@ def ic_to_ds(ic: ProbabilityStructure) -> ProbabilityStructure:
     """Lift an incidence-calculus structure to an equivalent total belief
     structure over the language's atoms.
 
-    The language must have at most 6 propositions, since every atom becomes
-    a world.
+    Every atom becomes a world, so a language of more than 6 propositions is
+    refused before any world is named, as ``SampleSpace`` would refuse them.
     """
     require_type(ic, ProbabilityStructure, "structure")
     if ic.kind is not StructureKind.IC:
         raise WrongKindError(f"ic_to_ds requires an ic structure, got {ic.kind.value}")
     lang = ic.lang
+    if len(lang.props) > _ATOM_WORLD_PROPS:
+        raise ValidationError(f"a sample space needs between 1 and {MAX_WORLDS} worlds, got {lang.n_atoms}")
     literals = [("not" + name, name) for name in reversed(lang.props)]  # worlds like "notg_d"
     space = SampleSpace(["_".join(reversed(atom)) for atom in itertools.product(*literals)])
     pairs, den, _ = _masses(ic)

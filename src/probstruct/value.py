@@ -51,13 +51,18 @@ def check_names(names, limit: int, owner: str, noun: str, reserved=()) -> tuple:
 
 
 def safe_repr(value) -> str:
-    """``repr(value)``, with an integer past the digit limit as ``2^k`` (a power of two) or in hex."""
+    """``repr(value)``, with an integer past the digit limit as ``2^k`` (a power of two) or in hex,
+    alone, as a ``Fraction``'s numerator or denominator, or inside a tuple."""
     try:
         return repr(value)
     except ValueError:
-        if value.__class__ is not int:
+        if value.__class__ is int:
+            return f"2^{value.bit_length() - 1}" if value & (value - 1) == 0 else hex(value)
+        if value.__class__ is tuple:
+            return "(" + ", ".join(map(safe_repr, value)) + ("," if len(value) == 1 else "") + ")"
+        if not hasattr(value, "denominator"):  # a Fraction, named without importing fractions
             raise
-        return f"2^{value.bit_length() - 1}" if value & (value - 1) == 0 else hex(value)
+        return f"{type(value).__name__}({safe_repr(value.numerator)}, {safe_repr(value.denominator)})"
 
 
 def low_bit(mask: int) -> int:

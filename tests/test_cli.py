@@ -192,10 +192,13 @@ def test_fuzz_rejects_zero_iters(capsys):
 
 
 def test_fuzz_rejects_out_of_range_params(capsys):
-    assert main(["fuzz", "--props", "9", "--iters", "1"]) == 2
-    # the generators stop at 4 propositions, though equivalent does not
-    assert main(["fuzz", "--props", "5", "--iters", "1"]) == 2
-    assert capsys.readouterr().err.splitlines()[-1] == "error: n_props must be 1..4, got 5"
+    # the generators stop where ic_to_ds gives each atom a world, and at 64 worlds
+    assert main(["fuzz", "--props", "7", "--iters", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: n_props must be 1..6, got 7\n")
+    assert main(["fuzz", "--worlds", "65", "--iters", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: n_worlds must be 1..64, got 65\n")
+    assert main(["fuzz", "--props", "6", "--worlds", "64", "--iters", "2"]) == 0
+    assert capsys.readouterr().out == "4/4 translation checks passed\n"
 
 
 def test_fuzz_refuses_seeds_past_64_bits_before_any_check(capsys, monkeypatch):

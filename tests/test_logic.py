@@ -33,6 +33,7 @@ from probstruct.logic import (
     _parse_tokens,
     _prop_masks,
     _read_atoms,
+    _sorted_blocks,
 )
 
 GD = Language(("g", "d"))
@@ -633,6 +634,48 @@ def test_generate_algebra_fixpoint():
     algebra = generate_algebra([parse_formula("g", GD), parse_formula("g & d", GD)], GD)
     again = generate_algebra(list(algebra.members()), GD)
     assert again.basis == algebra.basis
+
+
+def _algebra_by_atom_signature(gens, lang):
+    """The per-atom reference for ``generate_algebra``: the atoms inside
+    exactly the same generators make one block."""
+    classes: dict[int, int] = {}
+    for k in range(lang.n_atoms):
+        sig = 0
+        for i, g in enumerate(gens):
+            if (g.atoms >> k) & 1:
+                sig |= 1 << i
+        classes[sig] = classes.get(sig, 0) | (1 << k)
+    return FormulaAlgebra(lang, _sorted_blocks(classes.values(), lang))
+
+
+def _random_generator(rng, lang):
+    """Any atom set, a few atoms, or ``false`` or ``true``."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Formula(lang, rng.getrandbits(lang.n_atoms))
+    if kind == 1:
+        return Formula(lang, sum({1 << rng.randrange(lang.n_atoms) for _ in range(3)}))
+    return Formula(lang, rng.choice((0, lang.full_mask)))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_generate_algebra_matches_the_atom_signature_oracle(n):
+    rng = random.Random(1700 + n)
+    lang = Language(tuple(f"p{j}" for j in range(n)))
+    for _ in range(20):
+        gens = [_random_generator(rng, lang) for _ in range(rng.randint(0, 5))]
+        assert generate_algebra(gens, lang) == _algebra_by_atom_signature(gens, lang)
+
+
+def test_generate_algebra_matches_the_atom_signature_oracle_at_16_propositions():
+    rng = random.Random(1716)
+    lang = Language(tuple(f"p{j}" for j in range(16)))
+    gens = [Formula(lang, mask) for mask in _prop_masks(lang)[:2]]
+    gens += [_random_generator(rng, lang), Formula(lang, rng.getrandbits(lang.n_atoms))]
+    algebra = generate_algebra(gens, lang)
+    assert algebra == _algebra_by_atom_signature(gens, lang)
+    assert len(algebra.basis) > 4
 
 
 def test_algebra_member():

@@ -42,6 +42,7 @@ from probstruct import (
     validate,
 )
 from probstruct.logic import FormulaAlgebra, _sorted_blocks
+import probstruct.translate as translate
 from probstruct.structures import _masses
 from probstruct.translate import _witness_mask
 
@@ -177,14 +178,17 @@ def test_ic_to_ds_requires_ic():
         ic_to_ds(coats_ds())
 
 
-def test_ic_to_ds_atom_count_cap():
-    lang = Language(tuple(f"p{i}" for i in range(7)))  # 128 atoms > 64 worlds
+def test_ic_to_ds_atom_count_cap(monkeypatch):
+    monkeypatch.setattr(translate, "itertools", None)  # refused before any world is named
     space = SampleSpace(("w1",))
-    ic = ProbabilityStructure.ic(
-        space, (Fraction(1),), trivial_algebra(lang), (space.everything(),)
-    )
-    with pytest.raises(ValidationError):
-        ic_to_ds(ic)
+    for n_props in (7, 16):  # 2**n atoms > 64 worlds
+        lang = Language(tuple(f"p{i}" for i in range(n_props)))
+        ic = ProbabilityStructure.ic(
+            space, (Fraction(1),), trivial_algebra(lang), (space.everything(),)
+        )
+        message = f"a sample space needs between 1 and 64 worlds, got {1 << n_props}"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ic_to_ds(ic)
 
 
 # --- collapsing ds to ic -----------------------------------------------------
@@ -584,14 +588,16 @@ def test_generated_structures_are_valid():
 
 
 def test_gen_params_bounds():
+    # as many propositions as ic_to_ds gives a world per atom, and 64 worlds
+    assert GenParams(6, 64, 1).n_props == 6
     with pytest.raises(ValidationError):
         GenParams(0, 4, 1)
-    with pytest.raises(ValidationError):
-        GenParams(5, 4, 1)
+    with pytest.raises(ValidationError, match="^n_props must be 1..6, got 7$"):
+        GenParams(7, 4, 1)
     with pytest.raises(ValidationError):
         GenParams(2, 0, 1)
-    with pytest.raises(ValidationError):
-        GenParams(2, 9, 1)
+    with pytest.raises(ValidationError, match="^n_worlds must be 1..64, got 65$"):
+        GenParams(2, 65, 1)
     with pytest.raises(ValidationError):
         GenParams(2, 4, -1)
     with pytest.raises(ValidationError):
@@ -607,3 +613,16 @@ def test_round_trip_both_directions():
     for seed in range(25):
         assert round_trip_check(random_ic(GenParams(2, 5, 3000 + seed))).equivalent
         assert round_trip_check(random_total_ds(GenParams(2, 5, 3100 + seed))).equivalent
+
+
+@pytest.mark.parametrize("n_props", [5, 6])
+@pytest.mark.parametrize("n_worlds", [1, 8, 64])
+def test_translations_keep_every_interval_up_to_the_generators_bounds(n_props, n_worlds):
+    # the paper's theorem at the generators' largest languages: each
+    # translation, and each round trip, gives every formula the same interval
+    for seed in range(20):
+        params = GenParams(n_props, n_worlds, 15_000 + 100 * n_worlds + seed)
+        for st, there in ((random_ic(params), ic_to_ds), (random_total_ds(params), ds_to_ic)):
+            assert equivalent(st, there(st)).equivalent
+            report = round_trip_check(st)
+            assert (report.equivalent, report.checked_count) == (True, st.lang.full_mask + 1)

@@ -162,6 +162,23 @@ def test_repr_of_integers_past_the_digit_limit():
     assert "checked_count=2^65536," in repr(EquivalenceReport(True, 1 << 65536, None))
 
 
+def test_repr_of_fractions_past_the_digit_limit():
+    # such a numerator or denominator is written as a long integer is
+    tiny, big = Fraction(1, 10**5000), Fraction(1, 1 << 20000)
+    long_den = hex(10**5000)
+    assert repr(Interval(tiny, 1)) == f"Interval(lo=Fraction(1, {long_den}), hi=Fraction(1, 1))"
+    assert repr(Interval(big, HALF)) == "Interval(lo=Fraction(1, 2^20000), hi=Fraction(1, 2))"
+    weights = repr(MeasureFn((tiny, 1 - tiny)))
+    assert weights == (
+        f"MeasureFn(weights=(Fraction(1, {long_den}), Fraction({hex(10**5000 - 1)}, {long_den})))"
+    )
+    assert repr(MeasureFn((big,))) == "MeasureFn(weights=(Fraction(1, 2^20000),))"
+    f = Formula(Language(("a",)), 1)
+    report = EquivalenceReport(False, 2, (f, Interval(0, 1), Interval(tiny, 1)))
+    assert repr(report).endswith(f"Interval(lo=Fraction(1, {long_den}), hi=Fraction(1, 1))))")
+    assert repr(report).startswith("EquivalenceReport(equivalent=False, checked_count=2, witness=(")
+
+
 @pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
 def test_pickle_and_deepcopy_round_trip(cls):
     build, _ = VALUES[cls]

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import reduce
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -36,7 +35,8 @@ from .errors import (
     UnknownPropositionError,
     ValidationError,
 )
-from .value import Value, as_tuple, check_names, is_union, low_bit, require_type, set_bits, setfield
+from .value import Value, as_tuple, check_names, is_union, low_bit, partition_faults, require_type
+from .value import set_bits, setfield
 
 MAX_PROPS = 16
 MAX_NESTING = 100  # deepest parenthesis nesting the parser accepts
@@ -140,6 +140,7 @@ def _check_lang(a, b) -> None:
 
 
 def true_formula(lang: Language) -> Formula:
+    require_type(lang, Language, "formula language")
     return Formula(lang, lang.full_mask)
 
 
@@ -331,26 +332,19 @@ class FormulaAlgebra(Value):
     def __init__(self, lang: Language, basis: Iterable[Formula]):
         require_type(lang, Language, "algebra language")
         basis = as_tuple(basis, "basis blocks")
-        # nonempty masks partition the atoms when their sum and their union are
-        # both every atom; only if not, the loop runs to name the first fault
-        masks = [b.atoms for b in basis if b.__class__ is Formula and b.lang is lang and b.atoms]
-        if len(masks) != len(basis) or not sum(masks) == lang.full_mask == reduce(int.__or__, masks, 0):
-            covered = 0
-            for block in basis:
-                if not isinstance(block, Formula):
-                    raise ValidationError(f"basis block must be Formula, got {type(block).__name__}")
-                if block.lang != lang:
-                    raise LanguageMismatchError("basis block belongs to a different language")
-                if block.is_false:
-                    raise ValidationError("basis blocks must be nonempty")
-                if covered & block.atoms:
-                    raise ValidationError(
-                        f"basis blocks overlap: {format_formula(block)} is not disjoint "
-                        "from earlier blocks"
-                    )
-                covered |= block.atoms
-            if covered != lang.full_mask:
+        for block in basis:
+            if not isinstance(block, Formula):
+                raise ValidationError(f"basis block must be Formula, got {type(block).__name__}")
+            if block.lang is not lang and block.lang != lang:
+                raise LanguageMismatchError("basis block belongs to a different language")
+        for i, shared in partition_faults([block.atoms for block in basis], lang.full_mask):
+            if i is None:  # each branch raises
                 raise ValidationError("basis blocks do not cover every atom")
+            if not shared:
+                raise ValidationError("basis blocks must be nonempty")
+            raise ValidationError(
+                f"basis blocks overlap: {format_formula(basis[i])} is not disjoint from earlier blocks"
+            )
         setfield(self, "lang", lang)
         setfield(self, "basis", basis)
 
@@ -400,8 +394,10 @@ def generate_algebra(generators: Iterable[Formula], lang: Language) -> FormulaAl
     generator in turn splits every block into its parts inside and outside
     it.  The cost follows the number of blocks, not the ``2**n`` atoms.
     """
-    gens = list(generators)
+    gens = as_tuple(generators, "generators")
+    require_type(lang, Language, "algebra language")
     for g in gens:
+        require_type(g, Formula, "generator")
         if g.lang != lang:
             raise LanguageMismatchError("generator belongs to a different language")
     blocks = [lang.full_mask]
@@ -417,13 +413,14 @@ def basis_of(member_list: Iterable[Formula]) -> FormulaAlgebra:
     negation, conjunction and disjunction; otherwise a ValidationError names
     the violated condition.  Intended for small hand-written listings.
     """
-    members = list(member_list)
+    members = as_tuple(member_list, "members")
     if not members:
         raise ValidationError("empty member list")
-    lang = members[0].lang
     for f in members:
-        if f.lang != lang:
+        require_type(f, Formula, "member")
+        if f.lang != members[0].lang:
             raise LanguageMismatchError("members belong to different languages")
+    lang = members[0].lang
     masks = {f.atoms for f in members}
     if 0 not in masks:
         raise ValidationError('algebra is missing the empty member ("false")')

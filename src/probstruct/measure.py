@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import NotMeasurableError, ValidationError
-from .value import Value, as_tuple, check_names, is_union, require_type, set_bits, setfield
+from .value import Value, as_tuple, check_names, is_union, partition_faults, require_type, set_bits, setfield
 
 MAX_WORLDS = 64
 
@@ -39,7 +39,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Canonical text for a rational: lowest terms, ``p/q`` or an integer."""
-    value = Fraction(value)
+    value = as_fraction(value)
     try:
         return str(value)
     except ValueError:  # an integer past the interpreter's limit on digits
@@ -82,7 +82,7 @@ class SampleSpace(Value):
 
     def subset(self, names: Iterable[str]) -> WorldSet:
         bits = 0
-        for name in names:
+        for name in as_tuple(names, "worlds"):
             bits |= 1 << self.index(name)
         return WorldSet(self, bits)
 
@@ -137,6 +137,8 @@ class WorldSet(Value):
 
 
 def _check_space(a, b) -> None:
+    if not isinstance(b, WorldSet):
+        raise ValidationError(f"world set must be WorldSet, got {type(b).__name__}")
     if a.space != b.space:
         raise ValidationError("world sets belong to different sample spaces")
 
@@ -153,19 +155,17 @@ class SetAlgebra(Value):
     def __init__(self, space: SampleSpace, basis: Iterable[WorldSet]):
         require_type(space, SampleSpace, "algebra space")
         basis = as_tuple(basis, "basis blocks")
-        covered = 0
         for block in basis:
             if not isinstance(block, WorldSet):
                 raise ValidationError(f"basis block must be WorldSet, got {type(block).__name__}")
             if block.space is not space and block.space != space:
                 raise ValidationError("basis block belongs to a different sample space")
-            if block.is_empty:
+        for i, shared in partition_faults([block.bits for block in basis], space.full_bits):
+            if i is None:  # each branch raises
+                raise ValidationError("basis blocks do not cover every world")
+            if not shared:
                 raise ValidationError("basis blocks must be nonempty")
-            if covered & block.bits:
-                raise ValidationError(f"basis blocks overlap: {block} intersects earlier blocks")
-            covered |= block.bits
-        if covered != space.full_bits:
-            raise ValidationError("basis blocks do not cover every world")
+            raise ValidationError(f"basis blocks overlap: {basis[i]} intersects earlier blocks")
         setfield(self, "space", space)
         setfield(self, "basis", basis)
 
@@ -176,6 +176,7 @@ class SetAlgebra(Value):
 
 def discrete_algebra(space: SampleSpace) -> SetAlgebra:
     """The algebra of all subsets: basis blocks are the singletons."""
+    require_type(space, SampleSpace, "algebra space")
     return SetAlgebra(space, tuple(WorldSet(space, 1 << i) for i in range(space.size)))
 
 
@@ -237,6 +238,7 @@ class ProbabilitySpace(Value):
 
 def _covered(ps: ProbabilitySpace, x: WorldSet) -> tuple[int, Fraction]:
     """The union of the basis blocks inside ``x``, and their total weight."""
+    require_type(ps, ProbabilitySpace, "probability space")
     _check_space(ps.algebra, x)
     covered = 0
     total = ZERO

@@ -20,8 +20,8 @@ Either way, a query splits the basis blocks by the formula ``xi`` in one
 pass: those inside ``xi`` give ``lo`` (the measure of their images in an
 ``ic`` structure, the inner measure in a ``ds`` one), those inside ``~xi``
 give ``1 - hi``, and those that meet both make the gap between them, or
-leave a ``ds`` incidence undefined.  The same pass refuses images that do
-not partition the worlds.  So ``interval`` returns exact lower and upper
+leave a ``ds`` incidence undefined.  Each incidence map checks once that its
+images partition the worlds.  So ``interval`` returns exact lower and upper
 probabilities for any formula, and the two recipes agree whenever both apply.
 """
 
@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
 
 from .errors import UndefinedIncidenceError, ValidationError, WrongKindError
 from .logic import Formula, FormulaAlgebra, Language, _check_lang, format_formula, full_algebra
@@ -48,7 +47,7 @@ from .measure import (
     inner_measure,
     measure,
 )
-from .value import Value, as_tuple, require_type, setfield
+from .value import Value, as_tuple, partition_faults, require_type, setfield
 
 
 class StructureKind(str, Enum):
@@ -60,11 +59,11 @@ class IncidenceMap(Value):
     """World-set images of the formula-algebra basis blocks, in basis order.
 
     Whether the images are pairwise disjoint and cover the sample space is
-    checked by ``validate``, the ``ic`` and ``ds`` constructors and the queries.
+    found once by ``partition_problems``, for ``validate``, the constructors and the queries.
     """
 
     _fields = ("space", "images")
-    __slots__ = _fields
+    __slots__ = _fields + ("_problems",)
 
     def __init__(self, space: SampleSpace, images):
         require_type(space, SampleSpace, "incidence map space")
@@ -80,21 +79,20 @@ class IncidenceMap(Value):
         setfield(self, "images", images)
 
     def partition_problems(self) -> list[str]:
-        """Why the images fail to partition the sample space; empty if they do."""
-        problems = []
-        seen = 0
-        for image in self.images:
-            overlap = seen & image.bits
-            if overlap:
-                problems.append(
-                    f"incidence images overlap on {WorldSet(self.space, overlap)}: "
-                    f"images of distinct blocks must be disjoint"
-                )
-            seen |= image.bits
-        if seen != self.space.full_bits:
-            missing = WorldSet(self.space, self.space.full_bits ^ seen)
-            problems.append(f"incidence images do not cover worlds {missing}")
-        return problems
+        """Why the images, empty ones allowed, fail to partition the sample space; empty if they do."""
+        if not hasattr(self, "_problems"):
+            space, problems = self.space, []
+            masks = [image.bits for image in self.images if image.bits]  # most ds images are empty
+            for i, bits in partition_faults(masks, space.full_bits):
+                if i is None:
+                    problems.append(f"incidence images do not cover worlds {WorldSet(space, bits)}")
+                else:
+                    problems.append(
+                        f"incidence images overlap on {WorldSet(space, bits)}: "
+                        f"images of distinct blocks must be disjoint"
+                    )
+            setfield(self, "_problems", tuple(problems))
+        return list(self._problems)
 
 
 def _require(problems: list[str]) -> None:
@@ -165,6 +163,7 @@ class ProbabilityStructure(Value):
     @classmethod
     def ic(cls, space: SampleSpace, world_weights, psi: FormulaAlgebra, images) -> ProbabilityStructure:
         """Incidence-calculus structure: weights are given per world."""
+        require_type(psi, FormulaAlgebra, "structure formula algebra")
         ps = ProbabilitySpace(space, discrete_algebra(space), MeasureFn(world_weights))
         inc = IncidenceMap(space, images)
         _require(ps.mu.weight_problems() + inc.partition_problems())
@@ -193,7 +192,7 @@ class ValidationReport(Value):
     __slots__ = _fields
 
     def __init__(self, problems: tuple[str, ...]):
-        setfield(self, "problems", tuple(problems))
+        setfield(self, "problems", as_tuple(problems, "problems"))
 
     @property
     def ok(self) -> bool:
@@ -233,26 +232,20 @@ def validate(st: ProbabilityStructure) -> ValidationReport:
 def _split(st: ProbabilityStructure, xi: Formula) -> tuple[WorldSet, WorldSet, bool]:
     """One pass over the basis: the union of the images of the blocks inside
     ``xi``, that of the blocks inside ``~xi``, and whether a block meets both.
-    Raises ``ValidationError`` unless the images partition the worlds."""
+    Raises ``ValidationError`` unless the images partition the worlds (found once per map)."""
     _check_lang(st.psi, xi)
+    _require(st.inc.partition_problems())
     f = xi.atoms
-    inside = outside = seen = total = 0
-    mixed = False
+    inside, outside, mixed = 0, 0, False
     for block, image in zip(st.psi.basis, st.inc.images):
-        bits = image.bits
-        seen |= bits
-        total += bits  # exceeds ``seen`` iff two images share a world
         common = block.atoms & f
         if common == block.atoms:
-            inside |= bits
+            inside |= image.bits
         elif common:
             mixed = True
         else:
-            outside |= bits
-    space = st.ps.space
-    if total != seen or seen != space.full_bits:
-        _require(st.inc.partition_problems())
-    return WorldSet(space, inside), WorldSet(space, outside), mixed
+            outside |= image.bits
+    return WorldSet(st.ps.space, inside), WorldSet(st.ps.space, outside), mixed
 
 
 def _defined(st: ProbabilityStructure, xi: Formula) -> tuple[WorldSet, WorldSet]:
@@ -347,12 +340,12 @@ def _masses(st: ProbabilityStructure) -> tuple[tuple[tuple[int, int], ...], int,
 def is_total(st: ProbabilityStructure) -> bool:
     """True iff every measurable set is the incidence of some formula.
 
-    That holds exactly when the focal masks are disjoint, summing to their
-    union: an atom whose image meets two measurable blocks is in both masks.
+    That holds exactly when the focal masks are disjoint, partitioning their
+    sum: an atom whose image meets two measurable blocks is in both masks.
     """
     _require_kind(st, StructureKind.DS, "is_total")
     masks = [mask for mask, _ in _masses(st)[0]]
-    return sum(masks) == reduce(int.__or__, masks)
+    return not any(partition_faults(masks, sum(masks)))
 
 
 MAX_MOBIUS_PROPS = 3

@@ -216,6 +216,7 @@ def _random_grouping(rng: random.Random, items: list[int]) -> list[int]:
 
 def random_ic(params: GenParams) -> ProbabilityStructure:
     """Seeded random incidence-calculus structure (deterministic per seed)."""
+    require_type(params, GenParams, "generator parameters")
     rng = random.Random(params.seed)
     lang = Language(tuple(f"p{i + 1}" for i in range(params.n_props)))
     space = SampleSpace(tuple(f"w{i + 1}" for i in range(params.n_worlds)))
@@ -234,6 +235,7 @@ def random_ic(params: GenParams) -> ProbabilityStructure:
 
 def random_total_ds(params: GenParams) -> ProbabilityStructure:
     """Seeded random total belief structure (deterministic per seed)."""
+    require_type(params, GenParams, "generator parameters")
     rng = random.Random(params.seed)
     lang = Language(tuple(f"p{i + 1}" for i in range(params.n_props)))
     space = SampleSpace(tuple(f"w{i + 1}" for i in range(params.n_worlds)))

@@ -4,7 +4,8 @@ operations that formulas and world sets share."""
 from __future__ import annotations
 
 import re
-from operator import attrgetter
+from functools import reduce
+from operator import attrgetter, or_
 
 from .errors import ValidationError
 
@@ -82,6 +83,21 @@ def set_bits(mask: int) -> list[int]:
 def is_union(blocks, mask: int) -> bool:
     """Whether ``mask`` is a union of the partition ``blocks``: each lies inside it or misses it."""
     return all(block & mask in (0, block) for block in blocks)
+
+
+def partition_faults(masks: list[int], full: int):
+    """Where ``masks`` fail to partition ``full``: ``(i, shared)`` for each mask ``i`` that is
+    empty or meets those before it on the bits ``shared``, then ``(None, missing)`` for the bits
+    of ``full`` in no mask.  A partition (nonempty masks whose sum is their OR) skips the walk."""
+    if all(masks) and sum(masks) == full == reduce(or_, masks, 0):
+        return
+    covered = 0
+    for i, mask in enumerate(masks):
+        if not mask or covered & mask:
+            yield i, covered & mask
+        covered |= mask
+    if covered != full:
+        yield None, full ^ covered
 
 
 class Value:

@@ -151,6 +151,26 @@ def test_a_file_that_is_not_utf8_is_a_document_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\xff", "document is not UTF-8 text: invalid start byte at byte 0"),
+        (b'{"kind": "\xe9"}', "document is not UTF-8 text: invalid continuation byte at byte 10"),
+    ],
+)
+def test_document_bytes_that_are_not_utf8_are_a_document_error(data, message):
+    with pytest.raises(Exception) as err:
+        from_json(data)
+    assert type(err.value) is DocumentError
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-16", "utf-16-le", "utf-32"])
+def test_document_bytes_load_in_any_json_encoding(encoding):
+    for build in (coats_ds, coats_ic):
+        assert from_json(to_json(build()).encode(encoding)) == build()
+
+
 def test_file_system_errors_are_document_errors(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     into_missing_dir = tmp_path / "no-such-dir" / "x.json"

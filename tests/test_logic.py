@@ -590,12 +590,17 @@ def test_de_morgan_random(f, mask):
 
 def test_algebra_basis_must_partition():
     g = parse_formula("g", GD)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         FormulaAlgebra(GD, (g, parse_formula("g | d", GD)))  # overlap
-    with pytest.raises(ValidationError):
+    assert str(err.value) == (
+        "basis blocks overlap: (g & ~d) | (~g & d) | (g & d) is not disjoint from earlier blocks"
+    )
+    with pytest.raises(ValidationError) as err:
         FormulaAlgebra(GD, (g,))  # atoms uncovered
-    with pytest.raises(ValidationError):
+    assert str(err.value) == "basis blocks do not cover every atom"
+    with pytest.raises(ValidationError) as err:
         FormulaAlgebra(GD, (g, ~g, false_formula(GD)))  # empty block
+    assert str(err.value) == "basis blocks must be nonempty"
 
 
 def test_trivial_and_full_algebras():

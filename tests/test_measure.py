@@ -141,12 +141,15 @@ def test_world_set_space_mixing():
 
 def test_set_algebra_must_partition():
     space = SampleSpace(("s1", "s2", "s3"))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         SetAlgebra(space, (space.subset(["s1", "s2"]), space.subset(["s2", "s3"])))
-    with pytest.raises(ValidationError):
+    assert str(err.value) == "basis blocks overlap: {s2, s3} intersects earlier blocks"
+    with pytest.raises(ValidationError) as err:
         SetAlgebra(space, (space.subset(["s1"]),))
-    with pytest.raises(ValidationError):
+    assert str(err.value) == "basis blocks do not cover every world"
+    with pytest.raises(ValidationError) as err:
         SetAlgebra(space, (space.everything(), space.nothing()))
+    assert str(err.value) == "basis blocks must be nonempty"
 
 
 def test_measure_fn_length_must_match_basis():

@@ -1,6 +1,7 @@
 """Incidence, belief/plausibility, intervals, validation, totality."""
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from probstruct import (
     Interval,
     Language,
     MeasureFn,
+    NotMeasurableError,
     ProbabilitySpace,
     ProbabilityStructure,
     ProbstructError,
@@ -46,6 +48,7 @@ from probstruct import (
     upper_incidence,
     validate,
 )
+from probstruct import structures
 
 HALF = Fraction(1, 2)
 
@@ -584,6 +587,84 @@ def test_queries_report_bad_weights_before_bad_images():
         with pytest.raises(ValidationError) as caught:
             query(st, parse_formula("g", st.lang))
         assert str(caught.value) == "measure weights sum to 1/2, expected 1", query.__name__
+
+
+def rebuilt(st: ProbabilityStructure) -> ProbabilityStructure:
+    """``st`` built directly, on a new incidence map that has not been walked."""
+    inc = IncidenceMap(st.ps.space, st.inc.images)
+    return ProbabilityStructure(st.ps, st.lang, st.psi, inc, st.kind)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [(coats_ds, None), (coats_ic, None), (overlapping_coats_ds, OVERLAP), (uncovering_coats_ic, UNCOVERED)],
+)
+def test_each_incidence_map_is_walked_once(build, message, monkeypatch):
+    walks = []
+    walk = structures.partition_faults
+
+    def counted(masks, full):
+        walks.append(masks)
+        return walk(masks, full)
+
+    monkeypatch.setattr(structures, "partition_faults", counted)
+    st = rebuilt(build())  # the named constructors walk their own maps
+    walks.clear()
+    query = interval if st.kind is StructureKind.IC else bel
+    for text in ("g", "~g", "d", "~d", "g & d", "g | d", "true", "false", "~g & ~d", "g & ~d"):
+        if message is None:
+            query(st, parse_formula(text, st.lang))
+            continue
+        with pytest.raises(ValidationError) as caught:  # on the first call and every later one
+            query(st, parse_formula(text, st.lang))
+        assert str(caught.value) == message
+    assert validate(st).problems == (() if message is None else (message,))
+    assert len(walks) == 1
+    # the weights are still checked first, on every call
+    bad = reweighed(st, (Fraction(1, 4), Fraction(1, 4)))
+    for _ in range(2):
+        with pytest.raises(ValidationError) as caught:
+            query(bad, parse_formula("g", st.lang))
+        assert str(caught.value) == "measure weights sum to 1/2, expected 1"
+
+
+def test_the_kept_verdict_leaves_equality_hashing_and_pickling_alone():
+    for build in (coats_ds, overlapping_coats_ds):
+        inc = build().inc
+        fresh = IncidenceMap(inc.space, inc.images)
+        assert not hasattr(fresh, "_problems")
+        before = hash(fresh)
+        problems = fresh.partition_problems()
+        assert hasattr(fresh, "_problems")
+        assert fresh == IncidenceMap(inc.space, inc.images) and hash(fresh) == before
+        assert repr(fresh) == repr(IncidenceMap(inc.space, inc.images))
+        back = pickle.loads(pickle.dumps(fresh))
+        assert back == fresh and not hasattr(back, "_problems")
+        assert back.partition_problems() == problems
+        problems.append("a caller's own list")  # not the one kept
+        assert fresh.partition_problems() == back.partition_problems()
+        with pytest.raises(AttributeError):
+            fresh._problems = ()
+
+
+def test_queries_on_an_ic_with_a_coarse_measurable_algebra():
+    # queries read the images, not the mass function, which such a structure lacks
+    ic = coats_ic()
+    space = ic.ps.space
+    coarse = ProbabilitySpace(space, SetAlgebra(space, (space.everything(),)), MeasureFn((1,)))
+    st = ProbabilityStructure(coarse, ic.lang, ic.psi, ic.inc, ic.kind)
+    g = parse_formula("g", st.lang)
+    assert lower_incidence(st, g) == upper_incidence(st, g) == incidence(st, g) == space.subset(["w2"])
+    d = parse_formula("d", st.lang)
+    assert lower_incidence(st, d) == space.nothing() and upper_incidence(st, d) == space.subset(["w2"])
+    assert interval(st, true_formula(st.lang)) == Interval(1, 1)
+    with pytest.raises(NotMeasurableError) as caught:
+        interval(st, g)
+    assert str(caught.value) == "{w2} is not measurable"
+    assert validate(st).problems == (
+        "ic structure requires every world set measurable, but measure basis block {w1, w2} "
+        "is not a singleton",
+    )
 
 
 @pytest.mark.parametrize(

@@ -25,16 +25,27 @@ from probstruct import (
     ValidationError,
     ValidationReport,
     WorldSet,
+    basis_of,
     coats_ds,
     coats_ic,
     discrete_algebra,
     ds_to_ic,
     equivalent,
+    format_formula,
+    format_rational,
     full_algebra,
+    generate_algebra,
+    inner_measure,
     interval,
     parse_formula,
+    random_ic,
+    random_total_ds,
+    trivial_algebra,
+    true_formula,
 )
-from probstruct.value import safe_repr
+from probstruct.errors import LanguageMismatchError
+from probstruct.measure import measure
+from probstruct.value import partition_faults, safe_repr
 
 HALF = Fraction(1, 2)
 
@@ -245,6 +256,61 @@ WRONG_TYPES = {
         lambda: ProbabilityStructure(5, _lang(), full_algebra(_lang()), coats_ds().inc, "ds"),
         "structure probability space must be ProbabilitySpace, got int",
     ),
+    "generate_algebra([5], lang)": (
+        lambda: generate_algebra([5], _lang()),
+        "generator must be Formula, got int",
+    ),
+    "generate_algebra([], 5)": (
+        lambda: generate_algebra([], 5),
+        "algebra language must be Language, got int",
+    ),
+    "generate_algebra(5, lang)": (
+        lambda: generate_algebra(5, _lang()),
+        "generators must be iterable, got int",
+    ),
+    "basis_of([5])": (lambda: basis_of([5]), "member must be Formula, got int"),
+    "basis_of(5)": (lambda: basis_of(5), "members must be iterable, got int"),
+    "trivial_algebra(5)": (lambda: trivial_algebra(5), "formula language must be Language, got int"),
+    "true_formula(5)": (lambda: true_formula(5), "formula language must be Language, got int"),
+    "SetAlgebra.member(5)": (
+        lambda: discrete_algebra(_space()).member(5),
+        "world set must be WorldSet, got int",
+    ),
+    "WorldSet.issubset(5)": (
+        lambda: _space().everything().issubset(5),
+        "world set must be WorldSet, got int",
+    ),
+    "ws & 5": (lambda: _space().everything() & 5, "world set must be WorldSet, got int"),
+    "ws | 5": (lambda: _space().everything() | 5, "world set must be WorldSet, got int"),
+    "measure(ps, 5)": (lambda: measure(coats_ds().ps, 5), "world set must be WorldSet, got int"),
+    "inner_measure(ps, 5)": (
+        lambda: inner_measure(coats_ds().ps, 5),
+        "world set must be WorldSet, got int",
+    ),
+    "discrete_algebra(5)": (
+        lambda: discrete_algebra(5),
+        "algebra space must be SampleSpace, got int",
+    ),
+    "measure(5, ws)": (
+        lambda: measure(5, _space().everything()),
+        "probability space must be ProbabilitySpace, got int",
+    ),
+    "SampleSpace.subset(5)": (lambda: _space().subset(5), "worlds must be iterable, got int"),
+    "ProbabilityStructure.ic(5, ...)": (
+        lambda: ProbabilityStructure.ic(5, (1,), coats_ic().psi, ()),
+        "algebra space must be SampleSpace, got int",
+    ),
+    "ProbabilityStructure.ic(space, w, 5, ...)": (
+        lambda: ProbabilityStructure.ic(_space(), (HALF, HALF), 5, ()),
+        "structure formula algebra must be FormulaAlgebra, got int",
+    ),
+    "random_ic(5)": (lambda: random_ic(5), "generator parameters must be GenParams, got int"),
+    "random_total_ds(5)": (
+        lambda: random_total_ds(5),
+        "generator parameters must be GenParams, got int",
+    ),
+    "ValidationReport(5)": (lambda: ValidationReport(5), "problems must be iterable, got int"),
+    "format_rational('x')": (lambda: format_rational("x"), "not a rational number: 'x'"),
 }
 
 
@@ -338,3 +404,161 @@ def test_twin_values_compare_by_fields():
         assert a == b and not a != b and hash(a) == hash(b)
         assert a != c and not a == c
         assert a != a.__reduce__()[1] and a != None  # noqa: E711
+
+
+# --- one partition walk ------------------------------------------------------
+# The loops FormulaAlgebra, SetAlgebra and IncidenceMap.partition_problems each
+# ran before they shared value.partition_faults, kept as the reference.
+
+
+def reference_formula_algebra(lang, basis):
+    covered = 0
+    for block in basis:
+        if not isinstance(block, Formula):
+            raise ValidationError(f"basis block must be Formula, got {type(block).__name__}")
+        if block.lang != lang:
+            raise LanguageMismatchError("basis block belongs to a different language")
+        if block.is_false:
+            raise ValidationError("basis blocks must be nonempty")
+        if covered & block.atoms:
+            raise ValidationError(
+                f"basis blocks overlap: {format_formula(block)} is not disjoint from earlier blocks"
+            )
+        covered |= block.atoms
+    if covered != lang.full_mask:
+        raise ValidationError("basis blocks do not cover every atom")
+
+
+def reference_set_algebra(space, basis):
+    covered = 0
+    for block in basis:
+        if not isinstance(block, WorldSet):
+            raise ValidationError(f"basis block must be WorldSet, got {type(block).__name__}")
+        if block.space != space:
+            raise ValidationError("basis block belongs to a different sample space")
+        if block.is_empty:
+            raise ValidationError("basis blocks must be nonempty")
+        if covered & block.bits:
+            raise ValidationError(f"basis blocks overlap: {block} intersects earlier blocks")
+        covered |= block.bits
+    if covered != space.full_bits:
+        raise ValidationError("basis blocks do not cover every world")
+
+
+def reference_partition_problems(inc):
+    problems = []
+    seen = 0
+    for image in inc.images:
+        overlap = seen & image.bits
+        if overlap:
+            problems.append(
+                f"incidence images overlap on {WorldSet(inc.space, overlap)}: "
+                f"images of distinct blocks must be disjoint"
+            )
+        seen |= image.bits
+    if seen != inc.space.full_bits:
+        missing = WorldSet(inc.space, inc.space.full_bits ^ seen)
+        problems.append(f"incidence images do not cover worlds {missing}")
+    return problems
+
+
+def _refusal(call):
+    """The type and message of what ``call`` raises; None if it returns."""
+    try:
+        call()
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+def _seeded_masks(rng, width: int) -> list[int]:
+    """0 to 6 masks of ``width`` bits: random ones, or a random partition with
+    up to three faults (a block dropped, an empty block, bits added to a
+    block, a random block put in)."""
+    full = (1 << width) - 1
+    if rng.random() < 0.3:
+        return [rng.getrandbits(width) for _ in range(rng.randrange(7))]
+    k = rng.randrange(1, 7)
+    owner = [rng.randrange(k) for _ in range(width)]
+    masks = [sum(1 << b for b in range(width) if owner[b] == j) for j in range(k)]
+    for _ in range(rng.randrange(4)):
+        fault = rng.randrange(4)
+        if fault == 0 and masks:
+            masks.pop(rng.randrange(len(masks)))
+        elif fault == 1:
+            masks.insert(rng.randrange(len(masks) + 1), 0)
+        elif fault == 2 and masks:
+            masks[rng.randrange(len(masks))] |= rng.getrandbits(width) & full
+        else:
+            masks.insert(rng.randrange(len(masks) + 1), rng.getrandbits(width))
+    return masks[:6]
+
+
+def test_the_partition_walk_names_what_the_three_loops_named():
+    outcomes = set()
+    for seed in range(6000):
+        rng = random.Random(seed)
+        lang = Language(f"p{i}" for i in range(rng.randrange(1, 4)))
+        space = SampleSpace(f"w{i}" for i in range(rng.randrange(1, 7)))
+        blocks = [Formula(lang, m) for m in _seeded_masks(rng, lang.n_atoms)]
+        want = _refusal(lambda: reference_formula_algebra(lang, blocks))
+        assert _refusal(lambda: FormulaAlgebra(lang, blocks)) == want, seed
+        outcomes.add(want and " ".join(want[1].split()[:3]))
+        chi = [WorldSet(space, m) for m in _seeded_masks(rng, space.size)]
+        want = _refusal(lambda: reference_set_algebra(space, chi))
+        assert _refusal(lambda: SetAlgebra(space, chi)) == want, seed
+        outcomes.add(want and " ".join(want[1].split()[:3]))
+        inc = IncidenceMap(space, [WorldSet(space, m) for m in _seeded_masks(rng, space.size)])
+        want = reference_partition_problems(inc)
+        assert inc.partition_problems() == want, seed
+        outcomes.update(" ".join(problem.split()[:3]) for problem in want)
+    assert outcomes == {
+        None,
+        "basis blocks must",
+        "basis blocks overlap:",
+        "basis blocks do",
+        "incidence images overlap",
+        "incidence images do",
+    }
+
+
+def test_partition_faults_in_order():
+    assert list(partition_faults([1, 6], 7)) == []
+    assert list(partition_faults([1, 0, 3, 2], 15)) == [(1, 0), (2, 1), (3, 2), (None, 12)]
+    assert list(partition_faults([], 1)) == [(None, 1)]
+    assert list(partition_faults([0], 1)) == [(0, 0), (None, 1)]
+    # the sum alone would pass these masks, the OR alone ones with an empty mask
+    assert list(partition_faults([1, 3, 3], 7)) == [(1, 1), (2, 3), (None, 4)]
+    assert list(partition_faults([3, 0], 3)) == [(1, 0)]
+
+
+def test_element_types_are_checked_before_the_partition():
+    # the three loops named the first fault block by block, so an overlap or an
+    # empty block before a block of the wrong type or universe was named first
+    lang, space = _lang(), _space()
+    a, ab = Formula(lang, 1), Formula(lang, 3)
+    for build, error, message in (
+        (lambda: FormulaAlgebra(lang, (a, ab, 5)), ValidationError, "basis block must be Formula, got int"),
+        (
+            lambda: FormulaAlgebra(lang, (a, ab, Formula(Language(("a", "c")), 12))),
+            LanguageMismatchError,
+            "basis block belongs to a different language",
+        ),
+        (
+            lambda: SetAlgebra(space, (space.nothing(), 5)),
+            ValidationError,
+            "basis block must be WorldSet, got int",
+        ),
+        (
+            lambda: SetAlgebra(space, (space.everything(), WorldSet(SampleSpace(("x",)), 1))),
+            ValidationError,
+            "basis block belongs to a different sample space",
+        ),
+        # a block over an equal but distinct space passes to the walk
+        (
+            lambda: SetAlgebra(space, (space.everything(), WorldSet(_space(), 1))),
+            ValidationError,
+            "basis blocks overlap: {w1} intersects earlier blocks",
+        ),
+    ):
+        assert _refusal(build) == (error, message)

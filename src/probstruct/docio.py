@@ -205,7 +205,8 @@ def from_json(text: str, check: bool = True) -> ProbabilityStructure:
     except RecursionError:
         raise DocumentError("parse error: JSON nested too deeply") from None
     except UnicodeDecodeError as e:  # bytes are read as UTF-8, -16 or -32, by their first bytes
-        raise DocumentError(f"document is not UTF-8 text: {e.reason} at byte {e.start}") from None
+        encoding = json.detect_encoding(text).upper().removesuffix("-SIG")
+        raise DocumentError(f"document is not {encoding} text: {e.reason} at byte {e.start}") from None
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
 

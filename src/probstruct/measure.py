@@ -184,9 +184,9 @@ class MeasureFn(Value):
     """Rational weights on the blocks of a basis, in basis order.
 
     Whether the weights are nonnegative and sum to 1 is checked by
-    ``weight_problems``, which ``structures.validate`` and the ``ic`` and
-    ``ds`` constructors call, not here, so that hand-written documents
-    surface as validation reports instead of construction failures.
+    ``weight_problems``, which ``structures.validate`` calls, not here, so
+    that hand-written documents surface as validation reports instead of
+    construction failures.
     """
 
     _fields = ("weights",)
@@ -202,8 +202,7 @@ class MeasureFn(Value):
         for i, w in enumerate(self.weights):
             if w.numerator < 0:
                 problems.append(f"measure weight {format_rational(w)} of block {i} is negative")
-        # every query checks the weights: sum over one common denominator
-        # rather than reducing a Fraction at each step
+        # sum over one common denominator rather than reducing a Fraction at each step
         den = math.lcm(*(w.denominator for w in self.weights))
         num = sum(w.numerator * (den // w.denominator) for w in self.weights)
         if num != den:

@@ -16,13 +16,15 @@ Two kinds are distinguished by where the partiality lives:
   world sets are measurable.  Belief is the inner measure of the incidence;
   plausibility is its dual.
 
-Either way, a query splits the basis blocks by the formula ``xi`` in one
-pass: those inside ``xi`` give ``lo`` (the measure of their images in an
-``ic`` structure, the inner measure in a ``ds`` one), those inside ``~xi``
-give ``1 - hi``, and those that meet both make the gap between them, or
-leave a ``ds`` incidence undefined.  Each incidence map checks once that its
-images partition the worlds.  So ``interval`` returns exact lower and upper
-probabilities for any formula, and the two recipes agree whenever both apply.
+``validate`` is the one check of a structure: its weights form a
+distribution, its images partition the worlds, and its shape fits its kind.
+Its answer is kept on the structure, and every reader refuses exactly what
+it lists.  In such a structure every world set an ``ic`` query meets is
+measurable, and only an ``ic`` block can meet both ``xi`` and ``~xi``.  So a
+query splits the basis blocks by ``xi`` in one pass, and for either kind the
+inner measure of the images of the blocks inside ``xi`` is ``lo``, that of
+the blocks inside ``~xi`` is ``1 - hi``: ``interval`` returns exact lower and
+upper probabilities for any formula.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .measure import (
     discrete_algebra,
     format_rational,
     inner_measure,
-    measure,
 )
 from .value import Value, as_tuple, partition_faults, require_type, setfield
 
@@ -54,16 +55,20 @@ class StructureKind(str, Enum):
     IC = "ic"
     DS = "ds"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValidationError(f"structure kind must be 'ic' or 'ds', got {value!r}")
+
 
 class IncidenceMap(Value):
     """World-set images of the formula-algebra basis blocks, in basis order.
 
     Whether the images are pairwise disjoint and cover the sample space is
-    found once by ``partition_problems``, for ``validate``, the constructors and the queries.
+    left to ``partition_problems``, which ``validate`` calls.
     """
 
     _fields = ("space", "images")
-    __slots__ = _fields + ("_problems",)
+    __slots__ = _fields
 
     def __init__(self, space: SampleSpace, images):
         require_type(space, SampleSpace, "incidence map space")
@@ -80,25 +85,25 @@ class IncidenceMap(Value):
 
     def partition_problems(self) -> list[str]:
         """Why the images, empty ones allowed, fail to partition the sample space; empty if they do."""
-        if not hasattr(self, "_problems"):
-            space, problems = self.space, []
-            masks = [image.bits for image in self.images if image.bits]  # most ds images are empty
-            for i, bits in partition_faults(masks, space.full_bits):
-                if i is None:
-                    problems.append(f"incidence images do not cover worlds {WorldSet(space, bits)}")
-                else:
-                    problems.append(
-                        f"incidence images overlap on {WorldSet(space, bits)}: "
-                        f"images of distinct blocks must be disjoint"
-                    )
-            setfield(self, "_problems", tuple(problems))
-        return list(self._problems)
+        space, problems = self.space, []
+        masks = [image.bits for image in self.images if image.bits]  # most ds images are empty
+        for i, bits in partition_faults(masks, space.full_bits):
+            if i is None:
+                problems.append(f"incidence images do not cover worlds {WorldSet(space, bits)}")
+            else:
+                problems.append(
+                    f"incidence images overlap on {WorldSet(space, bits)}: "
+                    f"images of distinct blocks must be disjoint"
+                )
+        return problems
 
 
-def _require(problems: list[str]) -> None:
-    """Raise ``ValidationError`` naming the problems, if there are any."""
+def _require_valid(st: ProbabilityStructure) -> ProbabilityStructure:
+    """``st``, unless ``validate`` lists problems: then ``ValidationError`` naming them."""
+    problems = validate(st).problems
     if problems:
         raise ValidationError("; ".join(problems))
+    return st
 
 
 class Interval(Value):
@@ -124,11 +129,11 @@ class ProbabilityStructure(Value):
 
     This constructor checks only that the pieces fit together, so that
     ``validate`` can list what else is wrong; the ``ic`` and ``ds``
-    constructors also check the weights and the images.
+    constructors also refuse what ``validate`` lists.
     """
 
     _fields = ("ps", "lang", "psi", "inc", "kind")
-    __slots__ = _fields + ("_masses",)  # see ``_masses``
+    __slots__ = _fields + ("_problems", "_masses")  # see ``validate`` and ``_masses``
 
     def __init__(
         self,
@@ -138,10 +143,7 @@ class ProbabilityStructure(Value):
         inc: IncidenceMap,
         kind: StructureKind,
     ):
-        try:
-            kind = StructureKind(kind)
-        except ValueError:
-            raise ValidationError(f"structure kind must be 'ic' or 'ds', got {kind!r}") from None
+        kind = StructureKind(kind)
         require_type(ps, ProbabilitySpace, "structure probability space")
         require_type(psi, FormulaAlgebra, "structure formula algebra")
         require_type(inc, IncidenceMap, "structure incidence map")
@@ -165,9 +167,7 @@ class ProbabilityStructure(Value):
         """Incidence-calculus structure: weights are given per world."""
         require_type(psi, FormulaAlgebra, "structure formula algebra")
         ps = ProbabilitySpace(space, discrete_algebra(space), MeasureFn(world_weights))
-        inc = IncidenceMap(space, images)
-        _require(ps.mu.weight_problems() + inc.partition_problems())
-        return cls(ps, psi.lang, psi, inc, StructureKind.IC)
+        return _require_valid(cls(ps, psi.lang, psi, IncidenceMap(space, images), StructureKind.IC))
 
     @classmethod
     def ds(
@@ -181,8 +181,7 @@ class ProbabilityStructure(Value):
         """Belief structure: the formula algebra is all of the language."""
         ps = ProbabilitySpace(space, SetAlgebra(space, chi_basis), MeasureFn(weights))
         inc = IncidenceMap(space, atom_images)
-        _require(ps.mu.weight_problems() + inc.partition_problems())
-        return cls(ps, lang, full_algebra(lang), inc, StructureKind.DS)
+        return _require_valid(cls(ps, lang, full_algebra(lang), inc, StructureKind.DS))
 
 
 class ValidationReport(Value):
@@ -203,12 +202,15 @@ def validate(st: ProbabilityStructure) -> ValidationReport:
     """Check the semantic invariants that construction deliberately defers.
 
     Shape constraints (partitions of both bases, index alignment, shared
-    spaces) are enforced when the pieces are built; this re-checks everything
-    a hand-written document could still get wrong.
+    spaces) are enforced when the pieces are built; this checks everything
+    a hand-written document could still get wrong: the weights, the images
+    and the shape the kind asks for.  The answer is found once per structure,
+    kept in a slot outside the fields, and every reader refuses what it lists.
     """
     require_type(st, ProbabilityStructure, "structure")
+    if hasattr(st, "_problems"):
+        return ValidationReport(st._problems)
     problems = st.ps.mu.weight_problems() + st.inc.partition_problems()
-
     if st.kind is StructureKind.IC:
         for block in st.ps.algebra.basis:
             if block.bits.bit_count() != 1:
@@ -225,16 +227,16 @@ def validate(st: ProbabilityStructure) -> ValidationReport:
                     f"ds structure requires an incidence for every formula, but "
                     f"formula basis block {format_formula(block)} is not a single atom"
                 )
-
-    return ValidationReport(tuple(problems))
+    setfield(st, "_problems", tuple(problems))
+    return ValidationReport(st._problems)
 
 
 def _split(st: ProbabilityStructure, xi: Formula) -> tuple[WorldSet, WorldSet, bool]:
     """One pass over the basis: the union of the images of the blocks inside
     ``xi``, that of the blocks inside ``~xi``, and whether a block meets both.
-    Raises ``ValidationError`` unless the images partition the worlds (found once per map)."""
+    Raises ``ValidationError`` with what ``validate`` lists, before ``xi`` is read."""
+    _require_valid(st)
     _check_lang(st.psi, xi)
-    _require(st.inc.partition_problems())
     f = xi.atoms
     inside, outside, mixed = 0, 0, False
     for block, image in zip(st.psi.basis, st.inc.images):
@@ -248,20 +250,14 @@ def _split(st: ProbabilityStructure, xi: Formula) -> tuple[WorldSet, WorldSet, b
     return WorldSet(st.ps.space, inside), WorldSet(st.ps.space, outside), mixed
 
 
-def _defined(st: ProbabilityStructure, xi: Formula) -> tuple[WorldSet, WorldSet]:
-    """The incidences of ``xi`` and ``~xi``, for a member of the formula algebra."""
-    inside, outside, mixed = _split(st, xi)
-    if mixed:
-        raise UndefinedIncidenceError(
-            f"incidence is undefined on {format_formula(xi)}: not a member of the formula algebra"
-        )
-    return inside, outside
-
-
 def incidence(st: ProbabilityStructure, phi: Formula) -> WorldSet:
     """Worlds where ``phi`` holds; defined only on the formula algebra."""
-    require_type(st, ProbabilityStructure, "structure")
-    return _defined(st, phi)[0]
+    inside, _, mixed = _split(st, phi)
+    if mixed:  # only an ic block can meet both sides
+        raise UndefinedIncidenceError(
+            f"incidence is undefined on {format_formula(phi)}: not a member of the formula algebra"
+        )
+    return inside
 
 
 def _require_kind(st: ProbabilityStructure, kind: StructureKind, op: str) -> None:
@@ -283,57 +279,48 @@ def upper_incidence(st: ProbabilityStructure, xi: Formula) -> WorldSet:
     return ~_split(st, xi)[1]
 
 
-# The public queries check the weights once per call: a structure built
-# directly or by ``from_json(check=False)`` may not have a distribution.
+# Each query checks the structure's type and kind; then ``_split`` refuses what
+# ``validate`` lists, found once per structure, before it reads the formula.
 def bel(st: ProbabilityStructure, xi: Formula) -> Fraction:
     """Belief: the inner measure of the incidence of ``xi``."""
     _require_kind(st, StructureKind.DS, "bel")
-    _require(st.ps.mu.weight_problems())
-    return inner_measure(st.ps, incidence(st, xi))
+    return inner_measure(st.ps, _split(st, xi)[0])
 
 
 def plb(st: ProbabilityStructure, xi: Formula) -> Fraction:
     """Plausibility: the dual of belief."""
     _require_kind(st, StructureKind.DS, "plb")
-    _require(st.ps.mu.weight_problems())
-    require_type(xi, Formula, "formula")  # before ~ is applied to it
-    return ONE - inner_measure(st.ps, incidence(st, ~xi))
+    return ONE - inner_measure(st.ps, _split(st, xi)[1])
 
 
 def interval(st: ProbabilityStructure, xi: Formula) -> Interval:
-    """Exact probability bounds for ``xi`` under either kind of structure."""
-    require_type(st, ProbabilityStructure, "structure")
-    _require(st.ps.mu.weight_problems())
-    if st.kind is StructureKind.IC:
-        inside, outside, _ = _split(st, xi)
-        return Interval(measure(st.ps, inside), measure(st.ps, ~outside))
-    inside, outside = _defined(st, xi)
+    """Exact probability bounds for ``xi`` under either kind of structure: a
+    valid ic measures every world set, and its weights sum to 1."""
+    inside, outside, _ = _split(st, xi)
     return Interval(inner_measure(st.ps, inside), ONE - inner_measure(st.ps, outside))
 
 
-def _masses(st: ProbabilityStructure) -> tuple[tuple[tuple[int, int], ...], int, bool]:
-    """The mass function as (atom mask, numerator) pairs, their denominator and
-    whether the weights are a distribution.  An ic has a pair per formula block,
-    a ds one per measurable block, whose mask holds each atom whose image meets
-    it.  Kept in a slot outside the fields once the images partition the worlds."""
+def _masses(st: ProbabilityStructure) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The mass function as (atom mask, numerator) pairs and their denominator.
+    An ic has a pair per formula block, weighing the worlds of its image, a ds
+    one per measurable block, whose mask holds each atom whose image meets it.
+    Refuses what ``validate`` lists; kept in a slot outside the fields."""
+    _require_valid(st)
     if hasattr(st, "_masses"):
         return st._masses
-    _require(st.inc.partition_problems())
     den = math.lcm(*(w.denominator for w in st.ps.mu.weights))
     nums = [w.numerator * (den // w.denominator) for w in st.ps.mu.weights]
     chi = list(zip((block.bits for block in st.ps.algebra.basis), nums))
-    if st.kind is StructureKind.IC:
-        pairs = []
-        for block, image in zip(st.psi.basis, st.inc.images):
-            inside = [(bits, n) for bits, n in chi if bits & ~image.bits == 0] if image.bits else []
-            if sum(bits for bits, _ in inside) != image.bits:
-                measure(st.ps, image)  # not a union of measurable blocks: refused there
-            pairs.append((block.atoms, sum(n for _, n in inside)))
+    images = zip(st.psi.basis, st.inc.images)
+    if st.kind is StructureKind.IC:  # the measurable blocks are the single worlds
+        pairs = [
+            (block.atoms, sum(n for bits, n in chi if bits & image.bits) if image.bits else 0)
+            for block, image in images
+        ]
     else:
-        images = zip(st.psi.basis, st.inc.images)
         live = [(block.atoms, image.bits) for block, image in images if image.bits]
         pairs = [(sum(atoms for atoms, bits in live if bits & chi_bits), n) for chi_bits, n in chi]
-    setfield(st, "_masses", (tuple(pairs), den, min(nums) >= 0 and sum(nums) == den))
+    setfield(st, "_masses", (tuple(pairs), den))
     return st._masses
 
 
@@ -359,14 +346,14 @@ def mobius_mass(st: ProbabilityStructure) -> dict[Formula, Fraction]:
     independent cross-check of belief's superadditivity, not a fast path.
     """
     _require_kind(st, StructureKind.DS, "mobius_mass")
-    _require(st.ps.mu.weight_problems())
+    _require_valid(st)
     if len(st.lang.props) > MAX_MOBIUS_PROPS:
         raise ValidationError(
             f"language too large for brute-force inversion "
             f"(max {MAX_MOBIUS_PROPS} propositions)"
         )
     size = 1 << st.lang.n_atoms
-    bel_table = [inner_measure(st.ps, incidence(st, Formula(st.lang, m))) for m in range(size)]
+    bel_table = [bel(st, Formula(st.lang, m)) for m in range(size)]
     masses: dict[Formula, Fraction] = {}
     for a in range(size):
         acc, b = ZERO, a

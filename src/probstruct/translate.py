@@ -36,7 +36,7 @@ from .structures import (
     ProbabilityStructure,
     StructureKind,
     _masses,
-    _require,
+    _require_valid,
     interval,
     is_total,
 )
@@ -97,12 +97,13 @@ def ic_to_ds(ic: ProbabilityStructure) -> ProbabilityStructure:
     require_type(ic, ProbabilityStructure, "structure")
     if ic.kind is not StructureKind.IC:
         raise WrongKindError(f"ic_to_ds requires an ic structure, got {ic.kind.value}")
+    _require_valid(ic)
     lang = ic.lang
     if len(lang.props) > _ATOM_WORLD_PROPS:
         raise ValidationError(f"a sample space needs between 1 and {MAX_WORLDS} worlds, got {lang.n_atoms}")
     literals = [("not" + name, name) for name in reversed(lang.props)]  # worlds like "notg_d"
     space = SampleSpace(["_".join(reversed(atom)) for atom in itertools.product(*literals)])
-    pairs, den, _ = _masses(ic)
+    pairs, den = _masses(ic)
     chi_basis = tuple(WorldSet(space, mask) for mask, _ in pairs)
     weights = tuple(Fraction(num, den) for _, num in pairs)
     atom_images = tuple(WorldSet(space, 1 << k) for k in range(lang.n_atoms))
@@ -175,11 +176,9 @@ def equivalent(a: ProbabilityStructure, b: ProbabilityStructure) -> EquivalenceR
     """
     require_type(a, ProbabilityStructure, "structure")
     require_type(b, ProbabilityStructure, "structure")
+    (mass_a, den_a), (mass_b, den_b) = _masses(a), _masses(b)
     if a.lang != b.lang:
         raise LanguageMismatchError("structures are over different languages")
-    (mass_a, den_a, ok_a), (mass_b, den_b, ok_b) = _masses(a), _masses(b)
-    if not (ok_a and ok_b):
-        _require(a.ps.mu.weight_problems() or b.ps.mu.weight_problems())
     den = math.lcm(den_a, den_b)  # the mass of a minus that of b, over ``den``, per atom mask:
     up_a, up_b = den // den_a, den // den_b
     diff = _net([(m, n * up_a) for m, n in mass_a] + [(m, -n * up_b) for m, n in mass_b])

@@ -156,6 +156,12 @@ def test_a_file_that_is_not_utf8_is_a_document_error(tmp_path, capsys):
     [
         (b"\xff", "document is not UTF-8 text: invalid start byte at byte 0"),
         (b'{"kind": "\xe9"}', "document is not UTF-8 text: invalid continuation byte at byte 10"),
+        # bytes read as UTF-16 or UTF-32 name the encoding they were read as
+        ('{"kind": "ds"}'.encode("utf-16-le")[:5], "document is not UTF-16-LE text: truncated data at byte 4"),
+        ('{"kind": "ds"}'.encode("utf-16-be")[:5], "document is not UTF-16-BE text: truncated data at byte 4"),
+        ('{"kind": "ds"}'.encode("utf-16")[:5], "document is not UTF-16 text: truncated data at byte 4"),
+        ('{"kind": "ds"}'.encode("utf-32-le")[:7], "document is not UTF-32-LE text: truncated data at byte 4"),
+        ('{"kind": "ds"}'.encode("utf-32")[:9], "document is not UTF-32 text: truncated data at byte 8"),
     ],
 )
 def test_document_bytes_that_are_not_utf8_are_a_document_error(data, message):
@@ -163,6 +169,11 @@ def test_document_bytes_that_are_not_utf8_are_a_document_error(data, message):
         from_json(data)
     assert type(err.value) is DocumentError
     assert str(err.value) == message
+
+
+def test_utf8_bytes_after_a_byte_order_mark_are_named_utf8():
+    with pytest.raises(DocumentError, match=r"^document is not UTF-8 text: invalid continuation byte at byte \d+$"):
+        from_json(b'\xef\xbb\xbf{"kind": "\xe9"}')
 
 
 @pytest.mark.parametrize("encoding", ["utf-8", "utf-16", "utf-16-le", "utf-32"])

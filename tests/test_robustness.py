@@ -12,9 +12,14 @@ from hypothesis import strategies as st
 
 from probstruct import (
     DocumentError,
+    Formula,
     GenParams,
+    NotTotalError,
     ProbstructError,
+    StructureKind,
+    UndefinedIncidenceError,
     ValidationError,
+    WrongKindError,
     bel,
     coats_ds,
     coats_ic,
@@ -95,6 +100,29 @@ def mutated_documents(draw):
     return json.dumps(doc, indent=2)
 
 
+WEIGHTS = ["0", "1", "2", "1/2", "1/3", "1/4", "3/4", "-1/2"]
+
+
+@st.composite
+def remapped_documents(draw):
+    """A document with weights replaced, and worlds moved, copied or dropped
+    between its incidence lists: most load, and many are invalid."""
+    doc = copy.deepcopy(draw(st.sampled_from(DOCS)))
+    lists = list(doc["incidence"].values())
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["weight", "move", "copy", "drop"]))
+        source, target = draw(st.sampled_from(lists)), draw(st.sampled_from(lists))
+        if op == "weight":
+            doc["measure"][draw(st.sampled_from(sorted(doc["measure"])))] = draw(st.sampled_from(WEIGHTS))
+        elif source:
+            world = draw(st.sampled_from(source))
+            if op != "copy":
+                source.remove(world)
+            if op != "drop" and world not in target:
+                target.append(world)
+    return json.dumps(doc, indent=2)
+
+
 LANG = coats_ds().lang
 FORMULAS = [format_formula(parse_formula(t, LANG)) for t in ("g", "~d", "g & d", "g | ~d", "true")]
 TOKENS = ["~", "&", "|", "(", ")", " ", "g", "d", "x", "true", "false", "~~", "(("]
@@ -168,6 +196,59 @@ def test_mutated_formulas(workdir, text):
     assert run_cli(["parse", "--props", "g,d", text]) in (0, 1, 2, 3)
 
 
+# Each reader of a structure, the kind it requires (None: either) and the
+# errors other than validate's that it may raise on a valid structure.
+READERS = {
+    "interval": (None, lambda st: [interval(st, Formula(st.lang, m)) for m in (0, 1, st.lang.full_mask)], ()),
+    "incidence": (None, lambda st: incidence(st, Formula(st.lang, 1)), (UndefinedIncidenceError,)),
+    "lower_incidence": (StructureKind.IC, lambda st: lower_incidence(st, Formula(st.lang, 1)), ()),
+    "upper_incidence": (StructureKind.IC, lambda st: upper_incidence(st, Formula(st.lang, 1)), ()),
+    "bel": (StructureKind.DS, lambda st: bel(st, Formula(st.lang, 1)), ()),
+    "plb": (StructureKind.DS, lambda st: plb(st, Formula(st.lang, 1)), ()),
+    "mobius_mass": (StructureKind.DS, mobius_mass, ()),
+    "is_total": (StructureKind.DS, is_total, ()),
+    "ic_to_ds": (StructureKind.IC, ic_to_ds, ()),
+    "ds_to_ic": (StructureKind.DS, ds_to_ic, (NotTotalError,)),
+    "equivalent": (None, lambda st: equivalent(st, st), ()),
+    "round_trip_check": (None, round_trip_check, (NotTotalError,)),
+}
+# the brute-force and world-per-atom caps refuse a valid structure's language
+CAPS = {"mobius_mass": 3, "ic_to_ds": 6, "round_trip_check": 6}
+WEIGHTED = json.dumps({**DOCS[0], "measure": {"0": "1/4", "1": "1/2"}})
+
+
+@FUZZ
+@given(mutated_documents() | remapped_documents())
+@example(WEIGHTED)
+def test_every_reader_refuses_exactly_what_validate_lists(text):
+    try:
+        st = from_json(text, check=False)
+    except DocumentError:
+        return
+    problems = validate(st).problems
+    refusal = "; ".join(problems)
+    for name, (kind, read, allowed) in READERS.items():
+        if kind is not None and st.kind is not kind:
+            with pytest.raises(WrongKindError):
+                read(st)
+            continue
+        try:
+            read(st)
+        except ValidationError as e:
+            capped = not problems and len(st.lang.props) > CAPS.get(name, 16)
+            assert capped or str(e) == refusal, (name, str(e), refusal)
+        except allowed:
+            assert not problems, name
+        else:
+            assert not problems, name
+    if problems:
+        with pytest.raises(DocumentError) as refused:
+            to_json(st)
+        assert str(refused.value) == "refusing to serialize an invalid structure: " + refusal
+    else:
+        assert from_json(to_json(st)) == st
+
+
 STRUCTURE = "structure must be ProbabilityStructure, got int"
 FORMULA = "formula must be Formula, got str"
 
@@ -182,6 +263,7 @@ WRONG_TYPES = {
     ),
     "to_json(5)": (lambda: to_json(5), ValidationError, STRUCTURE),
     "validate(5)": (lambda: validate(5), ValidationError, STRUCTURE),
+    "StructureKind(5)": (lambda: StructureKind(5), ValidationError, "structure kind must be 'ic' or 'ds', got 5"),
     "interval(5, 'g')": (lambda: interval(5, "g"), ValidationError, STRUCTURE),
     "interval(coats_ds(), 'g')": (lambda: interval(coats_ds(), "g"), ValidationError, FORMULA),
     "interval(coats_ic(), 'g')": (lambda: interval(coats_ic(), "g"), ValidationError, FORMULA),

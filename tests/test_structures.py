@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from probstruct import (
+    DocumentError,
     Formula,
     FormulaAlgebra,
     GenParams,
@@ -29,9 +30,12 @@ from probstruct import (
     bel,
     coats_ds,
     coats_ic,
+    ds_to_ic,
+    equivalent,
     false_formula,
     format_formula,
     from_json,
+    ic_to_ds,
     incidence,
     inner_measure,
     interval,
@@ -43,6 +47,7 @@ from probstruct import (
     plb,
     random_ic,
     random_total_ds,
+    round_trip_check,
     to_json,
     true_formula,
     upper_incidence,
@@ -275,12 +280,27 @@ def assert_matches_oracle(st, masks):
             assert outcome(query, st, xi) == outcome(oracle, st, xi), (query.__name__, format_formula(xi))
 
 
-def regrouped(st, groups) -> ProbabilityStructure:
+def assert_refused(st, masks):
+    """Every query of ``st``'s kind refuses it with what ``validate`` lists."""
+    problems = validate(st).problems
+    assert problems
+    for mask in masks:
+        for query in ORACLES[st.kind]:
+            assert outcome(query, st, Formula(st.lang, mask)) == (ValidationError, "; ".join(problems))
+
+
+def regrouped(st, groups, kind=None) -> ProbabilityStructure:
     """``st`` with its atoms grouped into the blocks ``groups`` (atom index
     lists), each block's image the union of its atoms' images, through the
-    direct constructor: a ds whose formula algebra is not the full one."""
+    direct constructor: a ds whose formula algebra is not the full one, which
+    ``validate`` refuses.  With ``kind`` ic, the ic of those blocks and images,
+    each measurable block's weight spread evenly over its worlds."""
     psi = FormulaAlgebra(st.lang, [Formula(st.lang, sum(1 << k for k in g)) for g in groups])
     images = [WorldSet(st.ps.space, sum(st.inc.images[k].bits for k in g)) for g in groups]
+    if kind == "ic":
+        chi = list(zip(st.ps.algebra.basis, st.ps.mu.weights))
+        weights = [next(w / b.bits.bit_count() for b, w in chi if b.bits >> i & 1) for i in range(st.ps.space.size)]
+        return ProbabilityStructure.ic(st.ps.space, weights, psi, images)
     return ProbabilityStructure(st.ps, st.lang, psi, IncidenceMap(st.ps.space, images), st.kind)
 
 
@@ -304,17 +324,21 @@ def test_queries_match_the_oracle_on_seeded_structures(n_props, seeds, step):
 
 @pytest.mark.parametrize("n_props", [1, 2, 3])
 def test_queries_match_the_oracle_where_a_block_meets_both_sides(n_props):
+    # only an ic may have such blocks: the regrouped ds is refused
     rng = random.Random(4200 + n_props)
     for seed in range(6):
         base = random_total_ds(GenParams(n_props, 2 + seed, 4300 + seed))
-        st = regrouped(base, random_groups(rng, base.lang.n_atoms, max(1, base.lang.n_atoms // 2)))
+        groups = random_groups(rng, base.lang.n_atoms, max(1, base.lang.n_atoms // 2))
+        st = regrouped(base, groups)
         assert len(st.psi.basis) < st.lang.n_atoms
-        assert_matches_oracle(st, range(1 << (1 << n_props)))
+        assert_refused(st, range(0, 1 << (1 << n_props), 17))
+        assert_matches_oracle(regrouped(base, groups, "ic"), range(1 << (1 << n_props)))
 
 
 def twelve_props(seed, n_worlds, n_blocks):
     """A 12-proposition ic and ds with their atoms spread over ``n_blocks``
-    ψ blocks and ``n_worlds`` worlds, and the ds regrouped into those blocks."""
+    ψ blocks and ``n_worlds`` worlds, and the ds regrouped into those blocks,
+    which ``validate`` refuses."""
     rng = random.Random(seed)
     lang = Language(tuple(f"p{i}" for i in range(12)))
     space = SampleSpace(tuple(f"w{i}" for i in range(n_worlds)))
@@ -336,12 +360,13 @@ def twelve_props(seed, n_worlds, n_blocks):
 
 @pytest.mark.parametrize("seed, n_worlds, n_blocks", [(1, 6, 5), (2, 12, 9), (3, 64, 40)])
 def test_queries_match_the_oracle_at_twelve_propositions(seed, n_worlds, n_blocks):
-    rng, *structures = twelve_props(seed, n_worlds, n_blocks)
+    rng, *structures, grouped = twelve_props(seed, n_worlds, n_blocks)
     for st in structures:
         blocks = [block.atoms for block in st.psi.basis]
         members = [sum(b for b in blocks if rng.random() < 0.5) for _ in range(3)]
         masks = [0, st.lang.full_mask, *members, *(rng.getrandbits(st.lang.n_atoms) for _ in range(3))]
         assert_matches_oracle(st, masks)
+    assert_refused(grouped, [0, grouped.lang.full_mask, rng.getrandbits(grouped.lang.n_atoms)])
 
 
 def test_interval_class_validates():
@@ -481,6 +506,7 @@ def test_queries_refuse_weights_that_are_no_distribution(query, base, weights, m
 
 @pytest.mark.parametrize("query", list(QUERIES))
 def test_queries_check_the_weights_once_per_call(query, monkeypatch):
+    # once per structure, in fact: the named constructor's check is the one kept
     calls = []
     check = MeasureFn.weight_problems
 
@@ -490,11 +516,12 @@ def test_queries_check_the_weights_once_per_call(query, monkeypatch):
 
     monkeypatch.setattr(MeasureFn, "weight_problems", counted)
     for build in (coats_ds, coats_ic):
+        calls.clear()
         st = build()
         if st.kind is StructureKind.IC and not query.startswith("interval"):
             continue
-        calls.clear()
-        QUERIES[query](st)
+        for _ in range(3):
+            QUERIES[query](st)
         assert len(calls) == 1, (query, st.kind)
 
 
@@ -583,10 +610,10 @@ def test_queries_refuse_images_that_do_not_partition_the_worlds(build, queries, 
 
 def test_queries_report_bad_weights_before_bad_images():
     st = reweighed(overlapping_coats_ds(), (Fraction(1, 4), Fraction(1, 4)))
-    for query in (interval, bel, plb):
+    for query in (interval, bel, plb, incidence):
         with pytest.raises(ValidationError) as caught:
             query(st, parse_formula("g", st.lang))
-        assert str(caught.value) == "measure weights sum to 1/2, expected 1", query.__name__
+        assert str(caught.value) == "measure weights sum to 1/2, expected 1; " + OVERLAP, query.__name__
 
 
 def rebuilt(st: ProbabilityStructure) -> ProbabilityStructure:
@@ -620,51 +647,164 @@ def test_each_incidence_map_is_walked_once(build, message, monkeypatch):
         assert str(caught.value) == message
     assert validate(st).problems == (() if message is None else (message,))
     assert len(walks) == 1
-    # the weights are still checked first, on every call
+    # a structure with other weights is another structure, walked once more;
+    # its weights are named first
     bad = reweighed(st, (Fraction(1, 4), Fraction(1, 4)))
     for _ in range(2):
         with pytest.raises(ValidationError) as caught:
             query(bad, parse_formula("g", st.lang))
-        assert str(caught.value) == "measure weights sum to 1/2, expected 1"
+        assert str(caught.value) == "measure weights sum to 1/2, expected 1" + (f"; {message}" if message else "")
+    assert len(walks) == 2
 
 
 def test_the_kept_verdict_leaves_equality_hashing_and_pickling_alone():
+    assert IncidenceMap.__slots__ == IncidenceMap._fields  # the verdict is the structure's
     for build in (coats_ds, overlapping_coats_ds):
-        inc = build().inc
-        fresh = IncidenceMap(inc.space, inc.images)
+        fresh = rebuilt(build())
         assert not hasattr(fresh, "_problems")
         before = hash(fresh)
-        problems = fresh.partition_problems()
-        assert hasattr(fresh, "_problems")
-        assert fresh == IncidenceMap(inc.space, inc.images) and hash(fresh) == before
-        assert repr(fresh) == repr(IncidenceMap(inc.space, inc.images))
+        problems = validate(fresh).problems
+        assert fresh._problems == problems
+        assert fresh == rebuilt(build()) and hash(fresh) == before
+        assert repr(fresh) == repr(rebuilt(build()))
         back = pickle.loads(pickle.dumps(fresh))
         assert back == fresh and not hasattr(back, "_problems")
-        assert back.partition_problems() == problems
-        problems.append("a caller's own list")  # not the one kept
-        assert fresh.partition_problems() == back.partition_problems()
+        assert validate(back).problems == problems
         with pytest.raises(AttributeError):
             fresh._problems = ()
 
 
-def test_queries_on_an_ic_with_a_coarse_measurable_algebra():
-    # queries read the images, not the mass function, which such a structure lacks
+def coarse_coats_ic() -> ProbabilityStructure:
+    """The coats ic with one measurable block, all its worlds."""
     ic = coats_ic()
     space = ic.ps.space
     coarse = ProbabilitySpace(space, SetAlgebra(space, (space.everything(),)), MeasureFn((1,)))
-    st = ProbabilityStructure(coarse, ic.lang, ic.psi, ic.inc, ic.kind)
-    g = parse_formula("g", st.lang)
-    assert lower_incidence(st, g) == upper_incidence(st, g) == incidence(st, g) == space.subset(["w2"])
-    d = parse_formula("d", st.lang)
-    assert lower_incidence(st, d) == space.nothing() and upper_incidence(st, d) == space.subset(["w2"])
-    assert interval(st, true_formula(st.lang)) == Interval(1, 1)
-    with pytest.raises(NotMeasurableError) as caught:
-        interval(st, g)
-    assert str(caught.value) == "{w2} is not measurable"
-    assert validate(st).problems == (
-        "ic structure requires every world set measurable, but measure basis block {w1, w2} "
-        "is not a singleton",
-    )
+    return ProbabilityStructure(coarse, ic.lang, ic.psi, ic.inc, ic.kind)
+
+
+def test_queries_on_an_ic_with_a_coarse_measurable_algebra():
+    # such an ic lacks a mass function: every query refuses it, as validate does
+    st = coarse_coats_ic()
+    space = st.ps.space
+    message = "ic structure requires every world set measurable, but measure basis block {w1, w2} is not a singleton"
+    assert validate(st).problems == (message,)
+    for text in ("g", "d", "true"):
+        for query in (lower_incidence, upper_incidence, incidence, interval):
+            assert outcome(query, st, parse_formula(text, st.lang)) == (ValidationError, message)
+    # its measure still answers where the world set is measurable
+    assert measure(st.ps, space.everything()) == 1
+    with pytest.raises(NotMeasurableError, match=r"^\{w2\} is not measurable$"):
+        measure(st.ps, space.subset(["w2"]))
+
+
+# --- one gate: every reader refuses what validate lists ----------------------
+
+
+def relabelled(build, kind) -> ProbabilityStructure:
+    """``build()``'s pieces under the other kind's label, built directly."""
+    st = build()
+    return ProbabilityStructure(st.ps, st.lang, st.psi, st.inc, kind)
+
+
+INVALID = {
+    "bad weights": lambda: reweighed(coats_ds(), (Fraction(1, 4), Fraction(1, 4))),
+    "overlapping images": overlapping_coats_ds,
+    "uncovered worlds": uncovering_coats_ic,
+    "coarse ic": coarse_coats_ic,
+    "ds relabelled ic": lambda: relabelled(coats_ds, "ic"),
+    "ic relabelled ds": lambda: relabelled(coats_ic, "ds"),
+    "regrouped ds": lambda: regrouped(coats_ds(), [[0, 2], [1], [3]]),
+    "weights and images": lambda: reweighed(overlapping_coats_ds(), (1, 1)),
+}
+
+
+def g_of(st):
+    """The formula ``g`` of ``st``'s language."""
+    return parse_formula("g", st.lang)
+
+
+# each reader, and the kind it requires (None: either)
+READERS = {
+    "incidence": (None, lambda st: incidence(st, g_of(st))),
+    "lower_incidence": (StructureKind.IC, lambda st: lower_incidence(st, g_of(st))),
+    "upper_incidence": (StructureKind.IC, lambda st: upper_incidence(st, g_of(st))),
+    "bel": (StructureKind.DS, lambda st: bel(st, g_of(st))),
+    "plb": (StructureKind.DS, lambda st: plb(st, g_of(st))),
+    "interval": (None, lambda st: interval(st, g_of(st))),
+    "interval-str": (None, lambda st: interval(st, "g")),  # refused before the formula is read
+    "mobius_mass": (StructureKind.DS, mobius_mass),
+    "is_total": (StructureKind.DS, is_total),
+    "ic_to_ds": (StructureKind.IC, ic_to_ds),
+    "ds_to_ic": (StructureKind.DS, ds_to_ic),
+    "equivalent": (None, lambda st: equivalent(st, st)),
+    "equivalent-second": (None, lambda st: equivalent(coats_ds(), st)),
+    "equivalent-first": (None, lambda st: equivalent(st, reweighed(coats_ic(), (1, 1)))),
+    "round_trip_check": (None, round_trip_check),
+    "to_json": (None, to_json),
+}
+
+
+@pytest.mark.parametrize("name", list(INVALID))
+def test_every_reader_refuses_what_validate_lists(name):
+    st = INVALID[name]()
+    problems = validate(st).problems
+    assert problems
+    for reader, (kind, read) in READERS.items():
+        if kind is not None and st.kind is not kind:
+            expected = WrongKindError  # the kind is checked first
+        elif reader == "to_json":
+            expected = (DocumentError, "refusing to serialize an invalid structure: " + "; ".join(problems))
+        else:
+            expected = (ValidationError, "; ".join(problems))
+        for _ in range(2):  # on the first call and every later one
+            with pytest.raises(ProbstructError) as caught:
+                read(st)
+            got = type(caught.value) if expected is WrongKindError else (type(caught.value), str(caught.value))
+            assert got == expected, reader
+
+
+def test_each_structure_is_checked_once(monkeypatch):
+    counts = {"weights": 0, "images": 0}
+    weight_problems, partition_problems = MeasureFn.weight_problems, IncidenceMap.partition_problems
+
+    def counted(check, what):
+        def run(self):
+            counts[what] += 1
+            return check(self)
+        return run
+
+    monkeypatch.setattr(MeasureFn, "weight_problems", counted(weight_problems, "weights"))
+    monkeypatch.setattr(IncidenceMap, "partition_problems", counted(partition_problems, "images"))
+
+    def ten_queries(st):
+        for text in ("g", "~d", "g | d", "true"):
+            interval(st, parse_formula(text, st.lang))
+        bel(st, g_of(st))
+        plb(st, g_of(st))
+        incidence(st, g_of(st))
+        is_total(st)
+        mobius_mass(st)
+        equivalent(st, st)
+
+    base = coats_ds()  # a named constructor: one walk of each
+    assert counts == {"weights": 1, "images": 1}
+    ten_queries(base)
+    text = to_json(base)
+    assert counts == {"weights": 1, "images": 1}
+    loaded = from_json(text)  # validated on load: one walk of each
+    assert counts == {"weights": 2, "images": 2}
+    ten_queries(loaded)
+    assert to_json(loaded) == text
+    assert counts == {"weights": 2, "images": 2}
+    unchecked = from_json(text.replace('"1/2"', '"1/4"', 1), check=False)
+    assert counts == {"weights": 2, "images": 2}
+    for _ in range(3):
+        for query in (interval, bel, plb, incidence):
+            with pytest.raises(ValidationError, match="^measure weights sum to 3/4, expected 1$"):
+                query(unchecked, g_of(unchecked))
+        with pytest.raises(DocumentError):
+            to_json(unchecked)
+    assert counts == {"weights": 3, "images": 3}
 
 
 @pytest.mark.parametrize(

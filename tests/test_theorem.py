@@ -1,5 +1,7 @@
 """The paper's theorem at 8 and 12 propositions: a total belief structure and
 its incidence-calculus translation give every formula the same interval.
+Belief and plausibility are the ends of that interval, and the structure's
+canonical document is the oracle's, byte for byte.
 
 The structures and the reference intervals come from the benchmark's own
 generator and oracle (``bench/gen.py``, ``bench/oracle.py``), which are
@@ -19,22 +21,38 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import gen  # noqa: E402
 import oracle  # noqa: E402
 
-from probstruct import ds_to_ic, equivalent, from_json, interval, parse_formula, to_json  # noqa: E402
+from probstruct import (  # noqa: E402
+    StructureKind,
+    bel,
+    ds_to_ic,
+    equivalent,
+    from_json,
+    interval,
+    parse_formula,
+    plb,
+    to_json,
+)
 
 
 def _agrees(st, model, text):
-    """``interval`` of the formula ``text`` on ``st`` equals the oracle's on ``model``."""
+    """``interval`` of the formula ``text`` on ``st``, and on a ds ``bel`` and
+    ``plb``, equal the oracle's interval on ``model``."""
     f = parse_formula(text, st.lang)
     assert f.atoms == oracle.evaluate(text, model.props)
+    expected = oracle.interval(model, f.atoms)
     got = interval(st, f)
-    assert (got.lo, got.hi) == oracle.interval(model, f.atoms)
+    assert (got.lo, got.hi) == expected
+    if st.kind is StructureKind.DS:
+        assert (bel(st, f), plb(st, f)) == expected
 
 
 @pytest.mark.parametrize("n_props", [8, 12])
 def test_translation_keeps_every_interval(n_props):
     rng = random.Random(700 + n_props)
     model = gen.ds_model(rng, n_props, 64, 48, 16)
-    ds = from_json(oracle.canonical(model))
+    text = oracle.canonical(model)
+    ds = from_json(text)
+    assert to_json(ds) == text
     ic = ds_to_ic(ds)
     report = equivalent(ds, ic)
     assert (report.equivalent, report.checked_count, report.witness) == (True, model.full + 1, None)

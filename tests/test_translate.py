@@ -51,11 +51,9 @@ HALF = Fraction(1, 2)
 
 def _focal_weights(st):
     """The mass function as (atom mask, weight) pairs in ``Fraction``
-    arithmetic: the reference for the cached integer ``_masses``.  A ds
-    measurable block's mask holds every atom whose image meets the block."""
-    problems = st.inc.partition_problems()
-    if problems:
-        raise ValidationError("; ".join(problems))
+    arithmetic, for a valid structure: the reference for the cached integer
+    ``_masses``.  A ds measurable block's mask holds every atom whose image
+    meets the block."""
     if st.kind is StructureKind.IC:
         return [
             (block.atoms, measure(st.ps, image))
@@ -416,13 +414,24 @@ def test_equivalent_checks_the_weights_of_both_sides():
             with pytest.raises(ValidationError) as compared:
                 equivalent(a, b)
             assert str(compared.value) == str(queried.value)
-    # the images are checked before the weights, on either side
+    # all that validate lists of the first side, then of the second
     space = bad.ps.space
     lost = IncidenceMap(space, (space.nothing(), *bad.inc.images[1:]))
     both = ProbabilityStructure(bad.ps, bad.lang, bad.psi, lost, bad.kind)
-    for a, b in ((both, bad), (bad, both)):
-        with pytest.raises(ValidationError, match="^incidence images do not cover worlds"):
-            equivalent(a, b)
+    assert validate(both).problems == (
+        "measure weights sum to 2, expected 1",
+        "incidence images do not cover worlds {s1, s2}",
+    )
+    for a, b, refused in ((both, bad, both), (bad, both, bad), (coats_ds(), both, both)):
+        for _ in range(2):
+            with pytest.raises(ValidationError) as compared:
+                equivalent(a, b)
+            assert str(compared.value) == "; ".join(validate(refused).problems)
+    # and before the languages are compared
+    space = SampleSpace(("w1",))
+    other = ProbabilityStructure.ic(space, (1,), trivial_algebra(Language(("x",))), [space.everything()])
+    with pytest.raises(ValidationError, match="^measure weights sum to 2, expected 1$"):
+        equivalent(other, bad)
 
 
 def test_translations_keep_their_refusals_and_their_order():
@@ -449,7 +458,10 @@ def test_translations_keep_their_refusals_and_their_order():
         not_total.inc.images,
     )
     assert not is_total(split)
-    with pytest.raises(NotTotalError):  # before the weights
+    with pytest.raises(NotTotalError):
+        ds_to_ic(split)
+    # what validate lists comes before NotTotalError
+    with pytest.raises(ValidationError, match="^measure weights sum to 2, expected 1$"):
         ds_to_ic(_bad_weights(split, (1, 1)))
 
 
@@ -478,23 +490,22 @@ def test_masses_match_the_fraction_reference():
     structures.append(ProbabilityStructure(coarse, ic.lang, ic.psi, ic.inc, ic.kind))
     outcomes = set()
     for st in structures:
-        try:
-            expected = _focal_weights(st)
-        except ProbstructError as e:
+        problems = validate(st).problems
+        if problems:
             for _ in range(2):  # refused on every call, and never cached
-                with pytest.raises(type(e)) as refused:
+                with pytest.raises(ValidationError) as refused:
                     _masses(st)
-                assert str(refused.value) == str(e)
+                assert str(refused.value) == "; ".join(problems)
                 assert not hasattr(st, "_masses")
-            outcomes.add(type(e).__name__)
+            outcomes.update(problem.split()[0] for problem in problems)
             continue
-        pairs, den, ok = _masses(st)
-        assert [(mask, Fraction(num, den)) for mask, num in pairs] == expected
+        pairs, den = _masses(st)
+        assert [(mask, Fraction(num, den)) for mask, num in pairs] == _focal_weights(st)
         assert den == math.lcm(*(w.denominator for w in st.ps.mu.weights))
-        assert ok == (not st.ps.mu.weight_problems())
         assert _masses(st) is st._masses
-        outcomes.add(ok)
-    assert outcomes == {True, False, "ValidationError", "NotMeasurableError"}
+        outcomes.add("valid")
+    # refused for its weights, its images and, the coarse ic, its kind's shape
+    assert outcomes == {"valid", "measure", "incidence", "ic"}
 
 
 def test_cached_masses_leave_equality_hashing_and_pickling_alone():

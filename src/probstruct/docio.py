@@ -67,7 +67,7 @@ from .structures import (
     IncidenceMap,
     ProbabilityStructure,
     StructureKind,
-    validate,
+    _problems,
 )
 from .value import low_bit, set_bits
 
@@ -115,11 +115,8 @@ def _psi_keys(psi: FormulaAlgebra) -> tuple[list[int], list[str]]:
 
 def to_json(st: ProbabilityStructure) -> str:
     """Serialize a structure to canonical document text."""
-    report = validate(st)
-    if not report.ok:
-        raise DocumentError(
-            "refusing to serialize an invalid structure: " + "; ".join(report.problems)
-        )
+    if _problems(st):
+        raise DocumentError("refusing to serialize an invalid structure: " + "; ".join(st._problems))
     world = [_encode(w) for w in st.ps.space.worlds]
 
     def world_list(ws: WorldSet) -> str:
@@ -206,7 +203,8 @@ def from_json(text: str, check: bool = True) -> ProbabilityStructure:
         raise DocumentError("parse error: JSON nested too deeply") from None
     except UnicodeDecodeError as e:  # bytes are read as UTF-8, -16 or -32, by their first bytes
         encoding = json.detect_encoding(text).upper().removesuffix("-SIG")
-        raise DocumentError(f"document is not {encoding} text: {e.reason} at byte {e.start}") from None
+        at = e.start + 3 * text.startswith(b"\xef\xbb\xbf")  # utf-8-sig counts from after its mark
+        raise DocumentError(f"document is not {encoding} text: {e.reason} at byte {at}") from None
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
 
@@ -229,10 +227,8 @@ def from_json(text: str, check: bool = True) -> ProbabilityStructure:
     except ProbstructError as e:
         raise DocumentError(str(e)) from None
 
-    if check:
-        report = validate(st)
-        if not report.ok:
-            raise DocumentError("invalid structure: " + "; ".join(report.problems))
+    if check and _problems(st):
+        raise DocumentError("invalid structure: " + "; ".join(st._problems))
     return st
 
 

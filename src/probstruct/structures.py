@@ -18,13 +18,14 @@ Two kinds are distinguished by where the partiality lives:
 
 ``validate`` is the one check of a structure: its weights form a
 distribution, its images partition the worlds, and its shape fits its kind.
-Its answer is kept on the structure, and every reader refuses exactly what
-it lists.  In such a structure every world set an ``ic`` query meets is
-measurable, and only an ``ic`` block can meet both ``xi`` and ``~xi``.  So a
-query splits the basis blocks by ``xi`` in one pass, and for either kind the
-inner measure of the images of the blocks inside ``xi`` is ``lo``, that of
-the blocks inside ``~xi`` is ``1 - hi``: ``interval`` returns exact lower and
-upper probabilities for any formula.
+Its answer is kept on the structure.  Every reader enters through
+``_checked``, which refuses, in this order, a non-structure, the wrong kind
+and what ``validate`` lists.  In a valid structure every world set an ``ic``
+query meets is measurable, and only an ``ic`` block can meet both ``xi`` and
+``~xi``.  So a query splits the basis blocks by ``xi`` in one pass, and for
+either kind the inner measure of the images of the blocks inside ``xi`` is
+``lo``, that of the blocks inside ``~xi`` is ``1 - hi``: ``interval`` returns
+exact lower and upper probabilities for any formula.
 """
 
 from __future__ import annotations
@@ -98,14 +99,6 @@ class IncidenceMap(Value):
         return problems
 
 
-def _require_valid(st: ProbabilityStructure) -> ProbabilityStructure:
-    """``st``, unless ``validate`` lists problems: then ``ValidationError`` naming them."""
-    problems = validate(st).problems
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return st
-
-
 class Interval(Value):
     """Exact lower and upper probability bounds."""
 
@@ -167,7 +160,7 @@ class ProbabilityStructure(Value):
         """Incidence-calculus structure: weights are given per world."""
         require_type(psi, FormulaAlgebra, "structure formula algebra")
         ps = ProbabilitySpace(space, discrete_algebra(space), MeasureFn(world_weights))
-        return _require_valid(cls(ps, psi.lang, psi, IncidenceMap(space, images), StructureKind.IC))
+        return _checked(cls(ps, psi.lang, psi, IncidenceMap(space, images), StructureKind.IC))
 
     @classmethod
     def ds(
@@ -181,7 +174,7 @@ class ProbabilityStructure(Value):
         """Belief structure: the formula algebra is all of the language."""
         ps = ProbabilitySpace(space, SetAlgebra(space, chi_basis), MeasureFn(weights))
         inc = IncidenceMap(space, atom_images)
-        return _require_valid(cls(ps, lang, full_algebra(lang), inc, StructureKind.DS))
+        return _checked(cls(ps, lang, full_algebra(lang), inc, StructureKind.DS))
 
 
 class ValidationReport(Value):
@@ -198,18 +191,11 @@ class ValidationReport(Value):
         return not self.problems
 
 
-def validate(st: ProbabilityStructure) -> ValidationReport:
-    """Check the semantic invariants that construction deliberately defers.
-
-    Shape constraints (partitions of both bases, index alignment, shared
-    spaces) are enforced when the pieces are built; this checks everything
-    a hand-written document could still get wrong: the weights, the images
-    and the shape the kind asks for.  The answer is found once per structure,
-    kept in a slot outside the fields, and every reader refuses what it lists.
-    """
+def _problems(st: ProbabilityStructure) -> tuple[str, ...]:
+    """What ``validate`` lists for ``st``: found once, kept in a slot outside the fields."""
     require_type(st, ProbabilityStructure, "structure")
     if hasattr(st, "_problems"):
-        return ValidationReport(st._problems)
+        return st._problems
     problems = st.ps.mu.weight_problems() + st.inc.partition_problems()
     if st.kind is StructureKind.IC:
         for block in st.ps.algebra.basis:
@@ -228,14 +214,39 @@ def validate(st: ProbabilityStructure) -> ValidationReport:
                     f"formula basis block {format_formula(block)} is not a single atom"
                 )
     setfield(st, "_problems", tuple(problems))
-    return ValidationReport(st._problems)
+    return st._problems
 
 
-def _split(st: ProbabilityStructure, xi: Formula) -> tuple[WorldSet, WorldSet, bool]:
+def validate(st: ProbabilityStructure) -> ValidationReport:
+    """Check the semantic invariants that construction deliberately defers.
+
+    Shape constraints (partitions of both bases, index alignment, shared
+    spaces) are enforced when the pieces are built; this checks everything
+    a hand-written document could still get wrong: the weights, the images
+    and the shape the kind asks for, found once per structure by ``_problems``.
+    """
+    return ValidationReport(_problems(st))
+
+
+def _checked(
+    st: ProbabilityStructure, kind: StructureKind | None = None, op: str = ""
+) -> ProbabilityStructure:
+    """The gate of every reader: ``st``, if it is a structure, of ``kind`` when given
+    (``op`` names the reader), for which ``validate`` lists nothing; refused otherwise."""
+    require_type(st, ProbabilityStructure, "structure")
+    if kind is not None and st.kind is not kind:
+        article = "an" if kind is StructureKind.IC else "a"
+        raise WrongKindError(f"{op} requires {article} {kind.value} structure, got {st.kind.value}")
+    if _problems(st):
+        raise ValidationError("; ".join(st._problems))
+    return st
+
+
+def _split(st: ProbabilityStructure, xi: Formula, kind=None, op="") -> tuple[WorldSet, WorldSet, bool]:
     """One pass over the basis: the union of the images of the blocks inside
     ``xi``, that of the blocks inside ``~xi``, and whether a block meets both.
-    Raises ``ValidationError`` with what ``validate`` lists, before ``xi`` is read."""
-    _require_valid(st)
+    ``st`` passes ``_checked`` for ``kind`` and ``op`` before ``xi`` is read."""
+    _checked(st, kind, op)
     _check_lang(st.psi, xi)
     f = xi.atoms
     inside, outside, mixed = 0, 0, False
@@ -260,37 +271,26 @@ def incidence(st: ProbabilityStructure, phi: Formula) -> WorldSet:
     return inside
 
 
-def _require_kind(st: ProbabilityStructure, kind: StructureKind, op: str) -> None:
-    require_type(st, ProbabilityStructure, "structure")
-    if st.kind is not kind:
-        article = "an" if kind is StructureKind.IC else "a"
-        raise WrongKindError(f"{op} requires {article} {kind.value} structure, got {st.kind.value}")
-
-
 def lower_incidence(st: ProbabilityStructure, xi: Formula) -> WorldSet:
     """Union of the incidences of all algebra members entailing ``xi``."""
-    _require_kind(st, StructureKind.IC, "lower_incidence")
-    return _split(st, xi)[0]
+    return _split(st, xi, StructureKind.IC, "lower_incidence")[0]
 
 
 def upper_incidence(st: ProbabilityStructure, xi: Formula) -> WorldSet:
     """Complement of the lower incidence of the negation."""
-    _require_kind(st, StructureKind.IC, "upper_incidence")
-    return ~_split(st, xi)[1]
+    return ~_split(st, xi, StructureKind.IC, "upper_incidence")[1]
 
 
-# Each query checks the structure's type and kind; then ``_split`` refuses what
-# ``validate`` lists, found once per structure, before it reads the formula.
 def bel(st: ProbabilityStructure, xi: Formula) -> Fraction:
     """Belief: the inner measure of the incidence of ``xi``."""
-    _require_kind(st, StructureKind.DS, "bel")
-    return inner_measure(st.ps, _split(st, xi)[0])
+    inside = _split(st, xi, StructureKind.DS, "bel")[0]  # checked before ``st.ps`` is read
+    return inner_measure(st.ps, inside)
 
 
 def plb(st: ProbabilityStructure, xi: Formula) -> Fraction:
     """Plausibility: the dual of belief."""
-    _require_kind(st, StructureKind.DS, "plb")
-    return ONE - inner_measure(st.ps, _split(st, xi)[1])
+    outside = _split(st, xi, StructureKind.DS, "plb")[1]
+    return ONE - inner_measure(st.ps, outside)
 
 
 def interval(st: ProbabilityStructure, xi: Formula) -> Interval:
@@ -305,7 +305,7 @@ def _masses(st: ProbabilityStructure) -> tuple[tuple[tuple[int, int], ...], int]
     An ic has a pair per formula block, weighing the worlds of its image, a ds
     one per measurable block, whose mask holds each atom whose image meets it.
     Refuses what ``validate`` lists; kept in a slot outside the fields."""
-    _require_valid(st)
+    _checked(st)
     if hasattr(st, "_masses"):
         return st._masses
     den = math.lcm(*(w.denominator for w in st.ps.mu.weights))
@@ -330,8 +330,7 @@ def is_total(st: ProbabilityStructure) -> bool:
     That holds exactly when the focal masks are disjoint, partitioning their
     sum: an atom whose image meets two measurable blocks is in both masks.
     """
-    _require_kind(st, StructureKind.DS, "is_total")
-    masks = [mask for mask, _ in _masses(st)[0]]
+    masks = [mask for mask, _ in _masses(_checked(st, StructureKind.DS, "is_total"))[0]]
     return not any(partition_faults(masks, sum(masks)))
 
 
@@ -345,12 +344,10 @@ def mobius_mass(st: ProbabilityStructure) -> dict[Formula, Fraction]:
     formula A.  Exponential in the number of atoms, hence capped; meant as an
     independent cross-check of belief's superadditivity, not a fast path.
     """
-    _require_kind(st, StructureKind.DS, "mobius_mass")
-    _require_valid(st)
+    _checked(st, StructureKind.DS, "mobius_mass")
     if len(st.lang.props) > MAX_MOBIUS_PROPS:
         raise ValidationError(
-            f"language too large for brute-force inversion "
-            f"(max {MAX_MOBIUS_PROPS} propositions)"
+            f"language too large for brute-force inversion (max {MAX_MOBIUS_PROPS} propositions)"
         )
     size = 1 << st.lang.n_atoms
     bel_table = [bel(st, Formula(st.lang, m)) for m in range(size)]

@@ -28,15 +28,15 @@ from fractions import Fraction
 from functools import reduce
 from typing import Optional
 
-from .errors import LanguageMismatchError, NotTotalError, ValidationError, WrongKindError
+from .errors import LanguageMismatchError, NotTotalError, ValidationError
 from .logic import Formula, FormulaAlgebra, Language, _sorted_blocks
 from .measure import MAX_WORLDS, SampleSpace, WorldSet
 from .structures import (
     Interval,
     ProbabilityStructure,
     StructureKind,
+    _checked,
     _masses,
-    _require_valid,
     interval,
     is_total,
 )
@@ -94,10 +94,7 @@ def ic_to_ds(ic: ProbabilityStructure) -> ProbabilityStructure:
     Every atom becomes a world, so a language of more than 6 propositions is
     refused before any world is named, as ``SampleSpace`` would refuse them.
     """
-    require_type(ic, ProbabilityStructure, "structure")
-    if ic.kind is not StructureKind.IC:
-        raise WrongKindError(f"ic_to_ds requires an ic structure, got {ic.kind.value}")
-    _require_valid(ic)
+    _checked(ic, StructureKind.IC, "ic_to_ds")
     lang = ic.lang
     if len(lang.props) > _ATOM_WORLD_PROPS:
         raise ValidationError(f"a sample space needs between 1 and {MAX_WORLDS} worlds, got {lang.n_atoms}")
@@ -113,9 +110,7 @@ def ic_to_ds(ic: ProbabilityStructure) -> ProbabilityStructure:
 def ds_to_ic(ds: ProbabilityStructure) -> ProbabilityStructure:
     """Collapse a total belief structure to an equivalent incidence-calculus
     structure with one world per measurable basis block."""
-    require_type(ds, ProbabilityStructure, "structure")
-    if ds.kind is not StructureKind.DS:
-        raise WrongKindError(f"ds_to_ic requires a ds structure, got {ds.kind.value}")
+    _checked(ds, StructureKind.DS, "ds_to_ic")
     if not is_total(ds):
         raise NotTotalError("ds_to_ic requires a total structure")
     masks = [mask for mask, _ in _masses(ds)[0]]

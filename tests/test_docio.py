@@ -172,7 +172,7 @@ def test_document_bytes_that_are_not_utf8_are_a_document_error(data, message):
 
 
 def test_utf8_bytes_after_a_byte_order_mark_are_named_utf8():
-    with pytest.raises(DocumentError, match=r"^document is not UTF-8 text: invalid continuation byte at byte \d+$"):
+    with pytest.raises(DocumentError, match=r"^document is not UTF-8 text: invalid continuation byte at byte 13$"):
         from_json(b'\xef\xbb\xbf{"kind": "\xe9"}')
 
 

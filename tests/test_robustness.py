@@ -164,7 +164,7 @@ def workdir(tmp_path_factory):
 
 
 @FUZZ
-@given(mutated_documents())
+@given(mutated_documents() | remapped_documents())
 @example("[" * 100000)
 @example(LONG_WEIGHT)
 def test_mutated_documents(workdir, text):
@@ -267,6 +267,11 @@ WRONG_TYPES = {
     "interval(5, 'g')": (lambda: interval(5, "g"), ValidationError, STRUCTURE),
     "interval(coats_ds(), 'g')": (lambda: interval(coats_ds(), "g"), ValidationError, FORMULA),
     "interval(coats_ic(), 'g')": (lambda: interval(coats_ic(), "g"), ValidationError, FORMULA),
+    "incidence(5, 'g')": (lambda: incidence(5, "g"), ValidationError, STRUCTURE),
+    "lower_incidence(5, 'g')": (lambda: lower_incidence(5, "g"), ValidationError, STRUCTURE),
+    "upper_incidence(5, 'g')": (lambda: upper_incidence(5, "g"), ValidationError, STRUCTURE),
+    "bel(5, 'g')": (lambda: bel(5, "g"), ValidationError, STRUCTURE),
+    "plb(5, 'g')": (lambda: plb(5, "g"), ValidationError, STRUCTURE),
     "bel(coats_ds(), 'g')": (lambda: bel(coats_ds(), "g"), ValidationError, FORMULA),
     "plb(coats_ds(), 'g')": (lambda: plb(coats_ds(), "g"), ValidationError, FORMULA),
     "incidence(coats_ic(), 'g')": (lambda: incidence(coats_ic(), "g"), ValidationError, FORMULA),

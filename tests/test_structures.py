@@ -816,11 +816,13 @@ def test_each_structure_is_checked_once(monkeypatch):
         (plb, coats_ic, "plb requires a ds structure, got ic"),
         (is_total, coats_ic, "is_total requires a ds structure, got ic"),
         (mobius_mass, coats_ic, "mobius_mass requires a ds structure, got ic"),
+        (ic_to_ds, coats_ds, "ic_to_ds requires an ic structure, got ds"),
+        (ds_to_ic, coats_ic, "ds_to_ic requires a ds structure, got ic"),
     ],
 )
 def test_wrong_kind_messages(query, build, message):
     st = build()
-    args = (st,) if query in (is_total, mobius_mass) else (st, true_formula(st.lang))
+    args = (st,) if query in (is_total, mobius_mass, ic_to_ds, ds_to_ic) else (st, true_formula(st.lang))
     with pytest.raises(WrongKindError) as caught:
         query(*args)
     assert str(caught.value) == message

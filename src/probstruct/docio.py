@@ -356,7 +356,7 @@ def _open(path, mode: str):
     # open() would take an int, bool included, as a file descriptor to close
     if not isinstance(path, int):
         try:
-            return open(path, mode, encoding="utf-8")
+            return open(path, mode)
         except TypeError:
             pass
         except ValueError as e:  # a NUL character in the path
@@ -365,20 +365,20 @@ def _open(path, mode: str):
 
 
 def save(st: ProbabilityStructure, path) -> None:
-    text = to_json(st)
+    data = to_json(st).encode()
     try:
-        with _open(path, "w") as fh:
-            fh.write(text)
+        with _open(path, "wb") as fh:
+            fh.write(data)
     except OSError as e:
         raise DocumentError(str(e)) from e
 
 
 def load(path, check: bool = True) -> ProbabilityStructure:
+    """Read a file's bytes as ``from_json`` reads them: UTF-8, UTF-16 or
+    UTF-32 by their first bytes, a byte order mark allowed."""
     try:
-        with _open(path, "r") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as e:
-        raise DocumentError(f"document is not UTF-8 text: {e.reason} at byte {e.start}") from None
+        with _open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         raise DocumentError(str(e)) from e
-    return from_json(text, check=check)
+    return from_json(data, check=check)

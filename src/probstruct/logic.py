@@ -175,13 +175,6 @@ def _prop_masks(lang: Language) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _split_tokens(text: str) -> list[str]:
-    """The tokens of text ``_tokenize`` accepts; other text gives a bad token."""
-    for op in "~&|()":
-        text = text.replace(op, f" {op} ")
-    return text.split()
-
-
 def parse_formula(text: str, lang: Language) -> Formula:
     """Parse formula text into its canonical atom set.
 
@@ -233,28 +226,32 @@ def _read_atoms(text: str, lang: Language) -> int | None:
 def _parse_tokens(text: str, lang: Language) -> int:
     """The atom mask of any formula text; raises on text that is wrong.
 
-    One pass over the tokens, with a stack frame per open parenthesis: the
-    disjunction and the conjunction so far around it, and the parity of the
-    ``~`` run before it.  Only wrong text pays for token positions.
+    One pass over ``_tokenize``'s tokens, with a stack frame per open
+    parenthesis: the disjunction and the conjunction so far around it, and
+    the parity of the ``~`` run before it.  A bad character anywhere in the
+    text raises before any token is read; every other error is raised at
+    the position of its token, or at the end of the text.
     """
     full = lang.full_mask
     names = lang._names
     stack: list[tuple[int, int, int]] = []
     disj, conj, flip = 0, full, 0
     value = None  # the operand just read; None while an operand is due
-    for i, tok in enumerate(_split_tokens(text)):
+    for tok, pos in _tokenize(text):
         if value is None:
             if tok == "~":
                 flip ^= full
             elif tok == "(":
                 if len(stack) == MAX_NESTING:
-                    _syntax_error(text, i, f"parentheses nested deeper than {MAX_NESTING}")
+                    raise FormulaSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", pos)
                 stack.append((disj, conj, flip))
                 disj, conj, flip = 0, full, 0
             elif tok in names:
                 value = names[tok] ^ flip
-            else:  # an operator out of place, or else an unknown name
-                _syntax_error(text, i, f"unexpected token {tok!r}" if tok in "&|)" else None)
+            elif tok in "&|)":  # an operator out of place
+                raise FormulaSyntaxError(f"unexpected token {tok!r}", pos)
+            else:
+                raise UnknownPropositionError(tok, pos)
         elif tok == "&":
             conj &= value
             flip, value = 0, None
@@ -266,25 +263,12 @@ def _parse_tokens(text: str, lang: Language) -> int:
             disj, conj, flip = stack.pop()
             value ^= flip
         else:
-            _syntax_error(text, i, "expected ')'" if stack else f"unexpected token {tok!r}")
+            raise FormulaSyntaxError("expected ')'" if stack else f"unexpected token {tok!r}", pos)
     if value is None:
-        _syntax_error(text, None, "unexpected end of input")
+        raise FormulaSyntaxError("unexpected end of input", len(text))
     if stack:
-        _syntax_error(text, None, "expected ')'")
+        raise FormulaSyntaxError("expected ')'", len(text))
     return disj | (conj & value)
-
-
-def _syntax_error(text: str, index: int | None, message: str | None):
-    """Raise ``message`` at token ``index`` (None: at the end of the text).
-
-    A bad character anywhere in the text wins; a message of None means an
-    unknown name.
-    """
-    tokens = _tokenize(text)
-    value, pos = tokens[index] if index is not None else (None, len(text))
-    if message is None:
-        raise UnknownPropositionError(value, pos)
-    raise FormulaSyntaxError(message, pos)
 
 
 def format_formula(f: Formula) -> str:

@@ -130,7 +130,8 @@ def _net(pairs) -> dict[int, int]:
     """The (mask, amount) pairs summed per mask, without the masks that sum to 0."""
     net: dict[int, int] = {}
     for mask, amount in pairs:
-        net[mask] = net.get(mask, 0) + amount
+        if amount:  # a zero amount is never hashed: at 16 propositions a mask is 8 KB
+            net[mask] = net.get(mask, 0) + amount
     return {mask: amount for mask, amount in net.items() if amount}
 
 

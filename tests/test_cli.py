@@ -185,6 +185,28 @@ def test_fuzz_passes(capsys):
     assert capsys.readouterr().out.strip() == "200/200 translation checks passed"
 
 
+def test_fuzz_reports_each_translation_that_moves_weight(capsys, monkeypatch):
+    real = translate.ic_to_ds
+
+    def moves_weight(ic):  # the blocks' weights reversed
+        ds = real(ic)
+        weights = ds.ps.mu.weights[::-1]
+        return ProbabilityStructure.ds(ds.ps.space, ds.ps.algebra.basis, weights, ds.lang, ds.inc.images)
+
+    # the ic rounds fail one way, the ds rounds on the way back
+    monkeypatch.setattr(translate, "ic_to_ds", moves_weight)
+    assert main(["fuzz", "--props", "2", "--worlds", "3", "--iters", "4", "--seed", "1"]) == 1
+    assert capsys.readouterr() == (
+        "2/8 translation checks passed\n",
+        "seed 1 (ic round): witness (~p1 & ~p2): [0, 0] vs [0, 1]\n"
+        "seed 1 (ds round): witness (~p1 & ~p2): [0, 1] vs [0, 0]\n"
+        "seed 2 (ds round): witness (~p1 & ~p2): [1, 1] vs [0, 0]\n"
+        "seed 3 (ic round): witness (~p1 & ~p2): [0, 9/17] vs [0, 8/17]\n"
+        "seed 4 (ic round): witness (~p1 & ~p2): [0, 1] vs [0, 0]\n"
+        "seed 4 (ds round): witness (~p1 & ~p2): [0, 1/2] vs [0, 0]\n",
+    )
+
+
 def test_fuzz_rejects_zero_iters(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fuzz", "--iters", "0"])

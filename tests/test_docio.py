@@ -140,9 +140,26 @@ def test_save_load_files(tmp_path):
     assert load(path) == coats_ds()
 
 
+@pytest.mark.parametrize("build", [coats_ds, coats_ic])
+def test_save_writes_the_bytes_of_to_json(tmp_path, build):
+    path = tmp_path / "doc.json"
+    save(build(), path)
+    assert path.read_bytes() == to_json(build()).encode()
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-16-le", "utf-32"])
+def test_a_file_loads_as_from_json_reads_its_bytes(encoding, tmp_path, capsys):
+    for build in (coats_ds, coats_ic):
+        path = tmp_path / f"{build.__name__}.json"
+        path.write_bytes(to_json(build()).encode(encoding))
+        assert load(path) == from_json(path.read_bytes()) == build()
+        assert main(["interval", str(path), "g"]) == 0
+        assert capsys.readouterr() == ("[1/2, 1/2]\n", "")
+
+
 def test_a_file_that_is_not_utf8_is_a_document_error(tmp_path, capsys):
     path = tmp_path / "latin1.json"
-    path.write_bytes(b"\xff\xfe{}")
+    path.write_bytes(b"\xff{}")
     message = "document is not UTF-8 text: invalid start byte at byte 0"
     with pytest.raises(DocumentError) as err:
         load(path)
@@ -314,6 +331,21 @@ def test_rejects_duplicate_keys():
 def test_rejects_bad_rational():
     with pytest.raises(DocumentError, match="rational"):
         from_json(edited(coats_ds, lambda d: d["measure"].update({"0": "0.5"})))
+
+
+@pytest.mark.parametrize(
+    "build, mutate, message",
+    [
+        (coats_ds, lambda d: d.update(measure=["1/2", "1/2"]), 'field "measure" must be an object'),
+        (coats_ic, lambda d: d["measure"].update({"1": 0.5}), "measure weight of block 1 must be a rational string"),
+        (coats_ic, lambda d: d.update(incidence=[]), 'field "incidence" must be an object'),
+        (coats_ds, lambda d: d.update(chi_basis={"0": ["s1", "s2"]}), 'field "chi_basis" must be a list'),
+    ],
+)
+def test_rejects_fields_of_the_wrong_json_type(build, mutate, message):
+    with pytest.raises(DocumentError) as err:
+        from_json(edited(build, mutate))
+    assert str(err.value) == message
 
 
 def test_rejects_bad_measure_keys():

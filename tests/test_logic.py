@@ -534,6 +534,13 @@ def test_connective_functions():
     assert (g & ~g).is_false
 
 
+def test_formula_bitmask_must_be_in_range():
+    for atoms in (16, -1):
+        with pytest.raises(ValidationError) as err:
+            Formula(GD, atoms)
+        assert str(err.value) == f"atom bitmask {atoms} out of range"
+
+
 def test_connectives_reject_language_mixes():
     other = Language(("g", "e"))
     with pytest.raises(LanguageMismatchError):
@@ -683,6 +690,12 @@ def test_generate_algebra_matches_the_atom_signature_oracle_at_16_propositions()
     assert len(algebra.basis) > 4
 
 
+def test_generate_algebra_refuses_a_generator_of_another_language():
+    with pytest.raises(LanguageMismatchError) as err:
+        generate_algebra([parse_formula("g", GD), parse_formula("g", Language(("g",)))], GD)
+    assert str(err.value) == "generator belongs to a different language"
+
+
 def test_algebra_member():
     algebra = generate_algebra([Formula(GD, 0b0100), Formula(GD, 0b0001)], GD)
     assert algebra.member(parse_formula("~g & ~d", GD))
@@ -735,6 +748,25 @@ def test_basis_of_requires_closure():
                 for t in ["false", "~g & ~d", "g & ~d", "~(~g & ~d)", "~(g & ~d)", "true"]
             ]
         )
+    # each fault named with the first member found missing
+    lang = Language(("a0", "a1"))
+    for texts, message in (
+        (["false", "a0 & a1", "true"], "negation: missing (~a0 & ~a1) | (a0 & ~a1) | (~a0 & a1)"),
+        (["false", "true", "a0", "~a0", "a1", "~a1"], "conjunction: missing (~a0 & ~a1)"),
+        (
+            ["false", "true", "~a0 & ~a1", "a0 & ~a1", "a0 | a1", "~a0 | a1"],
+            "disjunction: missing (~a0 & ~a1) | (a0 & ~a1)",
+        ),
+    ):
+        with pytest.raises(ValidationError) as err:
+            basis_of([parse_formula(t, lang) for t in texts])
+        assert str(err.value) == "algebra is not closed under " + message
+
+
+def test_basis_of_refuses_members_of_two_languages():
+    with pytest.raises(LanguageMismatchError) as err:
+        basis_of([false_formula(GD), true_formula(GD), true_formula(Language(("g",)))])
+    assert str(err.value) == "members belong to different languages"
 
 
 def test_basis_partition_properties():

@@ -152,10 +152,25 @@ def test_set_algebra_must_partition():
     assert str(err.value) == "basis blocks must be nonempty"
 
 
+def test_world_set_bitmask_must_be_in_range():
+    space = SampleSpace(("s1", "s2"))
+    for bits in (4, -1):
+        with pytest.raises(ValidationError) as err:
+            WorldSet(space, bits)
+        assert str(err.value) == f"world bitmask {bits} out of range"
+
+
 def test_measure_fn_length_must_match_basis():
     space = SampleSpace(("s1", "s2"))
     with pytest.raises(ValidationError):
         ProbabilitySpace(space, discrete_algebra(space), MeasureFn((Fraction(1),)))
+
+
+def test_probability_space_algebra_must_be_over_its_space():
+    space, other = SampleSpace(("s1", "s2")), SampleSpace(("s1", "s3"))
+    with pytest.raises(ValidationError) as err:
+        ProbabilitySpace(space, discrete_algebra(other), MeasureFn((HALF, HALF)))
+    assert str(err.value) == "algebra is over a different sample space"
 
 
 # --- measure -----------------------------------------------------------------

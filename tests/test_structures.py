@@ -848,6 +848,11 @@ def test_structure_shape_errors():
         ProbabilityStructure(ic.ps, Language(("x",)), ic.psi, ic.inc, "ic")
     with pytest.raises(ValidationError, match="structure kind must be 'ic' or 'ds', got 'nope'"):
         ProbabilityStructure(ic.ps, ic.lang, ic.psi, ic.inc, "nope")
+    other = SampleSpace(tuple(f"x{i}" for i in range(ic.ps.space.size)))
+    images = IncidenceMap(other, [WorldSet(other, image.bits) for image in ic.inc.images])
+    with pytest.raises(ValidationError) as err:
+        ProbabilityStructure(ic.ps, ic.lang, ic.psi, images, "ic")
+    assert str(err.value) == "incidence map is over a different sample space"
 
 
 @pytest.mark.parametrize(

@@ -44,7 +44,7 @@ from probstruct import (
 from probstruct.logic import FormulaAlgebra, _sorted_blocks
 import probstruct.translate as translate
 from probstruct.structures import _masses
-from probstruct.translate import _witness_mask
+from probstruct.translate import _net, _witness_mask
 
 HALF = Fraction(1, 2)
 
@@ -396,6 +396,19 @@ def test_witness_matches_the_formula_scan():
         kinds.add((sum(diff.values()) == 0, got < min(diff)))
     # a sum other than 0 puts the witness at 0; otherwise either side can decide it
     assert kinds == {(False, True), (True, False), (True, True)}
+
+
+class _Unhashable(int):
+    """A mask that fails the test when a dict hashes it."""
+
+    def __hash__(self):
+        raise AssertionError(f"mask {int(self)} was hashed")
+
+
+def test_net_never_hashes_a_zero_amount():
+    # at 16 propositions a mask is 8 KB, and all but a few mass pairs weigh 0
+    pairs = [(_Unhashable(6), 0), (3, 2), (_Unhashable(3), 0), (5, 1), (3, -2)]
+    assert _net(pairs) == {5: 1}
 
 
 def _bad_weights(st, weights):

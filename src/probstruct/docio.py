@@ -22,22 +22,25 @@ list element or object member per line, ``": "`` after each key, ``[]`` for
 an empty list, strings escaped to ASCII, and a trailing newline.  Loading
 canonical text and saving it again reproduces it byte for byte.
 
-``from_json`` reads the incidence in one pass.  An ic key spelled as its
-``psi_basis`` block is found by that text; other keys are looked up term by
-term in the table of atom texts ``to_json`` writes from, built once per call
-and only if the first key begins with one, or else read literal by literal
-(``logic._read_atoms``) or, failing that, parsed by ``parse_formula``, which
-raises every error.  Text that does not parse and world lists that are not
-of strings raise in key order; the first key with no block of its own, or
-with a bad world, is held until the fields before ``incidence`` are checked.
-A ds structure's blocks are the single atoms: ``from_json`` builds them
-without re-checking them, and ``to_json`` writes their keys straight from
-the table of atom texts, whatever order the blocks are in.
+``from_json`` recognises a canonical document as a whole: when the
+incidence keys are, in order, the atom texts ``to_json`` writes (ds) or the
+``psi_basis`` texts (ic), key ``j`` is block ``j``, and the images are read
+in one pass.  Any other document, and any fault, is read key by key: each key
+is found by its lowest atom, read term by term from the table of atom texts
+(built at most once per call, and only if the first key begins with one), or
+else literal by literal (``logic._read_atoms``) or, failing that, parsed by
+``parse_formula``, which raises every error.  Text that does not parse and
+world lists that are not of strings raise in key order; the first key with
+no block of its own, or with a bad world, is held until the fields before
+``incidence`` are checked.  The algebras hold their blocks as masks: a ds
+structure's blocks are the single atoms, which ``from_json`` does not
+re-check, and ``to_json`` writes their keys straight from the atom texts.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from typing import Iterable
 
 from .errors import DocumentError, ProbstructError, ValidationError
@@ -102,15 +105,15 @@ def _atom_keys(lang: Language) -> Iterable[str]:
 
 def _psi_keys(psi: FormulaAlgebra) -> tuple[list[int], list[str]]:
     """The basis blocks' positions in canonical order, and their written texts."""
-    if len(psi.basis) == psi.lang.n_atoms:
+    if len(psi.masks) == psi.lang.n_atoms:
         # the blocks partition the atoms, so each is one atom, and its mask sorts as its index
-        order = sorted(range(len(psi.basis)), key=[block.atoms for block in psi.basis].__getitem__)
+        order = sorted(range(len(psi.masks)), key=psi.masks.__getitem__)
         return order, list(map(_encode, _atom_keys(psi.lang)))
-    indices = [set_bits(block.atoms) for block in psi.basis]
+    indices = [set_bits(mask) for mask in psi.masks]
     order = sorted(range(len(indices)), key=lambda j: indices[j][0])
     # the blocks partition the atoms, so each atom's text is used once
     atom_text = _atom_texts(psi.lang).__getitem__
-    return order, [_encode(_join_terms(psi.basis[j], map(atom_text, indices[j]))) for j in order]
+    return order, [_encode(_join_terms(psi.lang, psi.masks[j], map(atom_text, indices[j]))) for j in order]
 
 
 def to_json(st: ProbabilityStructure) -> str:
@@ -119,11 +122,11 @@ def to_json(st: ProbabilityStructure) -> str:
         raise DocumentError("refusing to serialize an invalid structure: " + "; ".join(st._problems))
     world = [_encode(w) for w in st.ps.space.worlds]
 
-    def world_list(ws: WorldSet) -> str:
-        return _list([world[i] for i in set_bits(ws.bits)], 2) if ws.bits else "[]"
+    def world_list(bits: int) -> str:
+        return _list([world[i] for i in set_bits(bits)], 2) if bits else "[]"
 
-    chi, weights, images = st.ps.algebra.basis, st.ps.mu.weights, st.inc.images
-    chi_order = sorted(range(len(chi)), key=lambda j: low_bit(chi[j].bits))
+    chi, weights, images = st.ps.algebra.masks, st.ps.mu.weights, st.inc.images
+    chi_order = sorted(range(len(chi)), key=lambda j: low_bit(chi[j]))
     psi_order, keys = _psi_keys(st.psi)
     fields = [
         ("kind", _encode(st.kind.value)),
@@ -139,7 +142,7 @@ def to_json(st: ProbabilityStructure) -> str:
     fields.append(("measure", _object(measure, 1)))
     if st.kind is StructureKind.IC:
         fields.append(("psi_basis", _list(keys, 1)))
-    incidence = zip(keys, (world_list(images[j]) for j in psi_order))
+    incidence = zip(keys, (world_list(images[j].bits) for j in psi_order))
     fields.append(("incidence", _object(incidence, 1)))
     return _object(((_encode(name), value) for name, value in fields), 0) + "\n"
 
@@ -205,6 +208,9 @@ def from_json(text: str, check: bool = True) -> ProbabilityStructure:
         encoding = json.detect_encoding(text).upper().removesuffix("-SIG")
         at = e.start + 3 * text.startswith(b"\xef\xbb\xbf")  # utf-8-sig counts from after its mark
         raise DocumentError(f"document is not {encoding} text: {e.reason} at byte {at}") from None
+    except ValueError:  # an integer past the interpreter's limit on digits
+        limit = sys.get_int_max_str_digits()
+        raise DocumentError(f"parse error: an integer has more than {limit} digits") from None
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
 
@@ -249,15 +255,15 @@ def _measure_weights(raw_measure, count: int) -> MeasureFn:
     return MeasureFn(tuple(weights))
 
 
-def _atom_table(lang: Language, keys) -> dict[str, int]:
-    """The atom index of each atom's text as ``to_json`` writes it, if the
-    first key begins with such a text; else empty, and nothing is built."""
+def _atom_spelling(lang: Language, keys) -> list[str]:
+    """Each atom's text as ``to_json`` writes it, in index order, if the first
+    key begins with such a text; else empty, and nothing is built."""
     first = next(iter(keys), "").partition(" | ")[0]
     atom = _read_atoms(first, lang)  # the mask of the term's atom, if it is one
     spelled = "({})" if len(lang.props) > 1 else "{}"
     if atom is None or first != spelled.format(_atom_text(lang, atom.bit_length() - 1)):
-        return {}
-    return dict(zip(_atom_keys(lang), range(lang.n_atoms)))
+        return []
+    return list(_atom_keys(lang))
 
 
 def _read_block(text: str, lang: Language, atom: dict[str, int]) -> tuple[int, int]:
@@ -293,7 +299,8 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
     incidence = raw["incidence"]
     if not isinstance(incidence, dict):
         raise DocumentError('field "incidence" must be an object')
-    atom = _atom_table(lang, incidence)
+    spelled = _atom_spelling(lang, incidence)
+    atom = dict(zip(spelled, range(lang.n_atoms))) if kind == "ic" else None  # a ds needs it key by key
     # The fields before incidence are read first, but a fault in them or in
     # the keys' blocks and worlds is held until every key and list is read.
     fault = None
@@ -307,47 +314,52 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
                 bits = _world_bits(space, names, what)
                 if bits is None:
                     raise DocumentError(_world_fault(space, names, what))
-                chi.append(WorldSet(space, bits))
-            algebra = SetAlgebra(space, chi)
-            # the blocks are the single atoms, which the table finds by their text
-            psi, blocks, block_of = full_algebra(lang), [], atom
+                chi.append(bits)
+            algebra = SetAlgebra._of(space, tuple(chi))._check()
+            # the blocks are the single atoms, whose keys are the texts ``to_json`` writes
+            psi, blocks, texts = full_algebra(lang), [], spelled
         else:
             texts = _name_list(raw["psi_basis"], '"psi_basis"')
             blocks = [_read_block(text, lang, atom) for text in texts]
-            psi = FormulaAlgebra(lang, [Formula(lang, mask) for _, mask in blocks])
-            algebra, block_of = discrete_algebra(space), dict(zip(texts, range(len(texts))))
-        mu = _measure_weights(raw["measure"], len(algebra.basis))
+            psi = FormulaAlgebra._of(lang, tuple(mask for _, mask in blocks))._check()
+            algebra = discrete_algebra(space)
+        mu = _measure_weights(raw["measure"], len(algebra.masks))
     except ProbstructError as e:
-        psi, blocks, block_of, fault = None, [], {}, str(e)
-    of_low = {low: j for j, (low, _) in enumerate(blocks)}
-    no_block, twice, missing = _KEY_FAULTS[kind]
-    images: list[WorldSet | None] = [None] * (0 if psi is None else len(psi.basis))
+        psi, blocks, texts, fault = None, [], [], str(e)
     empty = space.nothing()  # most blocks have no worlds; they share one set
-    for key, names in incidence.items():
-        j = block_of.get(key)
-        if j is not None and names == [] and images[j] is None:  # the commonest key: no worlds
-            images[j] = empty
-            continue
-        if j is None:  # spelled unlike its block: find that by its lowest atom
+    images = None
+    if texts and list(incidence) == texts:  # a canonical document: key j is block j's text
+        bits = [0 if names == [] else _world_bits(space, names, f"incidence of {key!r}")
+                for key, names in incidence.items()]
+        if None not in bits:
+            images = [WorldSet(space, b) if b else empty for b in bits]
+    if images is None:  # any other document, or a fault: key by key, each found by its lowest atom
+        atom = dict(zip(spelled, range(lang.n_atoms))) if atom is None else atom
+        of_low = {low: j for j, (low, _) in enumerate(blocks)}
+        no_block, twice, missing = _KEY_FAULTS[kind]
+        images = [None] * (0 if psi is None else len(psi.masks))
+        for key, names in incidence.items():
             low, mask = _read_block(key, lang, atom)
             j = low if kind == "ds" else of_low.get(low)
-            if fault or j is None or psi.basis[j].atoms != mask:
+            if fault or j is None or psi.masks[j] != mask:
                 j = None
-        bits = 0 if names == [] else _world_bits(space, names, f"incidence of {key!r}")
+            bits = 0 if names == [] else _world_bits(space, names, f"incidence of {key!r}")
+            if fault:
+                continue
+            if j is not None and images[j] is None and bits is not None:
+                images[j] = WorldSet(space, bits) if bits else empty
+                continue
+            text = format_formula(Formula(lang, mask))  # the key's block, if it has one
+            if j is None:
+                fault = no_block.format(text)
+            elif images[j] is not None:
+                fault = twice.format(text)
+            else:
+                fault = _world_fault(space, names, f"incidence of {text!r}")
         if fault:
-            continue
-        if j is None:
-            fault = no_block.format(format_formula(Formula(lang, mask)))
-        elif images[j] is not None:
-            fault = twice.format(format_formula(psi.basis[j]))
-        elif bits is None:
-            fault = _world_fault(space, names, f"incidence of {format_formula(psi.basis[j])!r}")
-        else:
-            images[j] = WorldSet(space, bits) if bits else empty
-    if fault:
-        raise DocumentError(fault)
-    if len(incidence) != len(images):  # each key has a block of its own
-        raise DocumentError(missing.format(len(images), len(incidence)))
+            raise DocumentError(fault)
+        if len(incidence) != len(images):  # each key has a block of its own
+            raise DocumentError(missing.format(len(images), len(incidence)))
     ps = ProbabilitySpace(space, algebra, mu)
     return ProbabilityStructure(ps, lang, psi, IncidenceMap(space, images), StructureKind(kind))
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -35,8 +36,7 @@ from .errors import (
     UnknownPropositionError,
     ValidationError,
 )
-from .value import Value, as_tuple, check_names, is_union, low_bit, partition_faults, require_type
-from .value import set_bits, setfield
+from .value import Partition, Value, as_tuple, check_names, low_bit, require_type, set_bits, setfield
 
 MAX_PROPS = 16
 MAX_NESTING = 100  # deepest parenthesis nesting the parser accepts
@@ -274,16 +274,16 @@ def _parse_tokens(text: str, lang: Language) -> int:
 def format_formula(f: Formula) -> str:
     """Canonical text: disjunction of atom conjunctions in index order."""
     require_type(f, Formula, "formula")
-    return _join_terms(f, [_atom_text(f.lang, k) for k in set_bits(f.atoms)])
+    return _join_terms(f.lang, f.atoms, [_atom_text(f.lang, k) for k in set_bits(f.atoms)])
 
 
-def _join_terms(f: Formula, terms: Iterable[str]) -> str:
-    """The canonical text of ``f``, given the texts of its atoms in index order."""
-    if not f.atoms:
+def _join_terms(lang: Language, atoms: int, terms: Iterable[str]) -> str:
+    """The canonical text of the atom mask ``atoms``, given the texts of its atoms in index order."""
+    if not atoms:
         return "false"
-    if f.atoms == f.lang.full_mask:
+    if atoms == lang.full_mask:
         return "true"
-    if len(f.lang.props) > 1:
+    if len(lang.props) > 1:
         return "(" + ") | (".join(terms) + ")"
     return " | ".join(terms)
 
@@ -302,7 +302,7 @@ def _atom_texts(lang: Language) -> list[str]:
 # --- finite algebras of formulas -------------------------------------------
 
 
-class FormulaAlgebra(Value):
+class FormulaAlgebra(Partition):
     """A finite algebra of formulas, held by its basis.
 
     The basis blocks partition the atoms; the algebra's members are exactly
@@ -311,55 +311,26 @@ class FormulaAlgebra(Value):
     """
 
     _fields = ("lang", "basis")
-    __slots__ = _fields
-
-    def __init__(self, lang: Language, basis: Iterable[Formula]):
-        require_type(lang, Language, "algebra language")
-        basis = as_tuple(basis, "basis blocks")
-        for block in basis:
-            if not isinstance(block, Formula):
-                raise ValidationError(f"basis block must be Formula, got {type(block).__name__}")
-            if block.lang is not lang and block.lang != lang:
-                raise LanguageMismatchError("basis block belongs to a different language")
-        for i, shared in partition_faults([block.atoms for block in basis], lang.full_mask):
-            if i is None:  # each branch raises
-                raise ValidationError("basis blocks do not cover every atom")
-            if not shared:
-                raise ValidationError("basis blocks must be nonempty")
-            raise ValidationError(
-                f"basis blocks overlap: {format_formula(basis[i])} is not disjoint from earlier blocks"
-            )
-        setfield(self, "lang", lang)
-        setfield(self, "basis", basis)
-
-    def member(self, f: Formula) -> bool:
-        """True iff ``f`` is a union of basis blocks."""
-        _check_lang(self, f)
-        return is_union((block.atoms for block in self.basis), f.atoms)
+    __slots__ = ("lang",)
+    _owner = Language, "algebra language", LanguageMismatchError, "language"
+    _element, _full, _check_element = Formula, attrgetter("full_mask"), staticmethod(_check_lang)
+    _noun, _overlap = "atom", "basis blocks overlap: {} is not disjoint from earlier blocks"
 
     def members(self) -> Iterator[Formula]:
         """Every member, i.e. all unions of basis blocks (2**k of them)."""
-        for chosen in itertools.product((False, True), repeat=len(self.basis)):
+        for chosen in itertools.product((False, True), repeat=len(self.masks)):
             mask = 0
-            for pick, block in zip(chosen, self.basis):
+            for pick, block in zip(chosen, self.masks):
                 if pick:
-                    mask |= block.atoms
+                    mask |= block
             yield Formula(self.lang, mask)
 
 
 def full_algebra(lang: Language) -> FormulaAlgebra:
     """The algebra of all formulas: basis blocks are the single atoms.  They
-    are in range and partition the atoms, so no ``__init__`` checks them."""
+    partition the atoms, so they are not checked."""
     require_type(lang, Language, "algebra language")
-    blocks = list(map(object.__new__, itertools.repeat(Formula, lang.n_atoms)))
-    set_lang, set_atoms = Formula.lang.__set__, Formula.atoms.__set__  # past Value.__setattr__
-    for k, block in enumerate(blocks):
-        set_lang(block, lang)
-        set_atoms(block, 1 << k)
-    algebra = object.__new__(FormulaAlgebra)
-    setfield(algebra, "lang", lang)
-    setfield(algebra, "basis", tuple(blocks))
-    return algebra
+    return FormulaAlgebra._of(lang, tuple(1 << k for k in range(lang.n_atoms)))
 
 
 def trivial_algebra(lang: Language) -> FormulaAlgebra:
@@ -387,7 +358,7 @@ def generate_algebra(generators: Iterable[Formula], lang: Language) -> FormulaAl
     blocks = [lang.full_mask]
     for g in gens:
         blocks = [part for b in blocks for part in (b & g.atoms, b & ~g.atoms) if part]
-    return FormulaAlgebra(lang, _sorted_blocks(blocks, lang))
+    return FormulaAlgebra._of(lang, tuple(sorted(blocks, key=low_bit)))  # nonempty, disjoint, covering
 
 
 def basis_of(member_list: Iterable[Formula]) -> FormulaAlgebra:

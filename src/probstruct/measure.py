@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import NotMeasurableError, ValidationError
-from .value import Value, as_tuple, check_names, is_union, partition_faults, require_type, set_bits, setfield
+from .value import Partition, Value, as_tuple, check_names, require_type, set_bits, setfield
 
 MAX_WORLDS = 64
 
@@ -143,41 +144,23 @@ def _check_space(a, b) -> None:
         raise ValidationError("world sets belong to different sample spaces")
 
 
-class SetAlgebra(Value):
+class SetAlgebra(Partition):
     """A finite algebra of world sets, held by its basis partition.
 
     Members are exactly the unions of basis blocks.
     """
 
     _fields = ("space", "basis")
-    __slots__ = _fields
-
-    def __init__(self, space: SampleSpace, basis: Iterable[WorldSet]):
-        require_type(space, SampleSpace, "algebra space")
-        basis = as_tuple(basis, "basis blocks")
-        for block in basis:
-            if not isinstance(block, WorldSet):
-                raise ValidationError(f"basis block must be WorldSet, got {type(block).__name__}")
-            if block.space is not space and block.space != space:
-                raise ValidationError("basis block belongs to a different sample space")
-        for i, shared in partition_faults([block.bits for block in basis], space.full_bits):
-            if i is None:  # each branch raises
-                raise ValidationError("basis blocks do not cover every world")
-            if not shared:
-                raise ValidationError("basis blocks must be nonempty")
-            raise ValidationError(f"basis blocks overlap: {basis[i]} intersects earlier blocks")
-        setfield(self, "space", space)
-        setfield(self, "basis", basis)
-
-    def member(self, x: WorldSet) -> bool:
-        _check_space(self, x)
-        return is_union((block.bits for block in self.basis), x.bits)
+    __slots__ = ("space",)
+    _owner = SampleSpace, "algebra space", ValidationError, "sample space"
+    _element, _full, _check_element = WorldSet, attrgetter("full_bits"), staticmethod(_check_space)
+    _noun, _overlap = "world", "basis blocks overlap: {} intersects earlier blocks"
 
 
 def discrete_algebra(space: SampleSpace) -> SetAlgebra:
     """The algebra of all subsets: basis blocks are the singletons."""
     require_type(space, SampleSpace, "algebra space")
-    return SetAlgebra(space, tuple(WorldSet(space, 1 << i) for i in range(space.size)))
+    return SetAlgebra._of(space, tuple(1 << i for i in range(space.size)))
 
 
 class MeasureFn(Value):
@@ -225,10 +208,10 @@ class ProbabilitySpace(Value):
         require_type(mu, MeasureFn, "probability space measure")
         if algebra.space != space:
             raise ValidationError("algebra is over a different sample space")
-        if len(mu.weights) != len(algebra.basis):
+        if len(mu.weights) != len(algebra.masks):
             raise ValidationError(
                 f"measure has {len(mu.weights)} weights for "
-                f"{len(algebra.basis)} basis blocks"
+                f"{len(algebra.masks)} basis blocks"
             )
         setfield(self, "space", space)
         setfield(self, "algebra", algebra)
@@ -241,9 +224,9 @@ def _covered(ps: ProbabilitySpace, x: WorldSet) -> tuple[int, Fraction]:
     _check_space(ps.algebra, x)
     covered = 0
     total = ZERO
-    for block, w in zip(ps.algebra.basis, ps.mu.weights):
-        if block.bits & ~x.bits == 0:
-            covered |= block.bits
+    for block, w in zip(ps.algebra.masks, ps.mu.weights):
+        if block & ~x.bits == 0:
+            covered |= block
             total += w
     return covered, total
 

@@ -144,10 +144,10 @@ class ProbabilityStructure(Value):
             raise ValidationError("formula algebra is over a different language")
         if inc.space != ps.space:
             raise ValidationError("incidence map is over a different sample space")
-        if len(inc.images) != len(psi.basis):
+        if len(inc.images) != len(psi.masks):
             raise ValidationError(
                 f"incidence map has {len(inc.images)} images for "
-                f"{len(psi.basis)} basis blocks"
+                f"{len(psi.masks)} basis blocks"
             )
         setfield(self, "ps", ps)
         setfield(self, "lang", lang)
@@ -198,20 +198,20 @@ def _problems(st: ProbabilityStructure) -> tuple[str, ...]:
         return st._problems
     problems = st.ps.mu.weight_problems() + st.inc.partition_problems()
     if st.kind is StructureKind.IC:
-        for block in st.ps.algebra.basis:
-            if block.bits.bit_count() != 1:
+        for bits in st.ps.algebra.masks:
+            if bits.bit_count() != 1:
                 problems.append(
                     f"ic structure requires every world set measurable, but "
-                    f"measure basis block {block} is not a singleton"
+                    f"measure basis block {WorldSet(st.ps.space, bits)} is not a singleton"
                 )
     # the blocks partition the atoms, so they are all single atoms exactly
     # when there is one per atom; walk them only to name the others
-    elif len(st.psi.basis) != st.lang.n_atoms:
-        for block in st.psi.basis:
-            if block.atoms.bit_count() != 1:
+    elif len(st.psi.masks) != st.lang.n_atoms:
+        for atoms in st.psi.masks:
+            if atoms.bit_count() != 1:
                 problems.append(
                     f"ds structure requires an incidence for every formula, but "
-                    f"formula basis block {format_formula(block)} is not a single atom"
+                    f"formula basis block {format_formula(Formula(st.lang, atoms))} is not a single atom"
                 )
     setfield(st, "_problems", tuple(problems))
     return st._problems
@@ -250,9 +250,9 @@ def _split(st: ProbabilityStructure, xi: Formula, kind=None, op="") -> tuple[Wor
     _check_lang(st.psi, xi)
     f = xi.atoms
     inside, outside, mixed = 0, 0, False
-    for block, image in zip(st.psi.basis, st.inc.images):
-        common = block.atoms & f
-        if common == block.atoms:
+    for block, image in zip(st.psi.masks, st.inc.images):
+        common = block & f
+        if common == block:
             inside |= image.bits
         elif common:
             mixed = True
@@ -310,15 +310,15 @@ def _masses(st: ProbabilityStructure) -> tuple[tuple[tuple[int, int], ...], int]
         return st._masses
     den = math.lcm(*(w.denominator for w in st.ps.mu.weights))
     nums = [w.numerator * (den // w.denominator) for w in st.ps.mu.weights]
-    chi = list(zip((block.bits for block in st.ps.algebra.basis), nums))
-    images = zip(st.psi.basis, st.inc.images)
+    chi = list(zip(st.ps.algebra.masks, nums))
+    images = zip(st.psi.masks, st.inc.images)
     if st.kind is StructureKind.IC:  # the measurable blocks are the single worlds
         pairs = [
-            (block.atoms, sum(n for bits, n in chi if bits & image.bits) if image.bits else 0)
+            (block, sum(n for bits, n in chi if bits & image.bits) if image.bits else 0)
             for block, image in images
         ]
     else:
-        live = [(block.atoms, image.bits) for block, image in images if image.bits]
+        live = [(block, image.bits) for block, image in images if image.bits]
         pairs = [(sum(atoms for atoms, bits in live if bits & chi_bits), n) for chi_bits, n in chi]
     setfield(st, "_masses", (tuple(pairs), den))
     return st._masses

@@ -122,7 +122,7 @@ def ds_to_ic(ds: ProbabilityStructure) -> ProbabilityStructure:
     dead = bin(ds.lang.full_mask & ~sum(masks))[:1:-1]  # character k is bit k
     blocks.update({k: (1 << k, empty) for k, bit in enumerate(dead) if bit == "1"})
     order = sorted(blocks)
-    psi = FormulaAlgebra(ds.lang, [Formula(ds.lang, blocks[k][0]) for k in order])
+    psi = FormulaAlgebra._of(ds.lang, tuple(blocks[k][0] for k in order))
     return ProbabilityStructure.ic(space, ds.ps.mu.weights, psi, [blocks[k][1] for k in order])
 
 

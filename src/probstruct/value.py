@@ -80,11 +80,6 @@ def set_bits(mask: int) -> list[int]:
     return positions
 
 
-def is_union(blocks, mask: int) -> bool:
-    """Whether ``mask`` is a union of the partition ``blocks``: each lies inside it or misses it."""
-    return all(block & mask in (0, block) for block in blocks)
-
-
 def partition_faults(masks: list[int], full: int):
     """Where ``masks`` fail to partition ``full``: ``(i, shared)`` for each mask ``i`` that is
     empty or meets those before it on the bits ``shared``, then ``(None, missing)`` for the bits
@@ -106,8 +101,8 @@ class Value:
     Fields live in ``__slots__``; assigning or deleting an attribute raises
     ``AttributeError``.  Equality, hash, ``repr`` and pickling go by the
     fields, and values of different classes never compare equal.  Each
-    subclass writes its own ``__init__``, which checks its arguments and
-    stores the fields with ``setfield``.  ``__ne__`` answers a value
+    subclass (for its views, ``Partition``) writes the ``__init__`` that
+    checks its arguments and stores the fields with ``setfield``.  ``__ne__`` answers a value
     compared with itself at once: every check that two values share a
     language or a sample space makes that comparison.
     """
@@ -146,3 +141,76 @@ class Value:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class Partition(Value):
+    """Nonempty blocks that partition the bits of an owner, kept as the bitmasks
+    ``masks``: the one type under ``FormulaAlgebra`` (of a language's atoms) and
+    ``SetAlgebra`` (of a sample space's worlds), built as ``View(owner, basis)``.
+
+    A view names its owner first in ``_fields`` and sets ``_owner`` (the
+    owner's type, its name in a type error, and the error and the word for a
+    block of another owner), ``_element`` (the block type, whose ``_key`` is
+    its owner and mask), ``_full`` (the owner's mask of every bit),
+    ``_check_element`` (what ``member`` refuses) and the words of the partition
+    faults.  ``basis`` builds the blocks when it is first read.  Equality
+    compares the masks; hash, ``repr`` and pickling go by ``basis``, as when
+    the blocks themselves were kept.
+    """
+
+    __slots__ = ("masks", "_basis")
+    _fields = ("owner", "basis")
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._key = attrgetter(cls._fields[0], "masks")
+
+    def __init__(self, owner, basis):
+        owner_type, what, mismatch, where = self._owner
+        require_type(owner, owner_type, what)
+        element, masks = self._element, []
+        for block in as_tuple(basis, "basis blocks"):
+            if not isinstance(block, element):
+                raise ValidationError(f"basis block must be {element.__name__}, got {type(block).__name__}")
+            block_owner, mask = block._key(block)
+            if block_owner != owner:
+                raise mismatch(f"basis block belongs to a different {where}")
+            masks.append(mask)
+        self._set(owner, tuple(masks))._check()
+
+    @classmethod
+    def _of(cls, owner, masks: tuple):
+        """The partition of ``owner``'s bits into ``masks``, unchecked."""
+        return object.__new__(cls)._set(owner, masks)
+
+    def _set(self, owner, masks: tuple):
+        setfield(self, self._fields[0], owner)
+        setfield(self, "masks", masks)
+        return self
+
+    def _check(self):
+        """``self``, if its masks partition its owner's bits; else ``ValidationError`` for the first fault."""
+        owner = getattr(self, self._fields[0])
+        for i, shared in partition_faults(self.masks, self._full(owner)):
+            if i is None:  # each branch raises
+                raise ValidationError(f"basis blocks do not cover every {self._noun}")
+            if not shared:
+                raise ValidationError("basis blocks must be nonempty")
+            raise ValidationError(self._overlap.format(self._element(owner, self.masks[i])))
+        return self
+
+    @property
+    def basis(self) -> tuple:
+        if not hasattr(self, "_basis"):  # built when first read, then kept outside the fields
+            owner = getattr(self, self._fields[0])
+            setfield(self, "_basis", tuple(self._element(owner, mask) for mask in self.masks))
+        return self._basis
+
+    def member(self, x) -> bool:
+        """True iff ``x`` is a union of basis blocks: each lies inside it or misses it."""
+        self._check_element(self, x)
+        mask = x._key(x)[1]
+        return all(block & mask in (0, block) for block in self.masks)
+
+    def __hash__(self):
+        return hash((getattr(self, self._fields[0]), self.basis))

@@ -1,5 +1,6 @@
 """Structure document serialization: canonical form, strict loading."""
 
+import gc
 import json
 import os
 import random
@@ -21,6 +22,7 @@ from probstruct import (
     coats_ic,
     format_formula,
     from_json,
+    interval,
     load,
     parse_formula,
     random_ic,
@@ -608,7 +610,7 @@ def test_formula_text_loads_as_parse_formula_reads_it(make_text):
     text = make_text()
     doc = json.loads(text)
     lang = Language(tuple(doc["propositions"]))
-    atom = docio._atom_table(lang, doc["incidence"])
+    atom = {text: k for k, text in enumerate(docio._atom_spelling(lang, doc["incidence"]))}
     for atom_text, k in atom.items():
         assert parse_formula(atom_text, lang).atoms == 1 << k
     for formula_text in [*doc["incidence"], *doc.get("psi_basis", [])]:
@@ -988,3 +990,90 @@ def test_several_field_faults_report_a_fixed_one(case):
     with pytest.raises(DocumentError) as err:
         from_json(text)
     assert str(err.value) == message
+
+
+def test_an_integer_past_the_digit_limit_is_a_document_error(tmp_path, capsys):
+    # json.loads raises a bare ValueError for an integer of more digits than
+    # the interpreter converts (4,300 by default), wherever it stands
+    message = "parse error: an integer has more than 4300 digits"
+    text = to_json(coats_ds())[:-2] + ', "x": ' + "9" * 5000 + "}\n"
+    for data in (text, text.encode("utf-16"), '{"kind": "ds", "measure": {"0": [-' + "1" * 4301 + "]}}"):
+        with pytest.raises(Exception) as err:
+            from_json(data)
+        assert type(err.value) is DocumentError
+        assert str(err.value) == message
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    with pytest.raises(DocumentError, match="^unknown field 'x'$"):  # 4,300 digits decode
+        from_json(text.replace("9" * 5000, "9" * 4300))
+
+
+def faulted_canonical(kind: str, n: int, fault: str) -> str:
+    """The canonical text of a seeded document, laid out as ``to_json`` lays
+    it out, with one fault: in the last incidence key or in a weight."""
+    doc = json.loads(random_document(random.Random(2200 + n), n, kind))
+    key = list(doc["incidence"])[-1]
+    names = doc["incidence"][key]
+    if fault == "unknown world":
+        doc["incidence"][key] = names + ["w9"]
+    elif fault == "repeated world":
+        doc["incidence"][key] = names + ["w0", "w0"]
+    elif fault == "world list no list":
+        doc["incidence"][key] = "w0"
+    elif fault == "missing key":
+        del doc["incidence"][key]
+    else:  # "bad weight": held until the keys are read
+        doc["measure"]["0"] = "1/x"
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# the text each fault gave before canonical documents were read as a whole;
+# {key} is the last incidence key, the block's canonical text
+CANONICAL_FAULTS = {
+    "unknown world": {n: "unknown world name 'w9'" for n in (3, 8)},
+    "repeated world": {n: "incidence of {key!r} repeats a world name" for n in (3, 8)},
+    "world list no list": {n: "incidence of {key!r} must be a list of strings" for n in (3, 8)},
+    "missing key": {
+        ("ds", 3): "ds incidence must cover all 8 atoms, got 7",
+        ("ds", 8): "ds incidence must cover all 256 atoms, got 255",
+        ("ic", 3): "incidence must cover all 3 psi_basis blocks, got 2",
+        ("ic", 8): "incidence must cover all 5 psi_basis blocks, got 4",
+    },
+    "bad weight": {n: "invalid rational literal '1/x'" for n in (3, 8)},
+}
+
+
+@pytest.mark.parametrize("fault", list(CANONICAL_FAULTS))
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("kind", ["ds", "ic"])
+def test_faults_in_canonical_documents_keep_their_messages(kind, n, fault):
+    key = list(json.loads(random_document(random.Random(2200 + n), n, kind))["incidence"])[-1]
+    pins = CANONICAL_FAULTS[fault]
+    message = pins.get((kind, n)) or pins[n]
+    with pytest.raises(DocumentError) as err:
+        from_json(faulted_canonical(kind, n, fault))
+    assert str(err.value) == message.format(key=key)
+
+
+def test_a_ds_loads_and_answers_without_a_formula_per_block(monkeypatch):
+    # Formula objects made through __init__, and those made around it and
+    # still alive, while a 12-proposition ds loads and answers ten queries:
+    # its 4,096 blocks are masks, and no reader builds them as formulas
+    text = to_json(benchmark_shaped(random.Random(22), 12, "ds"))
+    made = []
+    init = Formula.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Formula, "__init__", counted)
+    gc.collect()
+    before = {id(o) for o in gc.get_objects() if type(o) is Formula}
+    st = from_json(text)
+    for j in range(10):
+        interval(st, parse_formula(f"p{j} | ~p{j + 1} & p{j + 2}", st.lang))
+    alive = [o for o in gc.get_objects() if type(o) is Formula and id(o) not in before]
+    assert len(made) + len(alive) < 100

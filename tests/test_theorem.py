@@ -1,7 +1,9 @@
 """The paper's theorem at 8 and 12 propositions: a total belief structure and
 its incidence-calculus translation give every formula the same interval.
 Belief and plausibility are the ends of that interval, and the structure's
-canonical document is the oracle's, byte for byte.
+canonical document is the oracle's, byte for byte.  A property draws
+structures of both kinds and many shapes, and holds the program to the
+oracle on each.
 
 The structures and the reference intervals come from the benchmark's own
 generator and oracle (``bench/gen.py``, ``bench/oracle.py``), which are
@@ -15,6 +17,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -22,6 +26,7 @@ import gen  # noqa: E402
 import oracle  # noqa: E402
 
 from probstruct import (  # noqa: E402
+    Formula,
     StructureKind,
     bel,
     ds_to_ic,
@@ -77,3 +82,55 @@ def test_translation_keeps_every_interval(n_props):
     assert in_ic != in_moved
     assert (in_ic.lo, in_ic.hi) == oracle.interval(model, f.atoms)
     assert (in_moved.lo, in_moved.hi) == oracle.interval(moved, f.atoms)
+
+
+@strategies.composite
+def models(draw):
+    """A ``gen`` model of either kind at 1 to 8 propositions and 1 to 64
+    worlds, with dead atoms, one-block algebras and a single world among the
+    shapes, and the seed that fills it."""
+    n_props = draw(strategies.integers(1, 8))
+    n_atoms, n_worlds = 1 << n_props, draw(strategies.integers(1, 64))
+    seed = draw(strategies.integers(0, 2**32))
+    rng = random.Random(seed)
+    if draw(strategies.sampled_from(["ds", "ic"])) == "ds":
+        n_live = draw(strategies.integers(1, min(n_atoms, n_worlds)))  # each live atom has a world
+        n_chi = draw(strategies.integers(1, n_live))
+        return gen.ds_model(rng, n_props, n_worlds, n_live, n_chi), seed
+    n_blocks = draw(strategies.integers(1, min(n_atoms, n_worlds)))  # each live block has a world
+    n_live = draw(strategies.integers(n_blocks, n_atoms))
+    return gen.ic_model(rng, n_props, n_worlds, n_live, n_blocks), seed
+
+
+def _at_twelve(kind, seed, *shape):
+    make = gen.ds_model if kind == "ds" else gen.ic_model
+    return make(random.Random(seed), 12, *shape), seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(models())
+@example(_at_twelve("ds", 2201, 64, 48, 16))  # the benchmark's shapes
+@example(_at_twelve("ic", 2202, 64, 4096 - 448, 64))
+@example(_at_twelve("ds", 2203, 1, 1, 1))  # one world
+@example(_at_twelve("ic", 2204, 1, 4096, 1))  # one block, "true"
+def test_the_program_agrees_with_the_independent_oracle(case):
+    """Canonical and non-canonical text load to structures that write the
+    oracle's canonical bytes (their blocks may be in other orders), and give
+    the oracle's interval, belief and plausibility for seeded formulas and
+    atom sets.  ``gen.noncanonical`` respells each block by a scan of every
+    atom (1.5 s for a 12-proposition ds), so only shapes up to 8 are respelled."""
+    model, seed = case
+    rng = random.Random(seed)
+    text = oracle.canonical(model)
+    st = from_json(text)
+    assert to_json(st) == text
+    if len(model.props) <= 8:
+        assert to_json(from_json(gen.noncanonical(model, rng))) == text
+    formulas = [parse_formula(gen.formula(rng, model.props), st.lang) for _ in range(4)]
+    formulas += [Formula(st.lang, rng.getrandbits(model.n_atoms)) for _ in range(4)]
+    for f in formulas:
+        expected = oracle.interval(model, f.atoms)
+        got = interval(st, f)
+        assert (got.lo, got.hi) == expected
+        if st.kind is StructureKind.DS:
+            assert (bel(st, f), plb(st, f)) == expected

@@ -2,6 +2,7 @@
 repr, pickling and copying."""
 
 import copy
+import hashlib
 import itertools
 import pickle
 import random
@@ -33,6 +34,7 @@ from probstruct import (
     equivalent,
     format_formula,
     format_rational,
+    from_json,
     full_algebra,
     generate_algebra,
     inner_measure,
@@ -40,6 +42,7 @@ from probstruct import (
     parse_formula,
     random_ic,
     random_total_ds,
+    to_json,
     trivial_algebra,
     true_formula,
 )
@@ -207,6 +210,105 @@ def test_unpickled_structure_answers_queries():
         not_d = parse_formula("~d", back.lang)
         assert interval(back, not_d) == interval(st, parse_formula("~d", st.lang))
         assert str(interval(back, not_d)) == "[1/2, 1]"
+
+
+def _digest(data) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()[:16]
+
+
+def _loaded(kind: str) -> ProbabilityStructure:
+    params = GenParams(3, 6, 2203)
+    return from_json(to_json(random_total_ds(params) if kind == "ds" else random_ic(params)))
+
+
+_AB = Language(("a", "b"))
+_W3 = SampleSpace(("w1", "w2", "w3"))
+
+# Each algebra's repr and its pickles at protocols 0 to 5, as digests, recorded
+# when the algebras still kept their blocks as Formula and WorldSet values.
+# The blocks are masks now, built as values when ``basis`` is read; none of
+# these bytes changed.
+ALGEBRA_PINS = {
+    "full": (
+        lambda: full_algebra(_AB),
+        "9380e8bb45ab11df",
+        ["2dd41d1c18c16fcd", "c2aa87bd488e58e1", "db6699de6bdd70d2", "fd876725c6587417", "a43f31cc3ceca163", "450a9b9ccdcebdba"],
+    ),
+    "generated": (
+        lambda: generate_algebra([parse_formula("a", _AB)], _AB),
+        "27ad02acb3c5709b",
+        ["4e5c166452b2d42e", "8427514ec067a474", "fac34c1d03c011a9", "eab60e0b133cc1c4", "11dadfd14268c1dc", "7f3ec818e570b089"],
+    ),
+    "trivial": (
+        lambda: trivial_algebra(_AB),
+        "4dff24441ac8c387",
+        ["1326448853f88ad8", "65bc13efe67d688a", "0355c5368408ea9d", "12c9d65b9d522dba", "16712f0b752b2c59", "426a7e00507be03e"],
+    ),
+    "discrete": (
+        lambda: discrete_algebra(_W3),
+        "6beab8253fc8325a",
+        ["ccb9102c79064fd9", "a4b155239de3346f", "1db3b8c7bfada45a", "b5759d68440613bb", "c7a8496778229098", "703514b3cbd183a6"],
+    ),
+    "halves": (
+        lambda: SetAlgebra(_W3, [_W3.subset(["w2"]), _W3.subset(["w1", "w3"])]),
+        "73aa0b40e3b80b42",
+        ["f4d6f44f53e25cfe", "6cbc38aa042456b6", "bac063f2885bf5b7", "ee87d633fb6d3571", "1c524656de202ae4", "bfaaccc77a04f567"],
+    ),
+    "loaded ds psi": (
+        lambda: _loaded("ds").psi,
+        "af25beb66b5b1baa",
+        ["2bbfbc2e19f847b9", "fae521d304689420", "a5aa598dd2ba06f4", "34c3e20f76c00a15", "921b38641521c9c7", "bf083d34a287e7dc"],
+    ),
+    "loaded ds chi": (
+        lambda: _loaded("ds").ps.algebra,
+        "637171417196fc43",
+        ["73aaa9596b11d8b4", "6ecc04761a83dd1e", "d21dc172c773be74", "7dfceddd387d2e41", "fb2d895c848d125a", "6b1a5efde5969813"],
+    ),
+    "loaded ic psi": (
+        lambda: _loaded("ic").psi,
+        "a8060e955e6566f3",
+        ["d13d6cdfb210f8f5", "a37bd0523378c736", "14f2624dc8a1a8c9", "81f5b52300f75d48", "3c01edec6dacaa26", "9b1d1b5dff1887fb"],
+    ),
+    "loaded ic chi": (
+        lambda: _loaded("ic").ps.algebra,
+        "03a192976ef7a468",
+        ["b9d15d8c2c0c94a2", "fb449c4f7144d12a", "11aa2fa2d871c850", "1a2e069c4f137798", "df59331c08bb2764", "8033149c64289003"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ALGEBRA_PINS))
+def test_algebras_repr_compare_hash_pickle_and_copy_as_before(name):
+    build, repr_digest, pickle_digests = ALGEBRA_PINS[name]
+    algebra = build()
+    owner = algebra.lang if isinstance(algebra, FormulaAlgebra) else algebra.space
+    assert _digest(repr(algebra)) == repr_digest
+    assert [_digest(pickle.dumps(algebra, protocol=p)) for p in range(6)] == pickle_digests
+    assert algebra.__reduce__() == (type(algebra), (owner, algebra.basis))
+    assert hash(algebra) == hash((owner, algebra.basis))  # the hash of the fields
+    assert algebra == type(algebra)(owner, algebra.basis) == build()
+    if len(algebra.basis) > 1:  # blocks in another order make another value
+        assert algebra != type(algebra)(owner, algebra.basis[::-1])
+    for twin in (copy.copy(algebra), copy.deepcopy(algebra), pickle.loads(pickle.dumps(algebra))):
+        assert type(twin) is type(algebra) and twin == algebra and hash(twin) == hash(algebra)
+
+
+# Each loaded structure's repr as a digest, recorded as ALGEBRA_PINS was.
+STRUCTURE_PINS = {"ds": "177478227fc8586d", "ic": "a137ae7513dd2a23"}
+
+
+@pytest.mark.parametrize("kind", list(STRUCTURE_PINS))
+def test_a_loaded_structure_reprs_compares_hashes_pickles_and_copies_as_before(kind):
+    st = _loaded(kind)
+    fields = (st.ps, st.lang, st.psi, st.inc, st.kind)
+    assert _digest(repr(st)) == STRUCTURE_PINS[kind]
+    assert st.__reduce__() == (ProbabilityStructure, fields)
+    assert hash(st) == hash(fields)
+    assert st == _loaded(kind) and st != _loaded("ic" if kind == "ds" else "ds")
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(st, protocol=proto))
+        assert back == st and hash(back) == hash(st) and to_json(back) == to_json(st)
+    assert copy.copy(st) == st and copy.deepcopy(st) == st
 
 
 def _lang():

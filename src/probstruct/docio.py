@@ -25,16 +25,17 @@ canonical text and saving it again reproduces it byte for byte.
 ``from_json`` recognises a canonical document as a whole: when the
 incidence keys are, in order, the atom texts ``to_json`` writes (ds) or the
 ``psi_basis`` texts (ic), key ``j`` is block ``j``, and the images are read
-in one pass.  Any other document, and any fault, is read key by key: each key
-is found by its lowest atom, read term by term from the table of atom texts
-(built at most once per call, and only if the first key begins with one), or
-else literal by literal (``logic._read_atoms``) or, failing that, parsed by
-``parse_formula``, which raises every error.  Text that does not parse and
-world lists that are not of strings raise in key order; the first key with
-no block of its own, or with a bad world, is held until the fields before
-``incidence`` are checked.  The algebras hold their blocks as masks: a ds
-structure's blocks are the single atoms, which ``from_json`` does not
-re-check, and ``to_json`` writes their keys straight from the atom texts.
+in one pass.  Any other document, and one with a fault, is read key by key,
+which names every fault in its order: each key is found by its lowest atom,
+read term by term from the table of atom texts (built at most once per call,
+and only if the first key begins with one), or else literal by literal
+(``logic._read_atoms``) or, failing that, parsed by ``parse_formula``, which
+raises every error.  Text that does not parse and world lists that are not
+of strings raise in key order; the first key with no block of its own, or
+with a bad world, is held until the fields before ``incidence`` are checked.
+The algebras hold their blocks as masks: a ds structure's blocks are the
+single atoms, which ``from_json`` does not re-check, and ``to_json`` writes
+their keys straight from the atom texts.
 """
 
 from __future__ import annotations

@@ -1071,9 +1071,10 @@ def test_a_ds_loads_and_answers_without_a_formula_per_block(monkeypatch):
 
     monkeypatch.setattr(Formula, "__init__", counted)
     gc.collect()
-    before = {id(o) for o in gc.get_objects() if type(o) is Formula}
+    before = [o for o in gc.get_objects() if type(o) is Formula]  # kept alive, so their ids stay theirs
+    known = set(map(id, before))
     st = from_json(text)
     for j in range(10):
         interval(st, parse_formula(f"p{j} | ~p{j + 1} & p{j + 2}", st.lang))
-    alive = [o for o in gc.get_objects() if type(o) is Formula and id(o) not in before]
+    alive = [o for o in gc.get_objects() if type(o) is Formula and id(o) not in known]
     assert len(made) + len(alive) < 100

@@ -232,53 +232,80 @@ ALGEBRA_PINS = {
     "full": (
         lambda: full_algebra(_AB),
         "9380e8bb45ab11df",
-        ["2dd41d1c18c16fcd", "c2aa87bd488e58e1", "db6699de6bdd70d2", "fd876725c6587417", "a43f31cc3ceca163", "450a9b9ccdcebdba"],
+        [
+            "2dd41d1c18c16fcd", "c2aa87bd488e58e1", "db6699de6bdd70d2",
+            "fd876725c6587417", "a43f31cc3ceca163", "450a9b9ccdcebdba",
+        ],
     ),
     "generated": (
         lambda: generate_algebra([parse_formula("a", _AB)], _AB),
         "27ad02acb3c5709b",
-        ["4e5c166452b2d42e", "8427514ec067a474", "fac34c1d03c011a9", "eab60e0b133cc1c4", "11dadfd14268c1dc", "7f3ec818e570b089"],
+        [
+            "4e5c166452b2d42e", "8427514ec067a474", "fac34c1d03c011a9",
+            "eab60e0b133cc1c4", "11dadfd14268c1dc", "7f3ec818e570b089",
+        ],
     ),
     "trivial": (
         lambda: trivial_algebra(_AB),
         "4dff24441ac8c387",
-        ["1326448853f88ad8", "65bc13efe67d688a", "0355c5368408ea9d", "12c9d65b9d522dba", "16712f0b752b2c59", "426a7e00507be03e"],
+        [
+            "1326448853f88ad8", "65bc13efe67d688a", "0355c5368408ea9d",
+            "12c9d65b9d522dba", "16712f0b752b2c59", "426a7e00507be03e",
+        ],
     ),
     "discrete": (
         lambda: discrete_algebra(_W3),
         "6beab8253fc8325a",
-        ["ccb9102c79064fd9", "a4b155239de3346f", "1db3b8c7bfada45a", "b5759d68440613bb", "c7a8496778229098", "703514b3cbd183a6"],
+        [
+            "ccb9102c79064fd9", "a4b155239de3346f", "1db3b8c7bfada45a",
+            "b5759d68440613bb", "c7a8496778229098", "703514b3cbd183a6",
+        ],
     ),
     "halves": (
         lambda: SetAlgebra(_W3, [_W3.subset(["w2"]), _W3.subset(["w1", "w3"])]),
         "73aa0b40e3b80b42",
-        ["f4d6f44f53e25cfe", "6cbc38aa042456b6", "bac063f2885bf5b7", "ee87d633fb6d3571", "1c524656de202ae4", "bfaaccc77a04f567"],
+        [
+            "f4d6f44f53e25cfe", "6cbc38aa042456b6", "bac063f2885bf5b7",
+            "ee87d633fb6d3571", "1c524656de202ae4", "bfaaccc77a04f567",
+        ],
     ),
     "loaded ds psi": (
         lambda: _loaded("ds").psi,
         "af25beb66b5b1baa",
-        ["2bbfbc2e19f847b9", "fae521d304689420", "a5aa598dd2ba06f4", "34c3e20f76c00a15", "921b38641521c9c7", "bf083d34a287e7dc"],
+        [
+            "2bbfbc2e19f847b9", "fae521d304689420", "a5aa598dd2ba06f4",
+            "34c3e20f76c00a15", "921b38641521c9c7", "bf083d34a287e7dc",
+        ],
     ),
     "loaded ds chi": (
         lambda: _loaded("ds").ps.algebra,
         "637171417196fc43",
-        ["73aaa9596b11d8b4", "6ecc04761a83dd1e", "d21dc172c773be74", "7dfceddd387d2e41", "fb2d895c848d125a", "6b1a5efde5969813"],
+        [
+            "73aaa9596b11d8b4", "6ecc04761a83dd1e", "d21dc172c773be74",
+            "7dfceddd387d2e41", "fb2d895c848d125a", "6b1a5efde5969813",
+        ],
     ),
     "loaded ic psi": (
         lambda: _loaded("ic").psi,
         "a8060e955e6566f3",
-        ["d13d6cdfb210f8f5", "a37bd0523378c736", "14f2624dc8a1a8c9", "81f5b52300f75d48", "3c01edec6dacaa26", "9b1d1b5dff1887fb"],
+        [
+            "d13d6cdfb210f8f5", "a37bd0523378c736", "14f2624dc8a1a8c9",
+            "81f5b52300f75d48", "3c01edec6dacaa26", "9b1d1b5dff1887fb",
+        ],
     ),
     "loaded ic chi": (
         lambda: _loaded("ic").ps.algebra,
         "03a192976ef7a468",
-        ["b9d15d8c2c0c94a2", "fb449c4f7144d12a", "11aa2fa2d871c850", "1a2e069c4f137798", "df59331c08bb2764", "8033149c64289003"],
+        [
+            "b9d15d8c2c0c94a2", "fb449c4f7144d12a", "11aa2fa2d871c850",
+            "1a2e069c4f137798", "df59331c08bb2764", "8033149c64289003",
+        ],
     ),
 }
 
 
 @pytest.mark.parametrize("name", list(ALGEBRA_PINS))
-def test_algebras_repr_compare_hash_pickle_and_copy_as_before(name):
+def test_algebras_keep_their_repr_hash_pickles_and_copies(name):
     build, repr_digest, pickle_digests = ALGEBRA_PINS[name]
     algebra = build()
     owner = algebra.lang if isinstance(algebra, FormulaAlgebra) else algebra.space
@@ -298,7 +325,7 @@ STRUCTURE_PINS = {"ds": "177478227fc8586d", "ic": "a137ae7513dd2a23"}
 
 
 @pytest.mark.parametrize("kind", list(STRUCTURE_PINS))
-def test_a_loaded_structure_reprs_compares_hashes_pickles_and_copies_as_before(kind):
+def test_a_loaded_structure_keeps_its_repr_hash_pickles_and_copies(kind):
     st = _loaded(kind)
     fields = (st.ps, st.lang, st.psi, st.inc, st.kind)
     assert _digest(repr(st)) == STRUCTURE_PINS[kind]

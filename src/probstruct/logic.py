@@ -312,9 +312,12 @@ class FormulaAlgebra(Partition):
 
     _fields = ("lang", "basis")
     __slots__ = ("lang",)
-    _owner = Language, "algebra language", LanguageMismatchError, "language"
     _element, _full, _check_element = Formula, attrgetter("full_mask"), staticmethod(_check_lang)
     _noun, _overlap = "atom", "basis blocks overlap: {} is not disjoint from earlier blocks"
+
+    def __init__(self, lang: Language, basis: Iterable[Formula]):
+        require_type(lang, Language, "algebra language")
+        self._fill(lang, basis, LanguageMismatchError, "language")
 
     def members(self) -> Iterator[Formula]:
         """Every member, i.e. all unions of basis blocks (2**k of them)."""

@@ -152,9 +152,12 @@ class SetAlgebra(Partition):
 
     _fields = ("space", "basis")
     __slots__ = ("space",)
-    _owner = SampleSpace, "algebra space", ValidationError, "sample space"
     _element, _full, _check_element = WorldSet, attrgetter("full_bits"), staticmethod(_check_space)
     _noun, _overlap = "world", "basis blocks overlap: {} intersects earlier blocks"
+
+    def __init__(self, space: SampleSpace, basis: Iterable[WorldSet]):
+        require_type(space, SampleSpace, "algebra space")
+        self._fill(space, basis, ValidationError, "sample space")
 
 
 def discrete_algebra(space: SampleSpace) -> SetAlgebra:

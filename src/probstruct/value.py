@@ -101,8 +101,8 @@ class Value:
     Fields live in ``__slots__``; assigning or deleting an attribute raises
     ``AttributeError``.  Equality, hash, ``repr`` and pickling go by the
     fields, and values of different classes never compare equal.  Each
-    subclass (for its views, ``Partition``) writes the ``__init__`` that
-    checks its arguments and stores the fields with ``setfield``.  ``__ne__`` answers a value
+    subclass writes its own ``__init__``, which checks its arguments and
+    stores the fields with ``setfield``.  ``__ne__`` answers a value
     compared with itself at once: every check that two values share a
     language or a sample space makes that comparison.
     """
@@ -148,14 +148,13 @@ class Partition(Value):
     ``masks``: the one type under ``FormulaAlgebra`` (of a language's atoms) and
     ``SetAlgebra`` (of a sample space's worlds), built as ``View(owner, basis)``.
 
-    A view names its owner first in ``_fields`` and sets ``_owner`` (the
-    owner's type, its name in a type error, and the error and the word for a
-    block of another owner), ``_element`` (the block type, whose ``_key`` is
-    its owner and mask), ``_full`` (the owner's mask of every bit),
-    ``_check_element`` (what ``member`` refuses) and the words of the partition
-    faults.  ``basis`` builds the blocks when it is first read.  Equality
-    compares the masks; hash, ``repr`` and pickling go by ``basis``, as when
-    the blocks themselves were kept.
+    A view names its owner first in ``_fields``, checks the owner in its
+    ``__init__`` and hands the blocks to ``_fill``.  It sets ``_element`` (the
+    block type, whose ``_key`` is its owner and mask), ``_full`` (the owner's
+    mask of every bit), ``_check_element`` (what ``member`` refuses) and the
+    words of the partition faults.  ``basis`` builds the blocks when it is
+    first read.  Equality compares the masks; hash, ``repr`` and pickling go by
+    ``basis``, as when the blocks themselves were kept.
     """
 
     __slots__ = ("masks", "_basis")
@@ -165,9 +164,9 @@ class Partition(Value):
         super().__init_subclass__()
         cls._key = attrgetter(cls._fields[0], "masks")
 
-    def __init__(self, owner, basis):
-        owner_type, what, mismatch, where = self._owner
-        require_type(owner, owner_type, what)
+    def _fill(self, owner, basis, mismatch: type, where: str) -> None:
+        """Keep the masks of ``basis``, if they are blocks of ``owner`` (else
+        ``mismatch``, naming ``where``) that partition its bits."""
         element, masks = self._element, []
         for block in as_tuple(basis, "basis blocks"):
             if not isinstance(block, element):

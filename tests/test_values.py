@@ -308,12 +308,14 @@ ALGEBRA_PINS = {
 def test_algebras_keep_their_repr_hash_pickles_and_copies(name):
     build, repr_digest, pickle_digests = ALGEBRA_PINS[name]
     algebra = build()
-    owner = algebra.lang if isinstance(algebra, FormulaAlgebra) else algebra.space
+    owner_name = "lang" if isinstance(algebra, FormulaAlgebra) else "space"
+    owner = getattr(algebra, owner_name)
     assert _digest(repr(algebra)) == repr_digest
     assert [_digest(pickle.dumps(algebra, protocol=p)) for p in range(6)] == pickle_digests
     assert algebra.__reduce__() == (type(algebra), (owner, algebra.basis))
     assert hash(algebra) == hash((owner, algebra.basis))  # the hash of the fields
     assert algebra == type(algebra)(owner, algebra.basis) == build()
+    assert type(algebra)(**{owner_name: owner, "basis": algebra.basis}) == algebra  # the argument names
     if len(algebra.basis) > 1:  # blocks in another order make another value
         assert algebra != type(algebra)(owner, algebra.basis[::-1])
     for twin in (copy.copy(algebra), copy.deepcopy(algebra), pickle.loads(pickle.dumps(algebra))):

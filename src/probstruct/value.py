@@ -158,7 +158,7 @@ class Partition(Value):
     """
 
     __slots__ = ("masks", "_basis")
-    _fields = ("owner", "basis")
+    _fields = ("owner", "basis")  # each view names its owner
 
     def __init_subclass__(cls):
         super().__init_subclass__()

@@ -44,13 +44,13 @@ import json
 import sys
 from typing import Iterable
 
+from . import logic
 from .errors import DocumentError, ProbstructError, ValidationError
 from .logic import (
     Formula,
     FormulaAlgebra,
     Language,
     _atom_text,
-    _atom_texts,
     _join_terms,
     _read_atoms,
     format_formula,
@@ -62,7 +62,6 @@ from .measure import (
     ProbabilitySpace,
     SampleSpace,
     SetAlgebra,
-    WorldSet,
     discrete_algebra,
     format_rational,
     parse_rational,
@@ -99,9 +98,10 @@ def _object(members: Iterable[tuple[str, str]], depth: int) -> str:
     return "".join(parts)
 
 
-def _atom_keys(lang: Language) -> Iterable[str]:
-    """Each atom's text as ``to_json`` writes it, in index order."""
-    return map("({})".format, _atom_texts(lang)) if len(lang.props) > 1 else _atom_texts(lang)
+def _atom_texts(lang: Language) -> list[str]:
+    """Each atom's text as ``to_json`` writes it, in index order: in
+    parentheses past one proposition, built in ``logic._atom_texts``' doubling."""
+    return logic._atom_texts(lang, wrap=True)
 
 
 def _psi_keys(psi: FormulaAlgebra) -> tuple[list[int], list[str]]:
@@ -109,11 +109,11 @@ def _psi_keys(psi: FormulaAlgebra) -> tuple[list[int], list[str]]:
     if len(psi.masks) == psi.lang.n_atoms:
         # the blocks partition the atoms, so each is one atom, and its mask sorts as its index
         order = sorted(range(len(psi.masks)), key=psi.masks.__getitem__)
-        return order, list(map(_encode, _atom_keys(psi.lang)))
+        return order, list(map(_encode, _atom_texts(psi.lang)))
     indices = [set_bits(mask) for mask in psi.masks]
     order = sorted(range(len(indices)), key=lambda j: indices[j][0])
     # the blocks partition the atoms, so each atom's text is used once
-    atom_text = _atom_texts(psi.lang).__getitem__
+    atom_text = logic._atom_texts(psi.lang).__getitem__
     return order, [_encode(_join_terms(psi.lang, psi.masks[j], map(atom_text, indices[j]))) for j in order]
 
 
@@ -126,7 +126,7 @@ def to_json(st: ProbabilityStructure) -> str:
     def world_list(bits: int) -> str:
         return _list([world[i] for i in set_bits(bits)], 2) if bits else "[]"
 
-    chi, weights, images = st.ps.algebra.masks, st.ps.mu.weights, st.inc.images
+    chi, weights, images = st.ps.algebra.masks, st.ps.mu.weights, st.inc.masks
     chi_order = sorted(range(len(chi)), key=lambda j: low_bit(chi[j]))
     psi_order, keys = _psi_keys(st.psi)
     fields = [
@@ -143,7 +143,7 @@ def to_json(st: ProbabilityStructure) -> str:
     fields.append(("measure", _object(measure, 1)))
     if st.kind is StructureKind.IC:
         fields.append(("psi_basis", _list(keys, 1)))
-    incidence = zip(keys, (world_list(images[j].bits) for j in psi_order))
+    incidence = zip(keys, (world_list(images[j]) for j in psi_order))
     fields.append(("incidence", _object(incidence, 1)))
     return _object(((_encode(name), value) for name, value in fields), 0) + "\n"
 
@@ -264,7 +264,7 @@ def _atom_spelling(lang: Language, keys) -> list[str]:
     spelled = "({})" if len(lang.props) > 1 else "{}"
     if atom is None or first != spelled.format(_atom_text(lang, atom.bit_length() - 1)):
         return []
-    return list(_atom_keys(lang))
+    return _atom_texts(lang)
 
 
 def _read_block(text: str, lang: Language, atom: dict[str, int]) -> tuple[int, int]:
@@ -327,14 +327,11 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
         mu = _measure_weights(raw["measure"], len(algebra.masks))
     except ProbstructError as e:
         psi, blocks, texts, fault = None, [], [], str(e)
-    empty = space.nothing()  # most blocks have no worlds; they share one set
     images = None
     if texts and list(incidence) == texts:  # a canonical document: key j is block j's text
-        bits = [0 if names == [] else _world_bits(space, names, f"incidence of {key!r}")
-                for key, names in incidence.items()]
-        if None not in bits:
-            images = [WorldSet(space, b) if b else empty for b in bits]
-    if images is None:  # any other document, or a fault: key by key, each found by its lowest atom
+        images = [0 if names == [] else _world_bits(space, names, f"incidence of {key!r}")
+                  for key, names in incidence.items()]
+    if images is None or None in images:  # any other document, or a fault: read key by key
         atom = dict(zip(spelled, range(lang.n_atoms))) if atom is None else atom
         of_low = {low: j for j, (low, _) in enumerate(blocks)}
         no_block, twice, missing = _KEY_FAULTS[kind]
@@ -348,7 +345,7 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
             if fault:
                 continue
             if j is not None and images[j] is None and bits is not None:
-                images[j] = WorldSet(space, bits) if bits else empty
+                images[j] = bits
                 continue
             text = format_formula(Formula(lang, mask))  # the key's block, if it has one
             if j is None:
@@ -362,7 +359,7 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
         if len(incidence) != len(images):  # each key has a block of its own
             raise DocumentError(missing.format(len(images), len(incidence)))
     ps = ProbabilitySpace(space, algebra, mu)
-    return ProbabilityStructure(ps, lang, psi, IncidenceMap(space, images), StructureKind(kind))
+    return ProbabilityStructure(ps, lang, psi, IncidenceMap._of(space, tuple(images)), StructureKind(kind))
 
 
 def _open(path, mode: str):

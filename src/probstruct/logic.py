@@ -288,13 +288,16 @@ def _join_terms(lang: Language, atoms: int, terms: Iterable[str]) -> str:
     return " | ".join(terms)
 
 
-def _atom_texts(lang: Language) -> list[str]:
+def _atom_texts(lang: Language, wrap: bool = False) -> list[str]:
     """``_atom_text`` of every atom, in index order, built by doubling: the
-    atoms with proposition ``j`` negative come before those with it positive."""
+    atoms with proposition ``j`` negative come before those with it positive.
+    With ``wrap``, past one proposition, each is in parentheses, as in formula text."""
     first, *rest = lang.props
-    texts = ["~" + first, first]
-    for name in rest:
-        neg, pos = " & ~" + name, " & " + name
+    left, right = ("(", ")") if wrap and rest else ("", "")
+    texts = [left + "~" + first, left + first]
+    for j, name in enumerate(rest, 2):
+        end = right if j == len(lang.props) else ""  # the last doubling closes each text
+        neg, pos = " & ~" + name + end, " & " + name + end
         texts = [t + neg for t in texts] + [t + pos for t in texts]
     return texts
 

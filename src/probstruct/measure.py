@@ -58,22 +58,20 @@ def as_fraction(value) -> Fraction:
 
 
 class SampleSpace(Value):
-    """An ordered, finite set of distinct world names."""
+    """An ordered, finite set of distinct world names; ``full_bits`` is the
+    bitmask of every world."""
 
     _fields = ("worlds",)
-    __slots__ = _fields + ("_bits",)
+    __slots__ = _fields + ("full_bits", "_bits")
 
     def __init__(self, worlds: Iterable[str]):
         setfield(self, "worlds", check_names(worlds, MAX_WORLDS, "a sample space", "world"))
+        setfield(self, "full_bits", (1 << len(self.worlds)) - 1)
         setfield(self, "_bits", {name: 1 << i for i, name in enumerate(self.worlds)})  # name -> bit
 
     @property
     def size(self) -> int:
         return len(self.worlds)
-
-    @property
-    def full_bits(self) -> int:
-        return (1 << len(self.worlds)) - 1
 
     def index(self, name: str) -> int:
         try:

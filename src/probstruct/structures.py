@@ -3,7 +3,7 @@
 A structure carries a probability space over worlds, a propositional
 language, an algebra of formulas, and an *incidence map* sending each
 formula of that algebra to the set of worlds where it holds.  The map is
-stored on the basis blocks and extended by union, so it automatically
+stored as a world bitmask per basis block and extended by union, so it
 respects negation, conjunction and disjunction on the whole algebra.
 
 Two kinds are distinguished by where the partiality lives:
@@ -49,7 +49,7 @@ from .measure import (
     format_rational,
     inner_measure,
 )
-from .value import Value, as_tuple, partition_faults, require_type, setfield
+from .value import Masked, Value, as_tuple, partition_faults, require_type, setfield
 
 
 class StructureKind(str, Enum):
@@ -61,42 +61,34 @@ class StructureKind(str, Enum):
         raise ValidationError(f"structure kind must be 'ic' or 'ds', got {value!r}")
 
 
-class IncidenceMap(Value):
-    """World-set images of the formula-algebra basis blocks, in basis order.
-
+class IncidenceMap(Masked):
+    """World-set images of the formula-algebra basis blocks, in basis order,
+    kept as the world bitmasks ``masks``; ``images`` holds them as ``WorldSet``
+    values, those given to the constructor or else built when first read.
     Whether the images are pairwise disjoint and cover the sample space is
     left to ``partition_problems``, which ``validate`` calls.
     """
 
     _fields = ("space", "images")
-    __slots__ = _fields
+    __slots__ = ("space",)
+    _element = WorldSet
+    images = property(Masked._built)
 
     def __init__(self, space: SampleSpace, images):
         require_type(space, SampleSpace, "incidence map space")
         images = as_tuple(images, "incidence images")
-        for image in images:
-            if not isinstance(image, WorldSet):
-                raise ValidationError(
-                    f"incidence image must be WorldSet, got {type(image).__name__}"
-                )
-            if image.space is not space and image.space != space:  # most share one space
-                raise ValidationError("incidence image is over a different sample space")
-        setfield(self, "space", space)
-        setfield(self, "images", images)
+        different = "incidence image is over a different sample space"
+        self._keep(space, images, "incidence image", ValidationError, different)
+        setfield(self, "_values", images)
 
     def partition_problems(self) -> list[str]:
         """Why the images, empty ones allowed, fail to partition the sample space; empty if they do."""
-        space, problems = self.space, []
-        masks = [image.bits for image in self.images if image.bits]  # most ds images are empty
-        for i, bits in partition_faults(masks, space.full_bits):
-            if i is None:
-                problems.append(f"incidence images do not cover worlds {WorldSet(space, bits)}")
-            else:
-                problems.append(
-                    f"incidence images overlap on {WorldSet(space, bits)}: "
-                    f"images of distinct blocks must be disjoint"
-                )
-        return problems
+        space, live = self.space, [bits for bits in self.masks if bits]  # most ds images are empty
+        return [
+            f"incidence images do not cover worlds {WorldSet(space, bits)}" if i is None else
+            f"incidence images overlap on {WorldSet(space, bits)}: images of distinct blocks must be disjoint"
+            for i, bits in partition_faults(live, space.full_bits)
+        ]
 
 
 class Interval(Value):
@@ -144,9 +136,9 @@ class ProbabilityStructure(Value):
             raise ValidationError("formula algebra is over a different language")
         if inc.space != ps.space:
             raise ValidationError("incidence map is over a different sample space")
-        if len(inc.images) != len(psi.masks):
+        if len(inc.masks) != len(psi.masks):
             raise ValidationError(
-                f"incidence map has {len(inc.images)} images for "
+                f"incidence map has {len(inc.masks)} images for "
                 f"{len(psi.masks)} basis blocks"
             )
         setfield(self, "ps", ps)
@@ -163,14 +155,7 @@ class ProbabilityStructure(Value):
         return _checked(cls(ps, psi.lang, psi, IncidenceMap(space, images), StructureKind.IC))
 
     @classmethod
-    def ds(
-        cls,
-        space: SampleSpace,
-        chi_basis,
-        weights,
-        lang: Language,
-        atom_images,
-    ) -> ProbabilityStructure:
+    def ds(cls, space: SampleSpace, chi_basis, weights, lang: Language, atom_images) -> ProbabilityStructure:
         """Belief structure: the formula algebra is all of the language."""
         ps = ProbabilitySpace(space, SetAlgebra(space, chi_basis), MeasureFn(weights))
         inc = IncidenceMap(space, atom_images)
@@ -250,14 +235,14 @@ def _split(st: ProbabilityStructure, xi: Formula, kind=None, op="") -> tuple[Wor
     _check_lang(st.psi, xi)
     f = xi.atoms
     inside, outside, mixed = 0, 0, False
-    for block, image in zip(st.psi.masks, st.inc.images):
+    for block, image in zip(st.psi.masks, st.inc.masks):
         common = block & f
         if common == block:
-            inside |= image.bits
+            inside |= image
         elif common:
             mixed = True
         else:
-            outside |= image.bits
+            outside |= image
     return WorldSet(st.ps.space, inside), WorldSet(st.ps.space, outside), mixed
 
 
@@ -304,21 +289,21 @@ def _masses(st: ProbabilityStructure) -> tuple[tuple[tuple[int, int], ...], int]
     """The mass function as (atom mask, numerator) pairs and their denominator.
     An ic has a pair per formula block, weighing the worlds of its image, a ds
     one per measurable block, whose mask holds each atom whose image meets it.
-    Refuses what ``validate`` lists; kept in a slot outside the fields."""
-    _checked(st)
+    Refuses what ``validate`` lists; kept in a slot outside the fields, and
+    only for a structure that passed the gate, so it is returned ungated."""
     if hasattr(st, "_masses"):
         return st._masses
+    _checked(st)
     den = math.lcm(*(w.denominator for w in st.ps.mu.weights))
     nums = [w.numerator * (den // w.denominator) for w in st.ps.mu.weights]
     chi = list(zip(st.ps.algebra.masks, nums))
-    images = zip(st.psi.masks, st.inc.images)
+    images = zip(st.psi.masks, st.inc.masks)
     if st.kind is StructureKind.IC:  # the measurable blocks are the single worlds
         pairs = [
-            (block, sum(n for bits, n in chi if bits & image.bits) if image.bits else 0)
-            for block, image in images
+            (block, sum(n for bits, n in chi if bits & image) if image else 0) for block, image in images
         ]
     else:
-        live = [(block, image.bits) for block, image in images if image.bits]
+        live = [(block, image) for block, image in images if image]
         pairs = [(sum(atoms for atoms, bits in live if bits & chi_bits), n) for chi_bits, n in chi]
     setfield(st, "_masses", (tuple(pairs), den))
     return st._masses

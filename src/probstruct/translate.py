@@ -14,7 +14,8 @@ Both directions preserve the probability interval of every formula:
   singleton blocks.
 
 Both directions and ``equivalent`` read structures only through their mass
-functions (``structures._masses``), which determine every interval;
+functions (``structures._masses``), which determine every interval.  The
+translations build their results from masks, through ``_checked``;
 ``equivalent`` names its witness from the difference of the two.  Seeded
 generators plus ``round_trip_check`` drive randomized testing.
 """
@@ -29,9 +30,12 @@ from functools import reduce
 from typing import Optional
 
 from .errors import LanguageMismatchError, NotTotalError, ValidationError
-from .logic import Formula, FormulaAlgebra, Language, _sorted_blocks
-from .measure import MAX_WORLDS, SampleSpace, WorldSet
+from .logic import Formula, FormulaAlgebra, Language, _sorted_blocks, full_algebra
+from .measure import (
+    MAX_WORLDS, MeasureFn, ProbabilitySpace, SampleSpace, SetAlgebra, WorldSet, discrete_algebra,
+)
 from .structures import (
+    IncidenceMap,
     Interval,
     ProbabilityStructure,
     StructureKind,
@@ -101,10 +105,10 @@ def ic_to_ds(ic: ProbabilityStructure) -> ProbabilityStructure:
     literals = [("not" + name, name) for name in reversed(lang.props)]  # worlds like "notg_d"
     space = SampleSpace(["_".join(reversed(atom)) for atom in itertools.product(*literals)])
     pairs, den = _masses(ic)
-    chi_basis = tuple(WorldSet(space, mask) for mask, _ in pairs)
-    weights = tuple(Fraction(num, den) for _, num in pairs)
-    atom_images = tuple(WorldSet(space, 1 << k) for k in range(lang.n_atoms))
-    return ProbabilityStructure.ds(space, chi_basis, weights, lang, atom_images)
+    chi = SetAlgebra._of(space, tuple(mask for mask, _ in pairs))._check()
+    ps = ProbabilitySpace(space, chi, MeasureFn(Fraction(num, den) for _, num in pairs))
+    inc = IncidenceMap._of(space, tuple(1 << k for k in range(lang.n_atoms)))
+    return _checked(ProbabilityStructure(ps, lang, full_algebra(lang), inc, StructureKind.DS))
 
 
 def ds_to_ic(ds: ProbabilityStructure) -> ProbabilityStructure:
@@ -117,13 +121,13 @@ def ds_to_ic(ds: ProbabilityStructure) -> ProbabilityStructure:
     space = SampleSpace(tuple(f"w{j + 1}" for j in range(len(masks))))
     # lowest atom -> (atom mask, image); the masks of a total structure are
     # disjoint, and each atom outside them is a block of its own with no worlds
-    blocks = {low_bit(m).bit_length() - 1: (m, WorldSet(space, 1 << j)) for j, m in enumerate(masks)}
-    empty = space.nothing()
+    blocks = {low_bit(m).bit_length() - 1: (m, 1 << j) for j, m in enumerate(masks)}
     dead = bin(ds.lang.full_mask & ~sum(masks))[:1:-1]  # character k is bit k
-    blocks.update({k: (1 << k, empty) for k, bit in enumerate(dead) if bit == "1"})
-    order = sorted(blocks)
-    psi = FormulaAlgebra._of(ds.lang, tuple(blocks[k][0] for k in order))
-    return ProbabilityStructure.ic(space, ds.ps.mu.weights, psi, [blocks[k][1] for k in order])
+    blocks.update({k: (1 << k, 0) for k, bit in enumerate(dead) if bit == "1"})
+    atoms, images = zip(*(blocks[k] for k in sorted(blocks)))
+    psi = FormulaAlgebra._of(ds.lang, atoms)._check()
+    ps = ProbabilitySpace(space, discrete_algebra(space), ds.ps.mu)  # world j weighs as block j
+    return _checked(ProbabilityStructure(ps, ds.lang, psi, IncidenceMap._of(space, images), StructureKind.IC))
 
 
 def _net(pairs) -> dict[int, int]:

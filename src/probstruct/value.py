@@ -3,7 +3,6 @@ operations that formulas and world sets share."""
 
 from __future__ import annotations
 
-import re
 from functools import reduce
 from operator import attrgetter, or_
 
@@ -31,9 +30,6 @@ def as_tuple(items, what: str) -> tuple:
         raise ValidationError(f"{what} must be iterable, got {type(items).__name__}") from None
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
 def check_names(names, limit: int, owner: str, noun: str, reserved=()) -> tuple:
     """``names`` as a tuple of 1 to ``limit`` distinct identifiers, none ``reserved``."""
     names = as_tuple(names, noun + "s")
@@ -41,7 +37,7 @@ def check_names(names, limit: int, owner: str, noun: str, reserved=()) -> tuple:
         raise ValidationError(f"{owner} needs between 1 and {limit} {noun}s, got {len(names)}")
     seen = set()
     for name in names:
-        if not isinstance(name, str) or not _NAME_RE.match(name):
+        if not isinstance(name, str) or not (name.isascii() and name.isidentifier()):
             raise ValidationError(f"invalid {noun} name {name!r}")
         if name in reserved:
             raise ValidationError(f"{noun} name {name!r} is reserved")
@@ -143,49 +139,75 @@ class Value:
         return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
-class Partition(Value):
-    """Nonempty blocks that partition the bits of an owner, kept as the bitmasks
-    ``masks``: the one type under ``FormulaAlgebra`` (of a language's atoms) and
-    ``SetAlgebra`` (of a sample space's worlds), built as ``View(owner, basis)``.
+class Masked(Value):
+    """An owner and the bitmasks ``masks`` of the ``_element`` values (keyed by
+    owner and mask) that its second field names: ``Partition``'s blocks or an
+    ``IncidenceMap``'s images.  ``property(Masked._built)`` builds those values
+    when first read, one for every empty mask, and keeps them outside the
+    fields.  Equality compares the owner and the masks; hash, ``repr`` and
+    pickling go by the values, as when the values themselves were kept."""
 
-    A view names its owner first in ``_fields``, checks the owner in its
-    ``__init__`` and hands the blocks to ``_fill``.  It sets ``_element`` (the
-    block type, whose ``_key`` is its owner and mask), ``_full`` (the owner's
-    mask of every bit), ``_check_element`` (what ``member`` refuses) and the
-    words of the partition faults.  ``basis`` builds the blocks when it is
-    first read.  Equality compares the masks; hash, ``repr`` and pickling go by
-    ``basis``, as when the blocks themselves were kept.
-    """
-
-    __slots__ = ("masks", "_basis")
-    _fields = ("owner", "basis")  # each view names its owner
+    __slots__ = ("masks", "_values")
+    _fields = ("owner", "values")  # each subclass names its own
 
     def __init_subclass__(cls):
         super().__init_subclass__()
         cls._key = attrgetter(cls._fields[0], "masks")
 
-    def _fill(self, owner, basis, mismatch: type, where: str) -> None:
-        """Keep the masks of ``basis``, if they are blocks of ``owner`` (else
-        ``mismatch``, naming ``where``) that partition its bits."""
-        element, masks = self._element, []
-        for block in as_tuple(basis, "basis blocks"):
-            if not isinstance(block, element):
-                raise ValidationError(f"basis block must be {element.__name__}, got {type(block).__name__}")
-            block_owner, mask = block._key(block)
-            if block_owner != owner:
-                raise mismatch(f"basis block belongs to a different {where}")
-            masks.append(mask)
-        self._set(owner, tuple(masks))._check()
-
     @classmethod
     def _of(cls, owner, masks: tuple):
-        """The partition of ``owner``'s bits into ``masks``, unchecked."""
+        """The value of ``owner`` and ``masks``, unchecked."""
         return object.__new__(cls)._set(owner, masks)
 
     def _set(self, owner, masks: tuple):
         setfield(self, self._fields[0], owner)
         setfield(self, "masks", masks)
         return self
+
+    def _keep(self, owner, values: tuple, noun: str, mismatch: type, different: str):
+        """``self`` with the masks of ``values``, if each is an ``_element`` (else
+        ``ValidationError`` naming ``noun``) of ``owner`` (else ``mismatch(different)``)."""
+        element, masks = self._element, []
+        for value in values:
+            if not isinstance(value, element):
+                raise ValidationError(f"{noun} must be {element.__name__}, got {type(value).__name__}")
+            value_owner, mask = value._key(value)
+            if value_owner is not owner and value_owner != owner:  # most share one owner
+                raise mismatch(different)
+            masks.append(mask)
+        return self._set(owner, tuple(masks))
+
+    def _built(self) -> tuple:
+        if not hasattr(self, "_values"):  # built when first read, then kept outside the fields
+            owner, element = getattr(self, self._fields[0]), self._element
+            empty = element(owner, 0) if 0 in self.masks else None  # one for every empty mask
+            setfield(self, "_values", tuple(element(owner, mask) if mask else empty for mask in self.masks))
+        return self._values
+
+    def __hash__(self):
+        return hash((getattr(self, self._fields[0]), self._built()))
+
+
+class Partition(Masked):
+    """Nonempty blocks that partition the bits of an owner, kept as the bitmasks
+    ``masks``: the one type under ``FormulaAlgebra`` (of a language's atoms) and
+    ``SetAlgebra`` (of a sample space's worlds), built as ``View(owner, basis)``.
+
+    A view names its owner first in ``_fields``, checks the owner in its
+    ``__init__`` and hands the blocks to ``_fill``.  It sets ``_element`` (the
+    block type), ``_full`` (the owner's mask of every bit), ``_check_element``
+    (what ``member`` refuses) and the words of the partition faults.
+    """
+
+    __slots__ = ()
+    _fields = ("owner", "basis")  # each view names its owner
+    basis = property(Masked._built)
+
+    def _fill(self, owner, basis, mismatch: type, where: str) -> None:
+        """Keep the masks of ``basis``, if they are blocks of ``owner`` (else
+        ``mismatch``, naming ``where``) that partition its bits."""
+        different = f"basis block belongs to a different {where}"
+        self._keep(owner, as_tuple(basis, "basis blocks"), "basis block", mismatch, different)._check()
 
     def _check(self):
         """``self``, if its masks partition its owner's bits; else ``ValidationError`` for the first fault."""
@@ -198,18 +220,9 @@ class Partition(Value):
             raise ValidationError(self._overlap.format(self._element(owner, self.masks[i])))
         return self
 
-    @property
-    def basis(self) -> tuple:
-        if not hasattr(self, "_basis"):  # built when first read, then kept outside the fields
-            owner = getattr(self, self._fields[0])
-            setfield(self, "_basis", tuple(self._element(owner, mask) for mask in self.masks))
-        return self._basis
-
     def member(self, x) -> bool:
         """True iff ``x`` is a union of basis blocks: each lies inside it or misses it."""
         self._check_element(self, x)
         mask = x._key(x)[1]
         return all(block & mask in (0, block) for block in self.masks)
 
-    def __hash__(self):
-        return hash((getattr(self, self._fields[0]), self.basis))

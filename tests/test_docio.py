@@ -693,6 +693,15 @@ SHORT_KEYS = json.dumps({
 })
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_the_atom_keys_are_the_atom_texts_as_to_json_writes_them(n):
+    lang = Language(tuple(f"p{j}" for j in range(n)))
+    spelled = "({})" if n > 1 else "{}"
+    expected = [spelled.format(logic._atom_text(lang, k)).encode() for k in range(lang.n_atoms)]
+    assert [key.encode() for key in docio._atom_texts(lang)] == expected
+    assert logic._atom_texts(lang, wrap=True) == docio._atom_texts(lang)
+
+
 def test_the_atom_table_is_built_once_and_only_for_canonical_spelling(monkeypatch):
     rng = random.Random(10)
     canonical = [random_document(rng, n, kind) for n in (2, 5, 8) for kind in ("ds", "ic")]

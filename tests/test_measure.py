@@ -1,6 +1,7 @@
 """Rationals, sample spaces, set algebras, measures, inner measures."""
 
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -298,3 +299,13 @@ def test_set_algebra_member_is_a_union_of_blocks():
     other = SampleSpace(("s1", "s2", "s3", "s5"))
     with pytest.raises(ValidationError, match="world sets belong to different sample spaces"):
         algebra.member(other.subset(["s1", "s2"]))
+
+
+def test_a_space_keeps_its_full_mask():
+    space = SampleSpace(("w1", "w2", "w3"))
+    assert "full_bits" in SampleSpace.__slots__ and "full_bits" not in SampleSpace._fields
+    assert space.full_bits == 0b111 and space.everything().bits == 0b111
+    with pytest.raises(AttributeError):
+        space.full_bits = 1
+    assert pickle.loads(pickle.dumps(space)).full_bits == 0b111
+    assert SampleSpace([f"w{i}" for i in range(64)]).full_bits == (1 << 64) - 1

@@ -658,7 +658,9 @@ def test_each_incidence_map_is_walked_once(build, message, monkeypatch):
 
 
 def test_the_kept_verdict_leaves_equality_hashing_and_pickling_alone():
-    assert IncidenceMap.__slots__ == IncidenceMap._fields  # the verdict is the structure's
+    # the verdict is the structure's: the map keeps its space, masks and images, and nothing else
+    assert {slot for cls in IncidenceMap.__mro__ for slot in getattr(cls, "__slots__", ())} == {
+        "space", "masks", "_values"}
     for build in (coats_ds, overlapping_coats_ds):
         fresh = rebuilt(build())
         assert not hasattr(fresh, "_problems")
@@ -926,3 +928,46 @@ def test_mobius_mass_guards():
     )
     with pytest.raises(ValidationError, match="too large"):
         mobius_mass(st)
+
+
+def test_images_are_built_from_the_masks_once_and_kept(monkeypatch):
+    space = SampleSpace(("w1", "w2", "w3"))
+    given = (space.subset(["w2"]), space.nothing(), space.subset(["w1", "w3"]))
+    assert IncidenceMap(space, given).images is given  # values given are the images
+    assert IncidenceMap(space, list(given)).masks == (2, 0, 5)
+    text = to_json(random_total_ds(GenParams(3, 2, 5)))  # 8 atoms, at most 2 with worlds
+    made = []
+    init = WorldSet.__init__
+
+    def counted(self, space, bits):
+        made.append(bits)
+        init(self, space, bits)
+
+    monkeypatch.setattr(WorldSet, "__init__", counted)
+    st = from_json(text)
+    inc = st.inc
+    assert made == [] and inc.masks.count(0) >= 6
+    images = inc.images
+    assert images is inc.images and inc.images is images  # built on the first read, then kept
+    assert made == [0] + [bits for bits in inc.masks if bits]  # one set for every empty image
+    assert len({id(image) for image in images if image.is_empty}) == 1
+    assert tuple(image.bits for image in images) == inc.masks
+    assert inc == IncidenceMap(space=st.ps.space, images=images) and hash(inc) == hash((st.ps.space, images))
+
+
+def test_the_kept_mass_function_is_returned_before_the_gate(monkeypatch):
+    st, fresh = coats_ds(), rebuilt(coats_ds())
+    kept = structures._masses(st)
+    gates = []
+    gate = structures._checked
+    monkeypatch.setattr(structures, "_checked", lambda *args: gates.append(args) or gate(*args))
+    assert structures._masses(st) is kept and gates == []
+    assert structures._masses(fresh) == kept  # an equal structure keeps its own, after the gate and gates == [(fresh,)]
+    assert structures._masses(fresh) is fresh._masses and len(gates) == 1
+    # a structure the gate refuses keeps nothing, and is refused on every call
+    ps = ProbabilitySpace(st.ps.space, st.ps.algebra, MeasureFn((Fraction(1, 4), HALF)))
+    bad = ProbabilityStructure(ps, st.lang, st.psi, st.inc, st.kind)
+    for calls in (2, 3):
+        with pytest.raises(ValidationError, match="^measure weights sum to 3/4, expected 1$"):
+            structures._masses(bad)
+        assert len(gates) == calls and not hasattr(bad, "_masses")

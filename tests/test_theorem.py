@@ -11,6 +11,7 @@ written apart from the package.
 """
 
 import dataclasses
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -32,6 +33,7 @@ from probstruct import (  # noqa: E402
     ds_to_ic,
     equivalent,
     from_json,
+    ic_to_ds,
     interval,
     parse_formula,
     plb,
@@ -118,7 +120,11 @@ def test_the_program_agrees_with_the_independent_oracle(case):
     oracle's canonical bytes (their blocks may be in other orders), and give
     the oracle's interval, belief and plausibility for seeded formulas and
     atom sets.  ``gen.noncanonical`` respells each block by a scan of every
-    atom (1.5 s for a 12-proposition ds), so only shapes up to 8 are respelled."""
+    atom (1.5 s for a 12-proposition ds), so only shapes up to 8 are respelled.
+    A structure is equivalent to its translation (``ic_to_ds`` makes a world
+    of each atom, so an ic is lifted up to 6 propositions), and after weight
+    moves between two measurable blocks the witness is the first formula on
+    which the oracle's intervals differ."""
     model, seed = case
     rng = random.Random(seed)
     text = oracle.canonical(model)
@@ -134,3 +140,52 @@ def test_the_program_agrees_with_the_independent_oracle(case):
         assert (got.lo, got.hi) == expected
         if st.kind is StructureKind.DS:
             assert (bel(st, f), plb(st, f)) == expected
+    if st.kind is StructureKind.DS:  # ``gen.ds_model`` makes total structures
+        translation = ds_to_ic(st)
+    else:
+        translation = ic_to_ds(st) if len(model.props) <= 6 else None
+    if translation is not None:
+        report = equivalent(st, translation)
+        assert (report.equivalent, report.checked_count, report.witness) == (True, 2**st.lang.n_atoms, None)
+    _the_witness_of_moved_weight_is_the_first(st, model, rng)
+
+
+def _the_witness_of_moved_weight_is_the_first(st, model, rng):
+    """Move weight between two measurable blocks met by different formula
+    blocks (so the masses differ); the witness is a formula on which the
+    oracle's intervals differ, and they agree on every mask below it.
+
+    The oracle reads a mask only through its live atoms (those of the blocks
+    with worlds), so the masks below the witness are checked as the sets of
+    live atoms below it.  They differ at the lowest atom ``a`` met by either
+    block, so the witness is at most ``2**a``; the pair is drawn among those
+    with at most 10 live atoms up to ``a``, and the pair holding the lowest
+    live atom is always one of them."""
+    live = sum(block for block, _ in model.live)
+    met = [sum(block for block, image in model.live if image & worlds) for worlds in model.mblocks]
+    at_most = {}  # 2**a for each pair that differs and keeps the walk small
+    for i, j in itertools.permutations(range(len(met)), 2):
+        atom = (met[i] | met[j]) & -(met[i] | met[j])
+        if met[i] != met[j] and (live & (2 * atom - 1)).bit_count() <= 10:
+            at_most[i, j] = atom
+    if not at_most:  # one measurable block, or all met by one formula block
+        return
+    i, j = rng.choice(sorted(at_most))
+    weights = list(model.weights)
+    step = min(weights[i], Fraction(1, 97))
+    weights[i] -= step
+    weights[j] += step
+    moved = dataclasses.replace(model, weights=tuple(weights))
+    report = equivalent(st, from_json(oracle.canonical(moved)))
+    assert not report.equivalent
+    f, in_st, in_moved = report.witness
+    assert report.checked_count == f.atoms + 1 and f.atoms <= at_most[i, j]
+    assert (in_st.lo, in_st.hi) == oracle.interval(model, f.atoms) != oracle.interval(moved, f.atoms)
+    assert (in_moved.lo, in_moved.hi) == oracle.interval(moved, f.atoms)
+    below = live & (2 * at_most[i, j] - 1)
+    mask = 0
+    while mask < f.atoms:  # every set of live atoms below the witness, in increasing order
+        assert oracle.interval(model, mask) == oracle.interval(moved, mask)
+        mask = (mask - below) & below
+        if not mask:
+            break

@@ -30,6 +30,7 @@ from probstruct import (
     ds_to_ic,
     equivalent,
     format_formula,
+    from_json,
     ic_to_ds,
     interval,
     is_total,
@@ -38,6 +39,7 @@ from probstruct import (
     random_ic,
     random_total_ds,
     round_trip_check,
+    to_json,
     trivial_algebra,
     validate,
 )
@@ -650,3 +652,26 @@ def test_translations_keep_every_interval_up_to_the_generators_bounds(n_props, n
             assert equivalent(st, there(st)).equivalent
             report = round_trip_check(st)
             assert (report.equivalent, report.checked_count) == (True, st.lang.full_mask + 1)
+
+
+def test_translations_and_loads_make_no_world_set_per_block(monkeypatch):
+    """The translations and ``from_json`` build their incidence maps from masks:
+    an ic_to_ds of 6 propositions made at least one WorldSet per atom (64) when
+    the images were kept as values, and now makes none."""
+    ic, ds = random_ic(GenParams(6, 64, 11)), random_total_ds(GenParams(6, 64, 12))
+    texts = [to_json(ic), to_json(ds)]
+    made = []
+    init = WorldSet.__init__
+
+    def counted(self, space, bits):
+        made.append(bits)
+        init(self, space, bits)
+
+    monkeypatch.setattr(WorldSet, "__init__", counted)
+    lifted = ic_to_ds(ic)
+    assert len(made) < 10
+    collapsed = ds_to_ic(ds)
+    loaded = [from_json(text) for text in texts]
+    assert made == []
+    assert equivalent(lifted, ic).equivalent and equivalent(collapsed, ds).equivalent
+    assert [to_json(st) for st in loaded] == texts and made == []

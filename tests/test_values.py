@@ -4,8 +4,10 @@ repr, pickling and copying."""
 import copy
 import hashlib
 import itertools
+import keyword
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -37,6 +39,7 @@ from probstruct import (
     from_json,
     full_algebra,
     generate_algebra,
+    ic_to_ds,
     inner_measure,
     interval,
     parse_formula,
@@ -48,7 +51,7 @@ from probstruct import (
 )
 from probstruct.errors import LanguageMismatchError
 from probstruct.measure import measure
-from probstruct.value import partition_faults, safe_repr
+from probstruct.value import check_names, partition_faults, safe_repr
 
 HALF = Fraction(1, 2)
 
@@ -693,3 +696,123 @@ def test_element_types_are_checked_before_the_partition():
         ),
     ):
         assert _refusal(build) == (error, message)
+
+
+# Each incidence map's repr and its pickles at protocols 0 to 5, as digests,
+# recorded when the maps still kept their images as WorldSet values.  The
+# images are masks now, built as values when ``images`` is read.
+INCIDENCE_PINS = {
+    "built": (
+        lambda: IncidenceMap(_W3, [_W3.subset(["w2"]), _W3.nothing(), _W3.subset(["w1", "w3"])]),
+        "3d8e2e25ddf14284",
+        [
+            "ec57d1b769f15043", "26c57de7418cdb30", "fec7e7bff9ed364d",
+            "6d8004a906a5baf7", "461dbc6ab94c2bff", "ff3dc43a54957bd3",
+        ],
+    ),
+    "coats ds": (
+        lambda: coats_ds().inc,
+        "00ceffaac4507992",
+        [
+            "ecdc819160dc2a65", "cb33570877026040", "70a8eb3311a20c8b",
+            "bca59ad702b12662", "1db91d004e0d8343", "6872706394cf6085",
+        ],
+    ),
+    "coats ic": (
+        lambda: coats_ic().inc,
+        "a16c42df8fbb7850",
+        [
+            "c6cdae97094b6a28", "17422fb137afa983", "d42b29dc26726c38",
+            "99ec6835b3a092bc", "c848be68a54352c3", "c18fe93f303a0f7a",
+        ],
+    ),
+    "loaded ds": (
+        lambda: _loaded("ds").inc,
+        "bd494b211d1aa2a6",
+        [
+            "113fa62770d46712", "c86e5c7fc9f1cff4", "6f1376cd04b7eacf",
+            "75423c546d9653fe", "87f11500ab04346a", "0efceb7f85b10e1a",
+        ],
+    ),
+    "loaded ic": (
+        lambda: _loaded("ic").inc,
+        "5e2ed91ccdc19983",
+        [
+            "21f947012e963373", "b6070d30b03bdfb1", "cd1ddc2410e33285",
+            "ff3a1781191a8802", "63585d989c7ccfbd", "c93c1fdb9847cd58",
+        ],
+    ),
+    "lifted": (
+        lambda: ic_to_ds(coats_ic()).inc,
+        "0089ab3c52bbb482",
+        [
+            "9ff708775db6df48", "d9564cb1d2dfce10", "a8f097803b69577a",
+            "5ddce616d07b12f5", "75f39003b97805cc", "c59727a398d64cee",
+        ],
+    ),
+    "collapsed": (  # the coats ic, by another road
+        lambda: ds_to_ic(coats_ds()).inc,
+        "a16c42df8fbb7850",
+        [
+            "c6cdae97094b6a28", "17422fb137afa983", "d42b29dc26726c38",
+            "99ec6835b3a092bc", "c848be68a54352c3", "c18fe93f303a0f7a",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(INCIDENCE_PINS))
+def test_incidence_maps_keep_their_repr_hash_pickles_and_copies(name):
+    build, repr_digest, pickle_digests = INCIDENCE_PINS[name]
+    inc = build()
+    assert _digest(repr(inc)) == repr_digest
+    assert [_digest(pickle.dumps(inc, protocol=p)) for p in range(6)] == pickle_digests
+    assert inc.__reduce__() == (IncidenceMap, (inc.space, inc.images))
+    assert hash(inc) == hash((inc.space, inc.images))  # the hash of the fields
+    assert inc == IncidenceMap(inc.space, inc.images) == IncidenceMap(space=inc.space, images=inc.images) == build()
+    assert inc.masks == tuple(image.bits for image in inc.images)
+    if len(set(inc.masks)) > 1:  # images in another order make another value
+        assert inc != IncidenceMap(inc.space, inc.images[::-1])
+    for twin in (copy.copy(inc), copy.deepcopy(inc), pickle.loads(pickle.dumps(inc))):
+        assert type(twin) is IncidenceMap and twin == inc and hash(twin) == hash(inc)
+        assert twin.masks == inc.masks and twin.images == inc.images
+
+
+# Each loaded structure's pickles at protocols 0 to 5, recorded as INCIDENCE_PINS was.
+STRUCTURE_PICKLE_PINS = {
+    "ds": [
+        "11f4773335268dd1", "d9209e7a5a2ada2f", "a1156485494fcfe1",
+        "b973c259df727b69", "07ca8b143cb71c71", "8568e59cde011458",
+    ],
+    "ic": [
+        "53770e12ca0a053c", "28f1c0652c444aea", "a6603432ad5c1a31",
+        "4ac22e9fbf807eed", "37e5e71d98d1c568", "e0d07b5ebffe69b1",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", list(STRUCTURE_PICKLE_PINS))
+def test_a_loaded_structure_keeps_its_pickles(kind):
+    st = _loaded(kind)
+    assert [_digest(pickle.dumps(st, protocol=p)) for p in range(6)] == STRUCTURE_PICKLE_PINS[kind]
+
+
+NAME_CORPUS = (
+    ["a", "_", "_x9", "Z_1", "x" * 64, "true", "false", "", "a\n", "\n", "a b", "a-b", "a.b", "1a", "9"]
+    + ["é", "aé", "ß", "\uff41", "a\u200b", "\u01c5", "\u2168", "_\u00b7", "\u0131", "K\u212a"]
+    + keyword.kwlist
+    + [chr(c) for c in range(0x100)]
+    + ["a" + chr(c) for c in range(0x100)]
+    + [chr(c) + "1" for c in range(0x100, 0x3000, 11)]
+)
+
+
+def test_names_are_checked_as_the_identifier_pattern_checks_them():
+    pattern = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")  # the check's earlier spelling, as the oracle
+    for name in NAME_CORPUS:
+        try:
+            accepted = check_names([name], 1, "a test", "world") == (name,)
+        except ValidationError as e:
+            assert str(e) == f"invalid world name {name!r}"
+            accepted = False
+        assert accepted == bool(pattern.match(name)), name

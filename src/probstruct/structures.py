@@ -79,7 +79,7 @@ class IncidenceMap(Masked):
         images = as_tuple(images, "incidence images")
         different = "incidence image is over a different sample space"
         self._keep(space, images, "incidence image", ValidationError, different)
-        setfield(self, "_values", images)
+        setfield(self, "_values", images)  # the values given are the images
 
     def partition_problems(self) -> list[str]:
         """Why the images, empty ones allowed, fail to partition the sample space; empty if they do."""

@@ -948,7 +948,7 @@ def test_images_are_built_from_the_masks_once_and_kept(monkeypatch):
     inc = st.inc
     assert made == [] and inc.masks.count(0) >= 6
     images = inc.images
-    assert images is inc.images and inc.images is images  # built on the first read, then kept
+    assert inc.images is images  # built on the first read, then kept
     assert made == [0] + [bits for bits in inc.masks if bits]  # one set for every empty image
     assert len({id(image) for image in images if image.is_empty}) == 1
     assert tuple(image.bits for image in images) == inc.masks

@@ -41,6 +41,7 @@ their keys straight from the atom texts.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from typing import Iterable
 
@@ -63,8 +64,8 @@ from .measure import (
     SampleSpace,
     SetAlgebra,
     discrete_algebra,
+    _ratio,
     format_rational,
-    parse_rational,
 )
 from .structures import (
     IncidenceMap,
@@ -137,9 +138,7 @@ def to_json(st: ProbabilityStructure) -> str:
     if st.kind is StructureKind.DS:
         fields.append(("chi_basis", _list([world_list(chi[j]) for j in chi_order], 1)))
     # an ic structure's measurable blocks are the single worlds, in world order
-    measure = (
-        (_encode(str(i)), _encode(format_rational(weights[j]))) for i, j in enumerate(chi_order)
-    )
+    measure = ((_encode(str(i)), _encode(format_rational(weights[j]))) for i, j in enumerate(chi_order))
     fields.append(("measure", _object(measure, 1)))
     if st.kind is StructureKind.IC:
         fields.append(("psi_basis", _list(keys, 1)))
@@ -164,9 +163,9 @@ def _name_list(value, what: str) -> list[str]:
     return value
 
 
-def _world_bits(space: SampleSpace, names, what: str) -> int | None:
-    """The bits of the worlds ``names`` lists; None if a name repeats or is no
-    world.  Raises unless ``names`` is a list of strings, which ``what`` names."""
+def _world_bits(space: SampleSpace, names, what: str, *args) -> int | None:
+    """The bits of the worlds ``names`` lists; None if a name repeats or is no world.
+    Raises unless ``names`` is a list of strings, named by ``what.format(*args)``."""
     if names.__class__ is list:
         try:
             bits = sum(map(space._bits.__getitem__, names))
@@ -174,7 +173,7 @@ def _world_bits(space: SampleSpace, names, what: str) -> int | None:
                 return bits
         except (KeyError, TypeError):  # not a world name, or not even hashable
             pass
-    _name_list(names, what)
+    _name_list(names, what.format(*args))
     return None
 
 
@@ -242,18 +241,16 @@ def from_json(text: str, check: bool = True) -> ProbabilityStructure:
 def _measure_weights(raw_measure, count: int) -> MeasureFn:
     if not isinstance(raw_measure, dict):
         raise DocumentError('field "measure" must be an object')
-    expected = {str(i) for i in range(count)}
-    if set(raw_measure) != expected:
-        raise DocumentError(
-            f'field "measure" must have exactly the keys 0..{count - 1} as strings'
-        )
-    weights = []
-    for i in range(count):
-        value = raw_measure[str(i)]
-        if not isinstance(value, str):
+    keys = [str(i) for i in range(count)]
+    if raw_measure.keys() != set(keys):
+        raise DocumentError(f'field "measure" must have exactly the keys 0..{count - 1} as strings')
+    ratios = []  # each in lowest terms, so over their lcm the numerators share no factor with it
+    for i, key in enumerate(keys):
+        if not isinstance(raw_measure[key], str):
             raise DocumentError(f"measure weight of block {i} must be a rational string")
-        weights.append(parse_rational(value))
-    return MeasureFn(tuple(weights))
+        ratios.append(_ratio(raw_measure[key]))
+    den = math.lcm(*(d for _, d in ratios))
+    return MeasureFn._of(tuple(n * (den // d) for n, d in ratios), den)
 
 
 def _atom_spelling(lang: Language, keys) -> list[str]:
@@ -311,10 +308,9 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
                 raise DocumentError('field "chi_basis" must be a list')
             chi = []
             for j, names in enumerate(raw["chi_basis"]):
-                what = f"chi_basis block {j}"
-                bits = _world_bits(space, names, what)
+                bits = _world_bits(space, names, "chi_basis block {}", j)
                 if bits is None:
-                    raise DocumentError(_world_fault(space, names, what))
+                    raise DocumentError(_world_fault(space, names, f"chi_basis block {j}"))
                 chi.append(bits)
             algebra = SetAlgebra._of(space, tuple(chi))._check()
             # the blocks are the single atoms, whose keys are the texts ``to_json`` writes
@@ -329,7 +325,7 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
         psi, blocks, texts, fault = None, [], [], str(e)
     images = None
     if texts and list(incidence) == texts:  # a canonical document: key j is block j's text
-        images = [0 if names == [] else _world_bits(space, names, f"incidence of {key!r}")
+        images = [0 if names == [] else _world_bits(space, names, "incidence of {!r}", key)
                   for key, names in incidence.items()]
     if images is None or None in images:  # any other document, or a fault: read key by key
         atom = dict(zip(spelled, range(lang.n_atoms))) if atom is None else atom
@@ -341,7 +337,7 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
             j = low if kind == "ds" else of_low.get(low)
             if fault or j is None or psi.masks[j] != mask:
                 j = None
-            bits = 0 if names == [] else _world_bits(space, names, f"incidence of {key!r}")
+            bits = 0 if names == [] else _world_bits(space, names, "incidence of {!r}", key)
             if fault:
                 continue
             if j is not None and images[j] is None and bits is not None:

@@ -6,7 +6,8 @@ every union of blocks.  Sets outside that algebra are *not measurable* (a
 distinct condition from having inner measure 0), and ``inner_measure``
 provides the standard approximation from below.
 
-All values are ``fractions.Fraction``; nothing is ever rounded.
+Weights are kept as integers over one denominator and answers are
+``fractions.Fraction``: nothing is ever rounded.
 """
 
 from __future__ import annotations
@@ -22,20 +23,28 @@ from .value import Partition, Value, as_tuple, check_names, require_type, set_bi
 
 MAX_WORLDS = 64
 
-_RATIONAL_RE = re.compile(r"-?\d+(?:/[1-9]\d*)?\Z")
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?\Z")
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal: an integer or ``p/q`` with positive ``q``."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+def _ratio(text: str) -> tuple[int, int]:
+    """A rational literal's numerator and positive denominator, in lowest terms."""
+    match = _RATIONAL_RE.match(text.strip()) if isinstance(text, str) else None
+    if match is None:
         raise ValidationError(f"invalid rational literal {text!r}")
     try:
-        return Fraction(text)
+        num, den = int(match[1]), int(match[2] or 1)
     except ValueError:  # past the interpreter's limit on digits per integer
         raise ValidationError(f"rational literal too long ({len(text)} characters)") from None
+    common = math.gcd(num, den)
+    return num // common, den // common
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a rational literal: an integer or ``p/q`` with positive ``q``."""
+    return Fraction(*_ratio(text))
 
 
 def format_rational(value: Fraction) -> str:
@@ -165,32 +174,49 @@ def discrete_algebra(space: SampleSpace) -> SetAlgebra:
 
 
 class MeasureFn(Value):
-    """Rational weights on the blocks of a basis, in basis order.
-
-    Whether the weights are nonnegative and sum to 1 is checked by
-    ``weight_problems``, which ``structures.validate`` calls, not here, so
-    that hand-written documents surface as validation reports instead of
-    construction failures.
+    """Rational weights on the blocks of a basis, in basis order, kept as integer
+    numerators ``nums`` over their least common denominator ``den``.  ``weights``
+    is the ``Fraction`` values given, or else built when first read; equality
+    compares ``(nums, den)``, hash, ``repr`` and pickling go by ``weights``.
+    Whether they are nonnegative and sum to 1 is left to ``weight_problems``,
+    which ``structures.validate`` calls, so that hand-written documents
+    surface as validation reports instead of construction failures.
     """
 
     _fields = ("weights",)
-    __slots__ = _fields
+    __slots__ = ("nums", "den", "_weights")
+    _key = attrgetter("nums", "den")  # equality by the normal form
 
     def __init__(self, weights: Iterable):
-        weights = as_tuple(weights, "measure weights")
-        setfield(self, "weights", tuple(map(as_fraction, weights)))
+        weights = tuple(map(as_fraction, as_tuple(weights, "measure weights")))
+        den = math.lcm(*(w.denominator for w in weights))
+        setfield(self, "nums", tuple(w.numerator * (den // w.denominator) for w in weights))
+        setfield(self, "den", den)
+        setfield(self, "_weights", weights)
+
+    @classmethod
+    def _of(cls, nums: tuple, den: int) -> MeasureFn:
+        """The measure of ``nums`` over ``den``, unchecked: ``gcd(den, *nums)`` must be 1."""
+        self = object.__new__(cls)
+        setfield(self, "nums", nums)
+        setfield(self, "den", den)
+        return self
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        if not hasattr(self, "_weights"):  # built when first read, then kept outside the fields
+            setfield(self, "_weights", tuple(Fraction(n, self.den) for n in self.nums))
+        return self._weights
+
+    def __hash__(self):
+        return hash(self.weights)
 
     def weight_problems(self) -> list[str]:
         """Why the weights are not a probability distribution; empty if they are."""
-        problems = []
-        for i, w in enumerate(self.weights):
-            if w.numerator < 0:
-                problems.append(f"measure weight {format_rational(w)} of block {i} is negative")
-        # sum over one common denominator rather than reducing a Fraction at each step
-        den = math.lcm(*(w.denominator for w in self.weights))
-        num = sum(w.numerator * (den // w.denominator) for w in self.weights)
-        if num != den:
-            total = Fraction(num, den)
+        problems = [f"measure weight {format_rational(Fraction(n, self.den))} of block {i} is negative"
+                    for i, n in enumerate(self.nums) if n < 0]
+        if sum(self.nums) != self.den:
+            total = Fraction(sum(self.nums), self.den)
             try:
                 problems.append(f"measure weights sum to {format_rational(total)}, expected 1")
             except ValidationError:
@@ -209,11 +235,8 @@ class ProbabilitySpace(Value):
         require_type(mu, MeasureFn, "probability space measure")
         if algebra.space != space:
             raise ValidationError("algebra is over a different sample space")
-        if len(mu.weights) != len(algebra.masks):
-            raise ValidationError(
-                f"measure has {len(mu.weights)} weights for "
-                f"{len(algebra.masks)} basis blocks"
-            )
+        if len(mu.nums) != len(algebra.masks):
+            raise ValidationError(f"measure has {len(mu.nums)} weights for {len(algebra.masks)} basis blocks")
         setfield(self, "space", space)
         setfield(self, "algebra", algebra)
         setfield(self, "mu", mu)
@@ -223,13 +246,12 @@ def _covered(ps: ProbabilitySpace, x: WorldSet) -> tuple[int, Fraction]:
     """The union of the basis blocks inside ``x``, and their total weight."""
     require_type(ps, ProbabilitySpace, "probability space")
     _check_space(ps.algebra, x)
-    covered = 0
-    total = ZERO
-    for block, w in zip(ps.algebra.masks, ps.mu.weights):
+    covered = total = 0
+    for block, n in zip(ps.algebra.masks, ps.mu.nums):
         if block & ~x.bits == 0:
             covered |= block
-            total += w
-    return covered, total
+            total += n
+    return covered, Fraction(total, ps.mu.den)
 
 
 def measure(ps: ProbabilitySpace, x: WorldSet) -> Fraction:

@@ -30,7 +30,6 @@ exact lower and upper probabilities for any formula.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from fractions import Fraction
 
@@ -286,26 +285,23 @@ def interval(st: ProbabilityStructure, xi: Formula) -> Interval:
 
 
 def _masses(st: ProbabilityStructure) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The mass function as (atom mask, numerator) pairs and their denominator.
-    An ic has a pair per formula block, weighing the worlds of its image, a ds
-    one per measurable block, whose mask holds each atom whose image meets it.
+    """The mass function as (atom mask, numerator) pairs over ``mu.den``.  An ic
+    has a pair per formula block, summing the numerators of its image's worlds,
+    a ds one per measurable block, whose mask holds each atom whose image meets it.
     Refuses what ``validate`` lists; kept in a slot outside the fields, and
     only for a structure that passed the gate, so it is returned ungated."""
     if hasattr(st, "_masses"):
         return st._masses
     _checked(st)
-    den = math.lcm(*(w.denominator for w in st.ps.mu.weights))
-    nums = [w.numerator * (den // w.denominator) for w in st.ps.mu.weights]
-    chi = list(zip(st.ps.algebra.masks, nums))
+    chi = list(zip(st.ps.algebra.masks, st.ps.mu.nums))
     images = zip(st.psi.masks, st.inc.masks)
     if st.kind is StructureKind.IC:  # the measurable blocks are the single worlds
-        pairs = [
-            (block, sum(n for bits, n in chi if bits & image) if image else 0) for block, image in images
-        ]
+        pairs = [(block, sum(n for bits, n in chi if bits & image) if image else 0)
+                 for block, image in images]
     else:
         live = [(block, image) for block, image in images if image]
         pairs = [(sum(atoms for atoms, bits in live if bits & chi_bits), n) for chi_bits, n in chi]
-    setfield(st, "_masses", (tuple(pairs), den))
+    setfield(st, "_masses", (tuple(pairs), st.ps.mu.den))
     return st._masses
 
 

@@ -106,7 +106,8 @@ def ic_to_ds(ic: ProbabilityStructure) -> ProbabilityStructure:
     space = SampleSpace(["_".join(reversed(atom)) for atom in itertools.product(*literals)])
     pairs, den = _masses(ic)
     chi = SetAlgebra._of(space, tuple(mask for mask, _ in pairs))._check()
-    ps = ProbabilitySpace(space, chi, MeasureFn(Fraction(num, den) for _, num in pairs))
+    common = math.gcd(den, *(num for _, num in pairs))  # block sums may share a factor with den
+    ps = ProbabilitySpace(space, chi, MeasureFn._of(tuple(num // common for _, num in pairs), den // common))
     inc = IncidenceMap._of(space, tuple(1 << k for k in range(lang.n_atoms)))
     return _checked(ProbabilityStructure(ps, lang, full_algebra(lang), inc, StructureKind.DS))
 

@@ -108,7 +108,7 @@ class Value:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls._key = attrgetter(*cls._fields)
+        cls._key = vars(cls).get("_key", attrgetter(*cls._fields))  # a class may name its own key
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -35,7 +35,7 @@ from probstruct import (
 import probstruct.docio as docio
 import probstruct.logic as logic
 from probstruct.logic import full_algebra
-from probstruct.measure import ProbabilitySpace, SetAlgebra, discrete_algebra
+from probstruct.measure import MeasureFn, ProbabilitySpace, SetAlgebra, discrete_algebra
 from probstruct.structures import IncidenceMap
 from probstruct.cli import main
 
@@ -265,6 +265,48 @@ def edited(build, mutate) -> str:
     doc = json.loads(to_json(build()))
     mutate(doc)
     return json.dumps(doc)
+
+
+# the coats ds document's two weights as written, and what loading and saving gives:
+# the weights saved back, or the refusal's text
+DOCUMENT_WEIGHTS = {
+    "surrounding whitespace": ((" 1/2", "1/2\n"), ("1/2", "1/2")),
+    "leading zeros": (("0002/4", "01/2"), ("1/2", "1/2")),
+    "minus zero": (("-0", "1"), ("0", "1")),
+    "zero over five": (("0/5", "1"), ("0", "1")),
+    "not in lowest terms": (("2/4", "3/6"), ("1/2", "1/2")),
+    "a leading zero in a denominator": (("1/2", "1/02"), "invalid rational literal '1/02'"),
+    "a number": ((0.5, "1/2"), "measure weight of block 0 must be a rational string"),
+    "an integer": (("1/2", 1), "measure weight of block 1 must be a rational string"),
+    "a 4,301-digit numerator": (("1" * 4301 + "/2", "1/2"), "rational literal too long (4303 characters)"),
+    "a 4,301-digit denominator": (("1/2", "1/1" + "0" * 4300), "rational literal too long (4303 characters)"),
+    "one over zero": (("1/0", "1"), "invalid rational literal '1/0'"),
+}
+
+
+@pytest.mark.parametrize("case", list(DOCUMENT_WEIGHTS))
+def test_document_weights_load_as_before(case):
+    (first, second), outcome = DOCUMENT_WEIGHTS[case]
+    text = edited(coats_ds, lambda d: d.update(measure={"0": first, "1": second}))
+    if isinstance(outcome, str):
+        with pytest.raises(DocumentError) as err:
+            from_json(text)
+        assert str(err.value) == outcome
+        return
+    st = from_json(text)
+    assert json.loads(to_json(st))["measure"] == dict(zip("01", outcome))
+    want = MeasureFn(map(Fraction, outcome))
+    assert st.ps.mu == want and (st.ps.mu.nums, st.ps.mu.den) == (want.nums, want.den)
+
+
+def test_loaded_weights_are_in_normal_form():
+    # 2/12 and 10/12 are 1/6 and 5/6: numerators 1 and 5 over 6
+    text = edited(coats_ic, lambda d: d.update(measure={"0": "2/12", "1": "10/12"}))
+    mu = from_json(text).ps.mu
+    assert (mu.nums, mu.den) == ((1, 5), 6)
+    assert mu == MeasureFn((Fraction(1, 6), Fraction(5, 6)))
+    assert mu.weights == (Fraction(1, 6), Fraction(5, 6))
+    assert hash(mu) == hash(MeasureFn((Fraction(1, 6), Fraction(5, 6))))
 
 
 def test_rejects_bad_weight_sum():
@@ -1064,6 +1106,46 @@ def test_faults_in_canonical_documents_keep_their_messages(kind, n, fault):
     with pytest.raises(DocumentError) as err:
         from_json(faulted_canonical(kind, n, fault))
     assert str(err.value) == message.format(key=key)
+
+
+def image_faults(names: list, worlds: list) -> dict:
+    """A world list with each fault, and the text its fault gives, ``{what}`` for
+    the list's name in the document."""
+    return {
+        "not a list": ("w0", "{what} must be a list of strings"),
+        "not strings": (names + [5], "{what} must be a list of strings"),
+        "unknown world": (names + ["w9"], "unknown world name 'w9'"),
+        "repeated world": (names + [worlds[0], worlds[0]], "{what} repeats a world name"),
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("kind", ["ds", "ic"])
+def test_a_bad_image_anywhere_in_a_canonical_document_keeps_its_message(kind, n):
+    text = random_document(random.Random(2400 + n), n, kind)
+    doc = json.loads(text)
+    keys = list(doc["incidence"])
+    live = [key for key in keys if doc["incidence"][key]]
+    for key in {keys[0], live[0], live[len(live) // 2], live[-1]}:
+        for names, message in image_faults(doc["incidence"][key], doc["worlds"]).values():
+            faulted = json.loads(text)
+            faulted["incidence"][key] = names
+            with pytest.raises(DocumentError) as err:
+                from_json(json.dumps(faulted, indent=2) + "\n")
+            assert str(err.value) == message.format(what=f"incidence of {key!r}")
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_a_bad_chi_basis_block_in_a_canonical_document_keeps_its_message(n):
+    text = random_document(random.Random(2500 + n), n, "ds")
+    doc = json.loads(text)
+    for j, block in enumerate(doc["chi_basis"]):
+        for names, message in image_faults(block, doc["worlds"]).values():
+            faulted = json.loads(text)
+            faulted["chi_basis"][j] = names
+            with pytest.raises(DocumentError) as err:
+                from_json(json.dumps(faulted, indent=2) + "\n")
+            assert str(err.value) == message.format(what=f"chi_basis block {j}")
 
 
 def test_a_ds_loads_and_answers_without_a_formula_per_block(monkeypatch):

@@ -1,6 +1,7 @@
 """Rationals, sample spaces, set algebras, measures, inner measures."""
 
 import itertools
+import math
 import pickle
 from fractions import Fraction
 
@@ -165,6 +166,69 @@ def test_measure_fn_length_must_match_basis():
     space = SampleSpace(("s1", "s2"))
     with pytest.raises(ValidationError):
         ProbabilitySpace(space, discrete_algebra(space), MeasureFn((Fraction(1),)))
+
+
+def test_a_weight_count_mismatch_keeps_its_message():
+    space = SampleSpace(("s1", "s2"))
+    for weights in ((Fraction(1),), (), (HALF, HALF, Fraction(0))):
+        with pytest.raises(ValidationError) as err:
+            ProbabilitySpace(space, discrete_algebra(space), MeasureFn(weights))
+        assert str(err.value) == f"measure has {len(weights)} weights for 2 basis blocks"
+
+
+def same_value(a, b) -> None:
+    """``a`` and ``b`` are one value: equal, with equal hashes, reprs and pickles."""
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert repr(a) == repr(b)
+    for protocol in (2, 4):
+        assert pickle.dumps(a, protocol) == pickle.dumps(b, protocol)
+
+
+@pytest.mark.parametrize(
+    "spelled, plain",
+    [
+        (("2/4", Fraction(3, 6)), (Fraction(1, 2), Fraction(1, 2))),  # two objects: pickles share none
+        ((0, 1), (Fraction(0), Fraction(1))),
+        ((Fraction(0), "-0", 1), (0, 0, Fraction(1))),
+        ((Fraction(-2, 8), "10/8"), (Fraction(-1, 4), Fraction(5, 4))),
+        ((Fraction(1, 6), Fraction(2, 6), 0.5), (Fraction(1, 6), Fraction(1, 3), HALF)),
+    ],
+)
+def test_weights_spelled_differently_are_one_value(spelled, plain):
+    a, b = MeasureFn(spelled), MeasureFn(plain)
+    same_value(a, b)
+    assert (a.nums, a.den) == (b.nums, b.den)
+    assert a.weights == b.weights == tuple(map(Fraction, plain))
+
+
+def test_the_normal_form_is_numerators_over_the_least_common_denominator():
+    mu = MeasureFn((Fraction(1, 6), Fraction(1, 4), Fraction(7, 12), Fraction(0)))
+    assert (mu.nums, mu.den) == ((2, 3, 7, 0), 12)
+    assert MeasureFn(()).nums == () and MeasureFn(()).den == 1
+    assert MeasureFn((-3, 4)).nums == (-3, 4) and MeasureFn((-3, 4)).den == 1
+    with pytest.raises(AttributeError):
+        mu.nums = (1,)
+
+
+@given(st.lists(st.fractions(max_denominator=10**6) | st.integers(-50, 50), max_size=12))
+def test_the_unchecked_constructor_agrees_with_the_public_one(weights):
+    mu = MeasureFn(weights)
+    assert mu.den == math.lcm(*(Fraction(w).denominator for w in weights))
+    assert math.gcd(mu.den, *mu.nums) == 1
+    assert mu.weights == tuple(map(Fraction, weights))
+    unchecked = MeasureFn._of(mu.nums, mu.den)
+    assert not hasattr(unchecked, "_weights")  # built when first read
+    same_value(unchecked, mu)
+    assert unchecked.weights == mu.weights
+    assert unchecked.weight_problems() == mu.weight_problems()
+    assert pickle.loads(pickle.dumps(unchecked)) == mu
+
+
+def test_measures_of_different_weights_differ():
+    assert MeasureFn((HALF, HALF)) != MeasureFn((Fraction(1, 4), Fraction(3, 4)))
+    assert MeasureFn((HALF, HALF)) != MeasureFn((HALF, HALF, 0))
+    assert MeasureFn((1,)) != MeasureFn._of((2,), 2)  # not in normal form: no value the constructor makes
 
 
 def test_probability_space_algebra_must_be_over_its_space():

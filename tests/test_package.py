@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter, so that no other test has imported
 a submodule first.
 """
 
+import ast
 import pickle
 import subprocess
 import sys
@@ -157,3 +158,19 @@ def test_a_pickled_structure_loads_after_importing_only_the_package():
         "assert st == probstruct.coats_ds()\n",
         stdin=pickle.dumps(coats_ds()),
     )
+
+
+def test_the_package_imports_only_itself_and_the_standard_library():
+    modules = sorted(Path(probstruct.__file__).parent.glob("*.py"))
+    assert len(modules) >= 10
+    outside = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # not an import, or a relative one
+                continue
+            outside += [f"{path.name}: {name}" for name in names if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

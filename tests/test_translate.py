@@ -153,6 +153,19 @@ def test_ic_to_ds_on_coats():
     assert str(interval(ds, parse_formula("~d", ds.lang))) == "[1/2, 1]"
 
 
+def test_ic_to_ds_keeps_the_measure_in_normal_form():
+    # the blocks' sums, 2/4 and 2/4, share a factor with the ic's denominator
+    space = SampleSpace(("w1", "w2", "w3"))
+    lang = Language(("g",))
+    psi = FormulaAlgebra(lang, (parse_formula("g", lang), parse_formula("~g", lang)))
+    weights = (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
+    ic = ProbabilityStructure.ic(space, weights, psi, (space.subset(["w1", "w2"]), space.subset(["w3"])))
+    mu = ic_to_ds(ic).ps.mu
+    assert (mu.nums, mu.den) == ((1, 1), 2)
+    assert mu == MeasureFn((HALF, HALF)) and hash(mu) == hash(MeasureFn((HALF, HALF)))
+    assert round_trip_check(ic).equivalent
+
+
 def test_ic_to_ds_equivalent_and_total():
     ic = coats_ic()
     report = equivalent(ic, ic_to_ds(ic))

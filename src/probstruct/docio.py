@@ -63,8 +63,8 @@ from .measure import (
     ProbabilitySpace,
     SampleSpace,
     SetAlgebra,
-    discrete_algebra,
     _ratio,
+    discrete_algebra,
     format_rational,
 )
 from .structures import (

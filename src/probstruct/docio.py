@@ -27,15 +27,16 @@ incidence keys are, in order, the atom texts ``to_json`` writes (ds) or the
 ``psi_basis`` texts (ic), key ``j`` is block ``j``, and the images are read
 in one pass.  Any other document, and one with a fault, is read key by key,
 which names every fault in its order: each key is found by its lowest atom,
-read term by term from the table of atom texts (built at most once per call,
-and only if the first key begins with one), or else literal by literal
-(``logic._read_atoms``) or, failing that, parsed by ``parse_formula``, which
-raises every error.  Text that does not parse and world lists that are not
-of strings raise in key order; the first key with no block of its own, or
-with a bad world, is held until the fields before ``incidence`` are checked.
-The algebras hold their blocks as masks: a ds structure's blocks are the
-single atoms, which ``from_json`` does not re-check, and ``to_json`` writes
-their keys straight from the atom texts.
+read term by term from the table of atom texts (only if the first key begins
+with one), or else literal by literal (``logic._read_atoms``) or, failing
+that, parsed by ``parse_formula``, which raises every error.  Text that does
+not parse and world lists that are not of strings raise in key order; the
+first key with no block of its own, or with a bad world, is held until the
+fields before ``incidence`` are checked.  The algebras hold their blocks as
+masks: a ds structure's blocks are the single atoms, which ``from_json``
+does not re-check, and ``to_json`` writes their keys straight from the atom
+texts.  Those texts, their index and the single-atom masks are built when first
+read and shared by all documents over the same propositions (``logic._AtomTables``).
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import math
 import sys
 from typing import Iterable
 
-from . import logic
 from .errors import DocumentError, ProbstructError, ValidationError
 from .logic import (
     Formula,
@@ -100,9 +100,9 @@ def _object(members: Iterable[tuple[str, str]], depth: int) -> str:
 
 
 def _atom_texts(lang: Language) -> list[str]:
-    """Each atom's text as ``to_json`` writes it, in index order: in
-    parentheses past one proposition, built in ``logic._atom_texts``' doubling."""
-    return logic._atom_texts(lang, wrap=True)
+    """Each atom's text as ``to_json`` writes it, in index order: the language's
+    shared texts, as a list to compare with the list of a document's keys."""
+    return list(lang._atoms.spelled)
 
 
 def _psi_keys(psi: FormulaAlgebra) -> tuple[list[int], list[str]]:
@@ -110,11 +110,10 @@ def _psi_keys(psi: FormulaAlgebra) -> tuple[list[int], list[str]]:
     if len(psi.masks) == psi.lang.n_atoms:
         # the blocks partition the atoms, so each is one atom, and its mask sorts as its index
         order = sorted(range(len(psi.masks)), key=psi.masks.__getitem__)
-        return order, list(map(_encode, _atom_texts(psi.lang)))
+        return order, list(map(_encode, psi.lang._atoms.spelled))
     indices = [set_bits(mask) for mask in psi.masks]
     order = sorted(range(len(indices)), key=lambda j: indices[j][0])
-    # the blocks partition the atoms, so each atom's text is used once
-    atom_text = logic._atom_texts(psi.lang).__getitem__
+    atom_text = psi.lang._atoms.texts.__getitem__
     return order, [_encode(_join_terms(psi.lang, psi.masks[j], map(atom_text, indices[j]))) for j in order]
 
 
@@ -250,7 +249,7 @@ def _measure_weights(raw_measure, count: int) -> MeasureFn:
             raise DocumentError(f"measure weight of block {i} must be a rational string")
         ratios.append(_ratio(raw_measure[key]))
     den = math.lcm(*(d for _, d in ratios))
-    return MeasureFn._of(tuple(n * (den // d) for n, d in ratios), den)
+    return MeasureFn._of(tuple(n * (den // d) for n, d in ratios), den, tuple(ratios))
 
 
 def _atom_spelling(lang: Language, keys) -> list[str]:
@@ -298,7 +297,7 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
     if not isinstance(incidence, dict):
         raise DocumentError('field "incidence" must be an object')
     spelled = _atom_spelling(lang, incidence)
-    atom = dict(zip(spelled, range(lang.n_atoms))) if kind == "ic" else None  # a ds needs it key by key
+    atom = {} if not spelled else lang._atoms.index if kind == "ic" else None  # a ds needs it key by key
     # The fields before incidence are read first, but a fault in them or in
     # the keys' blocks and worlds is held until every key and list is read.
     fault = None
@@ -328,7 +327,7 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
         images = [0 if names == [] else _world_bits(space, names, "incidence of {!r}", key)
                   for key, names in incidence.items()]
     if images is None or None in images:  # any other document, or a fault: read key by key
-        atom = dict(zip(spelled, range(lang.n_atoms))) if atom is None else atom
+        atom = lang._atoms.index if atom is None else atom
         of_low = {low: j for j, (low, _) in enumerate(blocks)}
         no_block, twice, missing = _KEY_FAULTS[kind]
         images = [None] * (0 if psi is None else len(psi.masks))

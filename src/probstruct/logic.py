@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import itertools
 import re
+import weakref
+from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -40,35 +42,52 @@ from .value import Partition, Value, as_tuple, check_names, low_bit, require_typ
 
 MAX_PROPS = 16
 MAX_NESTING = 100  # deepest parenthesis nesting the parser accepts
+_TABLES = weakref.WeakValueDictionary()  # props -> their _AtomTables, while a language over them lives
 
 
 class Language(Value):
     """An ordered, finite set of distinct proposition names.
 
-    ``n_atoms`` is the number of atoms, ``2**len(props)``, and ``full_mask``
-    the bitmask selecting every atom.  The parser's two tables are built
-    here, once per language: ``_names`` maps every name formula text may
-    use, constants included, to its atom mask, and ``_literals`` maps each
-    literal to its code for ``_read_atoms``.
+    ``n_atoms`` is the number of atoms, ``2**len(props)``, and ``full_mask`` the bitmask
+    selecting every atom.  ``_atoms`` holds the parser's tables and the atoms' tables,
+    which every language over the same propositions shares.
     """
 
     _fields = ("props",)
-    __slots__ = _fields + ("n_atoms", "full_mask", "_names", "_literals")
+    __slots__ = _fields + ("n_atoms", "full_mask", "_atoms")
 
     def __init__(self, props: Iterable[str]):
         props = check_names(props, MAX_PROPS, "a language", "proposition", ("true", "false"))
         setfield(self, "props", props)
         setfield(self, "n_atoms", 1 << len(props))
         setfield(self, "full_mask", (1 << self.n_atoms) - 1)
-        names = dict(zip(props, _prop_masks(self)), true=self.full_mask, false=0)
-        setfield(self, "_names", names)
-        # bit 2n + j of a literal's code marks proposition j, and bit j is
-        # set when the literal is positive
-        codes = {}
-        for j, name in enumerate(props):
-            codes["~" + name] = 1 << 2 * len(props) + j
-            codes[name] = codes["~" + name] | 1 << j
-        setfield(self, "_literals", codes)
+        setfield(self, "_atoms", _TABLES.setdefault(props, _AtomTables(props)))
+
+
+class _AtomTables:
+    """The tables of the propositions ``props``, each built when first read.  The parser's:
+    ``names`` maps every name formula text may use, constants included, to its atom mask, and
+    ``literals`` maps each literal to its code for ``_read_atoms``.  The atoms': ``texts``
+    (``_atom_texts``), ``spelled`` (as formula text writes its terms), ``index`` (spelled text ->
+    atom) and ``singles`` (each atom's mask, ``full_algebra``'s blocks).  ``_prop_masks`` and
+    ``_atom_texts`` read only ``props`` and ``n_atoms``, so they build from these tables.  ``_TABLES``
+    holds one per ``props`` while a language over them lives; holding no language, they form no cycle."""
+
+    def __init__(self, props: tuple[str, ...]):
+        self.props, self.n_atoms = props, 1 << len(props)
+
+    names = cached_property(
+        lambda self: dict(zip(self.props, _prop_masks(self)), true=(1 << self.n_atoms) - 1, false=0))
+    texts = cached_property(lambda self: tuple(_atom_texts(self)))
+    spelled = cached_property(lambda self: tuple(_atom_texts(self, wrap=True)))
+    index = cached_property(lambda self: dict(zip(self.spelled, range(self.n_atoms))))
+    singles = cached_property(lambda self: tuple(1 << k for k in range(self.n_atoms)))
+
+    @cached_property
+    def literals(self) -> dict[str, int]:  # bit 2n + j marks proposition j, bit j a positive literal
+        n = len(self.props)
+        return {literal: 1 << 2 * n + j | (literal == name) << j
+                for j, name in enumerate(self.props) for literal in ("~" + name, name)}
 
 
 def _atom_text(lang: Language, index: int) -> str:
@@ -195,7 +214,7 @@ def _read_atoms(text: str, lang: Language) -> int | None:
 
     Terms are joined by ``" | "``, each in at most one pair of parentheses
     and made of literals ``p`` or ``~p`` joined by ``" & "``, one per
-    proposition in any order.  A term's literal codes (see ``Language``)
+    proposition in any order.  A term's literal codes (see ``_AtomTables``)
     sum to every proposition bit, above bit ``2n``, plus the atom index.
     ``n`` proposition bits sum to all ``n`` bits only if none repeats, and
     the sign bits sum to less than ``2**(2n)``, so they never carry into
@@ -205,7 +224,7 @@ def _read_atoms(text: str, lang: Language) -> int | None:
     if text.count(" & ") < n - 1:  # too few literals: most query text leaves here
         return None
     shift, every = 2 * n, (1 << n) - 1
-    code_of = lang._literals.__getitem__
+    code_of = lang._atoms.literals.__getitem__
     mask = 0
     for term in text.split(" | "):
         if term[:1] == "(" and term[-1:] == ")":
@@ -233,7 +252,7 @@ def _parse_tokens(text: str, lang: Language) -> int:
     the position of its token, or at the end of the text.
     """
     full = lang.full_mask
-    names = lang._names
+    names = lang._atoms.names
     stack: list[tuple[int, int, int]] = []
     disj, conj, flip = 0, full, 0
     value = None  # the operand just read; None while an operand is due
@@ -333,10 +352,10 @@ class FormulaAlgebra(Partition):
 
 
 def full_algebra(lang: Language) -> FormulaAlgebra:
-    """The algebra of all formulas: basis blocks are the single atoms.  They
-    partition the atoms, so they are not checked."""
+    """The algebra of all formulas: basis blocks are the single atoms, whose masks the
+    language shares (``_atoms.singles``).  They partition the atoms, so they are not checked."""
     require_type(lang, Language, "algebra language")
-    return FormulaAlgebra._of(lang, tuple(1 << k for k in range(lang.n_atoms)))
+    return FormulaAlgebra._of(lang, lang._atoms.singles)
 
 
 def trivial_algebra(lang: Language) -> FormulaAlgebra:

@@ -176,15 +176,15 @@ def discrete_algebra(space: SampleSpace) -> SetAlgebra:
 class MeasureFn(Value):
     """Rational weights on the blocks of a basis, in basis order, kept as integer
     numerators ``nums`` over their least common denominator ``den``.  ``weights``
-    is the ``Fraction`` values given, or else built when first read; equality
-    compares ``(nums, den)``, hash, ``repr`` and pickling go by ``weights``.
-    Whether they are nonnegative and sum to 1 is left to ``weight_problems``,
-    which ``structures.validate`` calls, so that hand-written documents
-    surface as validation reports instead of construction failures.
+    is the ``Fraction`` values given, or else built when first read (from the reduced
+    pairs given to ``_of``, if any); equality compares ``(nums, den)``, hash, ``repr``
+    and pickling go by ``weights``.  Whether they are nonnegative and sum to 1 is left
+    to ``weight_problems``, which ``structures.validate`` calls, so that hand-written
+    documents surface as validation reports instead of construction failures.
     """
 
     _fields = ("weights",)
-    __slots__ = ("nums", "den", "_weights")
+    __slots__ = ("nums", "den", "_weights", "_ratios")
     _key = attrgetter("nums", "den")  # equality by the normal form
 
     def __init__(self, weights: Iterable):
@@ -195,17 +195,19 @@ class MeasureFn(Value):
         setfield(self, "_weights", weights)
 
     @classmethod
-    def _of(cls, nums: tuple, den: int) -> MeasureFn:
-        """The measure of ``nums`` over ``den``, unchecked: ``gcd(den, *nums)`` must be 1."""
+    def _of(cls, nums: tuple, den: int, ratios: tuple = ()) -> MeasureFn:
+        """``nums`` over ``den``, unchecked: ``gcd(den, *nums)`` must be 1; ``ratios``: reduced pairs."""
         self = object.__new__(cls)
         setfield(self, "nums", nums)
         setfield(self, "den", den)
+        setfield(self, "_ratios", ratios)
         return self
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
         if not hasattr(self, "_weights"):  # built when first read, then kept outside the fields
-            setfield(self, "_weights", tuple(Fraction(n, self.den) for n in self.nums))
+            pairs = self._ratios or ((n, self.den) for n in self.nums)
+            setfield(self, "_weights", tuple(Fraction(n, d) for n, d in pairs))
         return self._weights
 
     def __hash__(self):

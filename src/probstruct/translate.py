@@ -30,7 +30,7 @@ from functools import reduce
 from typing import Optional
 
 from .errors import LanguageMismatchError, NotTotalError, ValidationError
-from .logic import Formula, FormulaAlgebra, Language, _sorted_blocks, full_algebra
+from .logic import Formula, FormulaAlgebra, Language, _sorted_blocks, format_formula, full_algebra
 from .measure import (
     MAX_WORLDS, MeasureFn, ProbabilitySpace, SampleSpace, SetAlgebra, WorldSet, discrete_algebra,
 )
@@ -42,9 +42,8 @@ from .structures import (
     _checked,
     _masses,
     interval,
-    is_total,
 )
-from .value import Value, low_bit, require_type, setfield
+from .value import Value, low_bit, partition_faults, require_type, setfield
 
 _ATOM_WORLD_PROPS = MAX_WORLDS.bit_length() - 1  # the most propositions whose atoms can each be a world
 
@@ -108,7 +107,7 @@ def ic_to_ds(ic: ProbabilityStructure) -> ProbabilityStructure:
     chi = SetAlgebra._of(space, tuple(mask for mask, _ in pairs))._check()
     common = math.gcd(den, *(num for _, num in pairs))  # block sums may share a factor with den
     ps = ProbabilitySpace(space, chi, MeasureFn._of(tuple(num // common for _, num in pairs), den // common))
-    inc = IncidenceMap._of(space, tuple(1 << k for k in range(lang.n_atoms)))
+    inc = IncidenceMap._of(space, lang._atoms.singles)  # world k is atom k
     return _checked(ProbabilityStructure(ps, lang, full_algebra(lang), inc, StructureKind.DS))
 
 
@@ -116,9 +115,13 @@ def ds_to_ic(ds: ProbabilityStructure) -> ProbabilityStructure:
     """Collapse a total belief structure to an equivalent incidence-calculus
     structure with one world per measurable basis block."""
     _checked(ds, StructureKind.DS, "ds_to_ic")
-    if not is_total(ds):
-        raise NotTotalError("ds_to_ic requires a total structure")
     masks = [mask for mask, _ in _masses(ds)[0]]
+    for i, _ in partition_faults(masks, sum(masks)):  # as in ``is_total``; no mask is empty
+        j = next(j for j in range(i) if masks[j] & masks[i])  # the first block that block i meets
+        a, b = (WorldSet(ds.ps.space, ds.ps.algebra.masks[k]) for k in (j, i))
+        shared = format_formula(Formula(ds.lang, masks[j] & masks[i]))
+        raise NotTotalError(f"ds_to_ic requires a total structure, but the focal masks of measurable blocks "
+                            f"{a} and {b} share the atoms {shared}")
     space = SampleSpace(tuple(f"w{j + 1}" for j in range(len(masks))))
     # lowest atom -> (atom mask, image); the masks of a total structure are
     # disjoint, and each atom outside them is a block of its own with no worlds

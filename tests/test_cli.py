@@ -138,7 +138,12 @@ def test_translate_not_total_exits_3(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 0  # well formed, just not total
     assert main(["translate", str(path), "--to-ic"]) == 3
-    assert "total" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "total" in err
+    assert err == (
+        "error: ds_to_ic requires a total structure, but the focal masks of measurable blocks "
+        "{s1} and {s2, s3, s4} share the atoms (~g & ~d)\n"
+    )
 
 
 def test_equiv_output(coats_files, capsys):

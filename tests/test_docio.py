@@ -2,8 +2,11 @@
 
 import gc
 import json
+import math
 import os
+import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -307,6 +310,30 @@ def test_loaded_weights_are_in_normal_form():
     assert mu == MeasureFn((Fraction(1, 6), Fraction(5, 6)))
     assert mu.weights == (Fraction(1, 6), Fraction(5, 6))
     assert hash(mu) == hash(MeasureFn((Fraction(1, 6), Fraction(5, 6))))
+
+
+def test_loaded_weights_are_built_from_the_pairs_read(monkeypatch):
+    """Each weight is built from the pair it was read as, in lowest terms, never
+    reduced against the common denominator, which grows with the product of
+    coprime denominators; the measure is the value built from ``Fraction``s."""
+    space = SampleSpace(tuple(f"w{i}" for i in range(6)))
+    dens = [10**20 + 39, 10**20 + 129, 10**20 + 151, 10**20 + 193, 10**20 + 207]  # pairwise coprime
+    weights = [Fraction(1, 8 * d) for d in dens]
+    weights.append(1 - sum(weights))
+    st = ProbabilityStructure.ic(space, weights, trivial_algebra(Language(("p",))), (space.everything(),))
+    text = to_json(st).replace(f'"1/{8 * dens[0]}"', f'"2/{16 * dens[0]}"')
+    loaded = from_json(text)
+    assert loaded.ps.mu.den == weights[-1].denominator == 8 * math.prod(dens)
+    made = []
+    module = sys.modules[MeasureFn.__module__]  # ``probstruct.measure`` names the function
+    monkeypatch.setattr(module, "Fraction", lambda n, d: made.append((n, d)) or Fraction(n, d))
+    assert loaded.ps.mu.weights == tuple(weights)
+    assert made == [(1, 8 * d) for d in dens] + [(weights[-1].numerator, weights[-1].denominator)]
+    monkeypatch.undo()
+    assert to_json(loaded) == to_json(st)
+    mu = MeasureFn(weights)
+    assert loaded.ps.mu == mu and hash(loaded.ps.mu) == hash(mu) and repr(loaded.ps.mu) == repr(mu)
+    assert pickle.dumps(loaded.ps.mu) == pickle.dumps(mu) and pickle.dumps(loaded) == pickle.dumps(st)
 
 
 def test_rejects_bad_weight_sum():

@@ -1,7 +1,11 @@
 """Language, formula parsing/printing, and formula algebras."""
 
+import copy
+import gc
+import pickle
 import random
 import re
+import weakref
 from functools import lru_cache
 
 import pytest
@@ -13,14 +17,20 @@ from probstruct import (
     FormulaSyntaxError,
     Language,
     LanguageMismatchError,
+    ProbabilityStructure,
+    SampleSpace,
     UnknownPropositionError,
     ValidationError,
     basis_of,
+    ds_to_ic,
     false_formula,
     format_formula,
+    from_json,
     full_algebra,
     generate_algebra,
+    interval,
     parse_formula,
+    to_json,
     trivial_algebra,
     true_formula,
 )
@@ -503,6 +513,63 @@ def test_format_one_prop_language_drops_parens():
 def test_atom_text_table_matches_atom_text(n):
     lang = Language(tuple(f"p{j}" for j in range(n)))
     assert _atom_texts(lang) == [_atom_text(lang, k) for k in range(lang.n_atoms)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_the_shared_atom_tables_match_their_oracles(n):
+    lang = Language(tuple(f"p{j}" for j in range(n)))
+    tables = lang._atoms
+    assert tables.texts == tuple(_atom_text(lang, k) for k in range(lang.n_atoms))
+    wrapped = "({})" if n > 1 else "{}"
+    assert tables.spelled == tuple(wrapped.format(text) for text in tables.texts)
+    assert len(tables.index) == lang.n_atoms
+    assert all(tables.spelled[k] == text for text, k in tables.index.items())
+    assert tables.singles == tuple(1 << k for k in range(lang.n_atoms))
+    assert full_algebra(lang).masks is tables.singles
+    assert tables.names == dict(zip(lang.props, oracle_prop_masks(lang)), true=lang.full_mask, false=0)
+    assert {type(tables.texts), type(tables.spelled), type(tables.singles)} == {tuple}
+
+
+def test_equal_proposition_lists_share_one_table_entry():
+    a, b = Language(("p", "q")), Language(["p", "q"])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a._atoms is b._atoms is logic._TABLES[("p", "q")]
+    copies = [pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)]
+    assert all(c == a and c._atoms is a._atoms for c in copies)
+    others = [Language(("q", "p")), Language(("p", "q", "r")), Language(("p",))]
+    assert len({id(lang._atoms) for lang in [a, *others]}) == 4
+    assert "_atoms" not in repr(a) and a.__reduce__() == (Language, (("p", "q"),))
+
+
+def test_the_table_entry_goes_with_the_last_language_over_it():
+    """No reference cycle holds the tables: they go as soon as the last language,
+    or the last structure over it, does, with the cyclic collector off."""
+    props = ("entry_a", "entry_b", "entry_c")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        a, b = Language(props), Language(props)
+        space = SampleSpace(("w1",))
+        images = [space.everything()] + [space.nothing()] * 7
+        ds = ProbabilityStructure.ds(space, (space.everything(),), (1,), a, images)
+        vacuous = ProbabilityStructure.ic(space, (1,), trivial_algebra(b), (space.everything(),))
+        # a canonical ds load reads the spelled texts, its ic's the index, the vacuous ic's text the texts
+        loaded = [from_json(to_json(ds)), from_json(to_json(ds_to_ic(ds))), from_json(to_json(vacuous))]
+        assert [interval(st, true_formula(st.lang)).lo for st in loaded] == [1, 1, 1]
+        assert [st.psi.basis[0] for st in loaded] == [Formula(a, 1), Formula(a, 1), true_formula(a)]
+        entry = weakref.ref(a._atoms)
+        assert {"texts", "spelled", "index", "singles"} <= set(vars(entry()))
+        del a, ds, vacuous
+        assert logic._TABLES[props] is entry() is b._atoms
+        del b
+        assert entry() is loaded[2].lang._atoms  # each structure holds its own language
+        del loaded
+        assert entry() is None and props not in logic._TABLES
+        Language(props)  # a new entry, gone with its language
+        assert props not in logic._TABLES
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_format_formula_builds_no_table(monkeypatch):

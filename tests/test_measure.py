@@ -225,6 +225,17 @@ def test_the_unchecked_constructor_agrees_with_the_public_one(weights):
     assert pickle.loads(pickle.dumps(unchecked)) == mu
 
 
+@given(st.lists(st.fractions(max_denominator=10**6) | st.integers(-50, 50), max_size=12))
+def test_weights_kept_as_their_reduced_pairs_are_the_same_value(weights):
+    mu = MeasureFn(weights)
+    pairs = tuple((w.numerator, w.denominator) for w in mu.weights)
+    from_pairs = MeasureFn._of(mu.nums, mu.den, pairs)
+    assert not hasattr(from_pairs, "_weights")  # built when first read
+    same_value(from_pairs, mu)
+    assert from_pairs.weights == mu.weights
+    assert pickle.loads(pickle.dumps(from_pairs)) == mu
+
+
 def test_measures_of_different_weights_differ():
     assert MeasureFn((HALF, HALF)) != MeasureFn((Fraction(1, 4), Fraction(3, 4)))
     assert MeasureFn((HALF, HALF)) != MeasureFn((HALF, HALF, 0))

@@ -3,7 +3,8 @@ its incidence-calculus translation give every formula the same interval.
 Belief and plausibility are the ends of that interval, and the structure's
 canonical document is the oracle's, byte for byte.  A property draws
 structures of both kinds and many shapes, and holds the program to the
-oracle on each.
+oracle on each; documents loaded in turn over one language agree with it
+through the language's shared atom tables.
 
 The structures and the reference intervals come from the benchmark's own
 generator and oracle (``bench/gen.py``, ``bench/oracle.py``), which are
@@ -12,6 +13,7 @@ written apart from the package.
 
 import dataclasses
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -26,7 +28,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import gen  # noqa: E402
 import oracle  # noqa: E402
 
+import probstruct.logic as logic  # noqa: E402
 from probstruct import (  # noqa: E402
+    DocumentError,
     Formula,
     StructureKind,
     bel,
@@ -189,3 +193,48 @@ def _the_witness_of_moved_weight_is_the_first(st, model, rng):
         mask = (mask - below) & below
         if not mask:
             break
+
+
+def test_documents_over_one_language_agree_through_its_shared_tables(monkeypatch):
+    """ds and ic documents over one language, canonical and not, are loaded in
+    turn, with one whose last key names two atoms among them: its first key is
+    an atom as ``to_json`` spells it, so its keys are read term by term from the
+    shared index, and it is refused.  The first structure is dropped partway.
+    Each structure writes the oracle's bytes and gives its intervals; each table
+    is built once, and afterwards every structure holds the same, unchanged."""
+    rng = random.Random(2505)
+    models = [gen.ds_model(rng, 8, 64, 48, 16), gen.ic_model(rng, 8, 64, 128, 64)]
+    models += [gen.ds_model(rng, 8, 8, 8, 3), gen.ic_model(rng, 8, 4, 256, 4)]
+    canon = [oracle.canonical(m) for m in models]
+    bad = json.loads(canon[0])
+    *_, before, last = bad["incidence"]
+    bad["incidence"][before + " | " + last] = bad["incidence"].pop(last)
+    two_atoms = oracle.formula_text(models[0].props, 3 << models[0].n_atoms - 2)
+    steps = [(0, canon[0]), (1, canon[1]), (2, gen.noncanonical(models[2], rng)), (None, json.dumps(bad))]
+    steps += [(3, canon[3]), (1, gen.noncanonical(models[1], rng)), (0, gen.noncanonical(models[0], rng))]
+    steps += [(2, canon[2]), (3, gen.noncanonical(models[3], rng))]
+    built, build = [], logic._atom_texts
+    monkeypatch.setattr(logic, "_atom_texts", lambda lang, wrap=False: built.append(wrap) or build(lang, wrap))
+    loaded = []
+    for step, (i, text) in enumerate(steps):
+        if step == 3:  # every table is built by now
+            tables = loaded[0].lang._atoms
+            kept = (tables.texts, tables.spelled, dict(tables.index), tables.singles)
+            del loaded[0]
+        if i is None:
+            with pytest.raises(DocumentError) as refused:
+                from_json(text)
+            assert str(refused.value) == f"ds incidence keys must be single atoms, got {two_atoms!r}"
+            continue
+        st = from_json(text)
+        assert to_json(st) == canon[i]
+        for _ in range(3):
+            f = parse_formula(gen.formula(rng, models[i].props), st.lang)
+            got = interval(st, f)
+            assert (got.lo, got.hi) == oracle.interval(models[i], f.atoms)
+        loaded.append(st)
+    assert sorted(built) == [False, True]
+    assert all(st.lang._atoms is tables for st in loaded)
+    assert (tables.texts, tables.spelled, tables.index, tables.singles) == kept
+    assert tables.texts is kept[0] and tables.spelled is kept[1] and tables.singles is kept[3]
+    assert all(st.psi.masks is tables.singles for st in loaded if st.kind is StructureKind.DS)

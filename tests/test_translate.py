@@ -313,8 +313,37 @@ def test_ds_to_ic_requires_total():
             space.subset(["s4"]),
         ),
     )
-    with pytest.raises(NotTotalError):
+    with pytest.raises(NotTotalError) as e:
         ds_to_ic(ds)
+    assert str(e.value) == (
+        "ds_to_ic requires a total structure, but the focal masks of measurable blocks "
+        "{s1} and {s2, s3, s4} share the atoms (~g & ~d)"
+    )
+
+
+def test_ds_to_ic_names_the_first_two_overlapping_blocks():
+    """The message names blocks j < i, i the first block whose focal mask meets
+    an earlier one and j the first of those, and the atoms the two share."""
+    rng = random.Random(4150)
+    refused = 0
+    for _ in range(400):
+        ds = _random_ds(rng, rng.randint(1, 4), rng.randint(2, 12))
+        masks = [mask for mask, _ in _focal_weights(ds)]
+        overlaps = [(i, j) for i in range(len(masks)) for j in range(i) if masks[i] & masks[j]]
+        if not overlaps:
+            assert ds_to_ic(ds).kind is StructureKind.IC
+            continue
+        i, j = overlaps[0]
+        blocks = ds.ps.algebra.basis
+        shared = format_formula(Formula(ds.lang, masks[i] & masks[j]))
+        with pytest.raises(NotTotalError) as e:
+            ds_to_ic(ds)
+        assert str(e.value) == (
+            "ds_to_ic requires a total structure, but the focal masks of measurable blocks "
+            f"{blocks[j]} and {blocks[i]} share the atoms {shared}"
+        )
+        refused += 1
+    assert 100 < refused < 400
 
 
 def test_ds_to_ic_requires_ds():

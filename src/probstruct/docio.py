@@ -22,21 +22,23 @@ list element or object member per line, ``": "`` after each key, ``[]`` for
 an empty list, strings escaped to ASCII, and a trailing newline.  Loading
 canonical text and saving it again reproduces it byte for byte.
 
-``from_json`` recognises a canonical document as a whole: when the
-incidence keys are, in order, the atom texts ``to_json`` writes (ds) or the
+``from_json`` recognises a canonical document as a whole: when the incidence
+keys are, in order, the atom texts ``to_json`` writes (ds) or the
 ``psi_basis`` texts (ic), key ``j`` is block ``j``, and the images are read
-in one pass.  Any other document, and one with a fault, is read key by key,
-which names every fault in its order: each key is found by its lowest atom,
-read term by term from the table of atom texts (only if the first key begins
-with one), or else literal by literal (``logic._read_atoms``) or, failing
-that, parsed by ``parse_formula``, which raises every error.  Text that does
-not parse and world lists that are not of strings raise in key order; the
-first key with no block of its own, or with a bad world, is held until the
-fields before ``incidence`` are checked.  The algebras hold their blocks as
-masks: a ds structure's blocks are the single atoms, which ``from_json``
-does not re-check, and ``to_json`` writes their keys straight from the atom
-texts.  Those texts, their index and the single-atom masks are built when first
-read and shared by all documents over the same propositions (``logic._AtomTables``).
+in one pass.  A valid document in any other key order or spelling is read in
+one pass too (``_placed``): a key of one atom straight to its index, any
+other to its mask, term by term from the table of atom texts (if the first
+key begins with one), literal by literal (``logic._term_reader``) or,
+failing that, by ``parse_formula``.  Only a document with a fault is read
+key by key, which names every fault in its order: text that does not parse
+and world lists that are not of strings raise in key order; the first key
+with no block of its own, or with a bad world, is held until the fields
+before ``incidence`` are checked.  The algebras hold their blocks as masks:
+a ds structure's blocks are the single atoms, which ``from_json`` does not
+re-check, and ``to_json`` writes their keys straight from the atom texts.
+Those texts, their index and the single-atom masks are built when first read
+and shared by all documents over the same propositions
+(``logic._AtomTables``).
 """
 
 from __future__ import annotations
@@ -99,10 +101,9 @@ def _object(members: Iterable[tuple[str, str]], depth: int) -> str:
     return "".join(parts)
 
 
-def _atom_texts(lang: Language) -> list[str]:
-    """Each atom's text as ``to_json`` writes it, in index order: the language's
-    shared texts, as a list to compare with the list of a document's keys."""
-    return list(lang._atoms.spelled)
+def _atom_texts(lang: Language) -> tuple[str, ...]:
+    """Each atom's text as ``to_json`` writes it, in index order: the language's shared texts."""
+    return lang._atoms.spelled
 
 
 def _psi_keys(psi: FormulaAlgebra) -> tuple[list[int], list[str]]:
@@ -252,15 +253,13 @@ def _measure_weights(raw_measure, count: int) -> MeasureFn:
     return MeasureFn._of(tuple(n * (den // d) for n, d in ratios), den, tuple(ratios))
 
 
-def _atom_spelling(lang: Language, keys) -> list[str]:
+def _atom_spelling(lang: Language, keys) -> tuple[str, ...]:
     """Each atom's text as ``to_json`` writes it, in index order, if the first
     key begins with such a text; else empty, and nothing is built."""
     first = next(iter(keys), "").partition(" | ")[0]
-    atom = _read_atoms(first, lang)  # the mask of the term's atom, if it is one
+    k = lang._atoms.term_atom(first)  # the term's atom, if it is one
     spelled = "({})" if len(lang.props) > 1 else "{}"
-    if atom is None or first != spelled.format(_atom_text(lang, atom.bit_length() - 1)):
-        return []
-    return _atom_texts(lang)
+    return _atom_texts(lang) if k is not None and first == spelled.format(_atom_text(lang, k)) else ()
 
 
 def _read_block(text: str, lang: Language, atom: dict[str, int]) -> tuple[int, int]:
@@ -282,6 +281,31 @@ def _read_block(text: str, lang: Language, atom: dict[str, int]) -> tuple[int, i
     return min(atoms), mask
 
 
+def _placed(kind: str, lang: Language, space: SampleSpace, psi: FormulaAlgebra, blocks, atom, incidence):
+    """Each block's image, if each key names a block no key before it names and lists its
+    worlds; else None at the first key that does not.  A key of one atom is read to its
+    index (a ds block, or an ic block of that atom alone) by the table ``atom`` or by
+    ``term_atom``, with no mask built; any other by ``_read_block``, found by its lowest
+    atom.  What raises, text that does not parse or worlds not listed, raises as key by key."""
+    reads = map(atom.get if atom else lang._atoms.term_atom, incidence)
+    if kind == "ic":
+        of_low = {low: j for j, (low, _) in enumerate(blocks)}
+        reads = map({low: j for j, (low, mask) in enumerate(blocks) if mask.bit_count() == 1}.get, reads)
+    images = [None] * len(psi.masks)
+    for (key, names), j in zip(incidence.items(), reads):
+        if j is None:
+            low, mask = _read_block(key, lang, atom)
+            j = low if kind == "ds" else of_low.get(low)
+            if j is None or psi.masks[j] != mask:
+                return None
+        bits = None if images[j] is not None else 0 if names == [] else _world_bits(
+            space, names, "incidence of {!r}", key)
+        if bits is None:
+            return None
+        images[j] = bits
+    return images
+
+
 _KEY_FAULTS = {  # a key of no block, a block listed twice, blocks left without a key
     "ds": ("ds incidence keys must be single atoms, got {!r}", "duplicate incidence for atom {!r}",
            "ds incidence must cover all {} atoms, got {}"),
@@ -297,7 +321,7 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
     if not isinstance(incidence, dict):
         raise DocumentError('field "incidence" must be an object')
     spelled = _atom_spelling(lang, incidence)
-    atom = {} if not spelled else lang._atoms.index if kind == "ic" else None  # a ds needs it key by key
+    atom = {} if not spelled else lang._atoms.index if kind == "ic" else None  # a ds: off the canonical path
     # The fields before incidence are read first, but a fault in them or in
     # the keys' blocks and worlds is held until every key and list is read.
     fault = None
@@ -315,24 +339,26 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
             # the blocks are the single atoms, whose keys are the texts ``to_json`` writes
             psi, blocks, texts = full_algebra(lang), [], spelled
         else:
-            texts = _name_list(raw["psi_basis"], '"psi_basis"')
+            texts = tuple(_name_list(raw["psi_basis"], '"psi_basis"'))
             blocks = [_read_block(text, lang, atom) for text in texts]
             psi = FormulaAlgebra._of(lang, tuple(mask for _, mask in blocks))._check()
             algebra = discrete_algebra(space)
         mu = _measure_weights(raw["measure"], len(algebra.masks))
     except ProbstructError as e:
-        psi, blocks, texts, fault = None, [], [], str(e)
+        psi, blocks, texts, fault = None, [], (), str(e)
     images = None
-    if texts and list(incidence) == texts:  # a canonical document: key j is block j's text
+    if texts and tuple(incidence) == texts:  # a canonical document: key j is block j's text
         images = [0 if names == [] else _world_bits(space, names, "incidence of {!r}", key)
                   for key, names in incidence.items()]
-    if images is None or None in images:  # any other document, or a fault: read key by key
+    elif not fault:  # any other spelling or order: each key read and placed in one pass
         atom = lang._atoms.index if atom is None else atom
+        images = _placed(kind, lang, space, psi, blocks, atom, incidence)
+    if images is None or None in images:  # a fault: read key by key
         of_low = {low: j for j, (low, _) in enumerate(blocks)}
         no_block, twice, missing = _KEY_FAULTS[kind]
         images = [None] * (0 if psi is None else len(psi.masks))
         for key, names in incidence.items():
-            low, mask = _read_block(key, lang, atom)
+            low, mask = _read_block(key, lang, atom or {})
             j = low if kind == "ds" else of_low.get(low)
             if fault or j is None or psi.masks[j] != mask:
                 j = None

@@ -67,7 +67,7 @@ class Language(Value):
 class _AtomTables:
     """The tables of the propositions ``props``, each built when first read.  The parser's:
     ``names`` maps every name formula text may use, constants included, to its atom mask, and
-    ``literals`` maps each literal to its code for ``_read_atoms``.  The atoms': ``texts``
+    ``literals`` each literal to the code ``term_atom`` reads.  The atoms': ``texts``
     (``_atom_texts``), ``spelled`` (as formula text writes its terms), ``index`` (spelled text ->
     atom) and ``singles`` (each atom's mask, ``full_algebra``'s blocks).  ``_prop_masks`` and
     ``_atom_texts`` read only ``props`` and ``n_atoms``, so they build from these tables.  ``_TABLES``
@@ -78,10 +78,11 @@ class _AtomTables:
 
     names = cached_property(
         lambda self: dict(zip(self.props, _prop_masks(self)), true=(1 << self.n_atoms) - 1, false=0))
-    texts = cached_property(lambda self: tuple(_atom_texts(self)))
-    spelled = cached_property(lambda self: tuple(_atom_texts(self, wrap=True)))
+    texts = cached_property(lambda self: _atom_texts(self))
+    spelled = cached_property(lambda self: _atom_texts(self, wrap=True))
     index = cached_property(lambda self: dict(zip(self.spelled, range(self.n_atoms))))
     singles = cached_property(lambda self: tuple(1 << k for k in range(self.n_atoms)))
+    term_atom = cached_property(lambda self: _term_reader(self))
 
     @cached_property
     def literals(self) -> dict[str, int]:  # bit 2n + j marks proposition j, bit j a positive literal
@@ -210,36 +211,38 @@ def parse_formula(text: str, lang: Language) -> Formula:
 
 
 def _read_atoms(text: str, lang: Language) -> int | None:
-    """The atom mask of a disjunction of full conjunctions, else None.
-
-    Terms are joined by ``" | "``, each in at most one pair of parentheses
-    and made of literals ``p`` or ``~p`` joined by ``" & "``, one per
-    proposition in any order.  A term's literal codes (see ``_AtomTables``)
-    sum to every proposition bit, above bit ``2n``, plus the atom index.
-    ``n`` proposition bits sum to all ``n`` bits only if none repeats, and
-    the sign bits sum to less than ``2**(2n)``, so they never carry into
-    the proposition bits.
-    """
-    n = len(lang.props)
-    if text.count(" & ") < n - 1:  # too few literals: most query text leaves here
+    """The atom mask of terms joined by ``" | "``, each read by ``term_atom``; else None."""
+    if text.count(" & ") < len(lang.props) - 1:  # too few literals: most query text leaves here
         return None
-    shift, every = 2 * n, (1 << n) - 1
-    code_of = lang._atoms.literals.__getitem__
-    mask = 0
+    atom, mask = lang._atoms.term_atom, 0
     for term in text.split(" | "):
+        k = atom(term)
+        if k is None:
+            return None
+        mask |= 1 << k
+    return mask
+
+
+def _term_reader(tables: _AtomTables):
+    """The reader of one term, shared by ``_read_atoms`` and ``from_json``: its atom index if it is
+    ``p`` or ``~p`` for each proposition, in any order, joined by ``" & "`` in at most one pair of
+    parentheses, else None.  Its ``literals`` codes sum to every proposition bit, above bit ``2n``,
+    plus the atom index: ``n`` proposition bits sum to all ``n`` only if none repeats, and the sign
+    bits, under ``2**(2n)``, never carry into them."""
+    n = len(tables.props)
+    shift, every, code_of = 2 * n, (1 << n) - 1, tables.literals.__getitem__
+
+    def term_atom(term: str) -> int | None:
         if term[:1] == "(" and term[-1:] == ")":
             term = term[1:-1]
         literals = term.split(" & ")
-        if len(literals) != n:
-            return None
         try:
-            code = sum(map(code_of, literals))
+            code = sum(map(code_of, literals)) if len(literals) == n else 0
         except KeyError:
             return None
-        if code >> shift != every:
-            return None
-        mask |= 1 << (code & every)
-    return mask
+        return code & every if code >> shift == every else None
+
+    return term_atom
 
 
 def _parse_tokens(text: str, lang: Language) -> int:
@@ -307,7 +310,7 @@ def _join_terms(lang: Language, atoms: int, terms: Iterable[str]) -> str:
     return " | ".join(terms)
 
 
-def _atom_texts(lang: Language, wrap: bool = False) -> list[str]:
+def _atom_texts(lang: Language, wrap: bool = False) -> tuple[str, ...]:
     """``_atom_text`` of every atom, in index order, built by doubling: the
     atoms with proposition ``j`` negative come before those with it positive.
     With ``wrap``, past one proposition, each is in parentheses, as in formula text."""
@@ -318,7 +321,7 @@ def _atom_texts(lang: Language, wrap: bool = False) -> list[str]:
         end = right if j == len(lang.props) else ""  # the last doubling closes each text
         neg, pos = " & ~" + name + end, " & " + name + end
         texts = [t + neg for t in texts] + [t + pos for t in texts]
-    return texts
+    return tuple(texts)
 
 
 # --- finite algebras of formulas -------------------------------------------

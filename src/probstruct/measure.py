@@ -177,15 +177,15 @@ class MeasureFn(Value):
     """Rational weights on the blocks of a basis, in basis order, kept as integer
     numerators ``nums`` over their least common denominator ``den``.  ``weights``
     is the ``Fraction`` values given, or else built when first read (from the reduced
-    pairs given to ``_of``, if any); equality compares ``(nums, den)``, hash, ``repr``
-    and pickling go by ``weights``.  Whether they are nonnegative and sum to 1 is left
+    pairs given to ``_of``, if any); equality and hash go by ``(nums, den)``, ``repr``
+    and pickling by ``weights``.  Whether they are nonnegative and sum to 1 is left
     to ``weight_problems``, which ``structures.validate`` calls, so that hand-written
     documents surface as validation reports instead of construction failures.
     """
 
     _fields = ("weights",)
     __slots__ = ("nums", "den", "_weights", "_ratios")
-    _key = attrgetter("nums", "den")  # equality by the normal form
+    _key = attrgetter("nums", "den")  # equality and hash by the normal form
 
     def __init__(self, weights: Iterable):
         weights = tuple(map(as_fraction, as_tuple(weights, "measure weights")))
@@ -209,9 +209,6 @@ class MeasureFn(Value):
             pairs = self._ratios or ((n, self.den) for n in self.nums)
             setfield(self, "_weights", tuple(Fraction(n, d) for n, d in pairs))
         return self._weights
-
-    def __hash__(self):
-        return hash(self.weights)
 
     def weight_problems(self) -> list[str]:
         """Why the weights are not a probability distribution; empty if they are."""

@@ -123,11 +123,11 @@ def ds_to_ic(ds: ProbabilityStructure) -> ProbabilityStructure:
         raise NotTotalError(f"ds_to_ic requires a total structure, but the focal masks of measurable blocks "
                             f"{a} and {b} share the atoms {shared}")
     space = SampleSpace(tuple(f"w{j + 1}" for j in range(len(masks))))
-    # lowest atom -> (atom mask, image); the masks of a total structure are
-    # disjoint, and each atom outside them is a block of its own with no worlds
+    # lowest atom -> (atom mask, image); the masks of a total structure are disjoint, and each
+    # atom outside them is a block of its own with no worlds, whose mask the language shares
     blocks = {low_bit(m).bit_length() - 1: (m, 1 << j) for j, m in enumerate(masks)}
     dead = bin(ds.lang.full_mask & ~sum(masks))[:1:-1]  # character k is bit k
-    blocks.update({k: (1 << k, 0) for k, bit in enumerate(dead) if bit == "1"})
+    blocks.update({k: (m, 0) for k, (bit, m) in enumerate(zip(dead, ds.lang._atoms.singles)) if bit == "1"})
     atoms, images = zip(*(blocks[k] for k in sorted(blocks)))
     psi = FormulaAlgebra._of(ds.lang, atoms)._check()
     ps = ProbabilitySpace(space, discrete_algebra(space), ds.ps.mu)  # world j weighs as block j

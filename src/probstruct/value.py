@@ -95,12 +95,13 @@ class Value:
     """An immutable value with the fields named in ``_fields``.
 
     Fields live in ``__slots__``; assigning or deleting an attribute raises
-    ``AttributeError``.  Equality, hash, ``repr`` and pickling go by the
-    fields, and values of different classes never compare equal.  Each
-    subclass writes its own ``__init__``, which checks its arguments and
-    stores the fields with ``setfield``.  ``__ne__`` answers a value
-    compared with itself at once: every check that two values share a
-    language or a sample space makes that comparison.
+    ``AttributeError``.  Equality and hash go by ``_key``, the fields or the
+    normal form a class names; ``repr`` and pickling go by the fields, and
+    values of different classes never compare equal.  Each subclass writes
+    its own ``__init__``, which checks its arguments and stores the fields
+    with ``setfield``.  ``__ne__`` answers a value compared with itself at
+    once: every check that two values share a language or a sample space
+    makes that comparison.
     """
 
     __slots__ = ()
@@ -144,7 +145,7 @@ class Masked(Value):
     owner and mask) that its second field names: ``Partition``'s blocks or an
     ``IncidenceMap``'s images.  ``property(Masked._built)`` builds those values
     when first read, one for every empty mask, and keeps them outside the
-    fields.  Equality compares the owner and the masks; hash, ``repr`` and
+    fields.  Equality and hash go by the owner and the masks; ``repr`` and
     pickling go by the values, as when the values themselves were kept."""
 
     __slots__ = ("masks", "_values")
@@ -183,9 +184,6 @@ class Masked(Value):
             empty = element(owner, 0) if 0 in self.masks else None  # one for every empty mask
             setfield(self, "_values", tuple(element(owner, mask) if mask else empty for mask in self.masks))
         return self._values
-
-    def __hash__(self):
-        return hash((getattr(self, self._fields[0]), self._built()))
 
 
 class Partition(Masked):

@@ -805,6 +805,11 @@ TWO_FAULTS = {
         {"(~g & ~d)": ["s1", "s2"], "(g & ~d)": ["s3"], "(~g & ~d) | (~g & ~d)": [], "(g & d)": ["s9"]},
         "duplicate incidence for atom '(~g & ~d)'",
     ),
+    "an unknown world, then the same atom with good worlds": (
+        coats_ds,
+        {"(~g & ~d)": ["s9"], "(g & ~d)": ["s3"], "(~g & d)": [], "(g & d)": ["s4"], "(~d & ~g)": ["s1", "s2"]},
+        "unknown world name 's9'",
+    ),
     "a repeated world, then a non-atom": (
         coats_ds,
         {"(~g & ~d)": ["s1", "s1"], "g": ["s3"]},
@@ -940,6 +945,10 @@ def inject_fault(doc: dict, rng, fault: str) -> None:
         items[i] = (key + " |", names)
     elif fault == "world list no list":
         items[i] = (key, "w0")
+    elif fault == "empty world value no list":  # empty, as [] is, but not a list
+        items[i] = (key, rng.choice(["", 0, None, {}]))
+    elif fault == "key left out":
+        del items[i]
     elif fault == "world list not of strings":
         items[i] = (key, names + [0])
     elif fault == "repeated world":
@@ -952,6 +961,7 @@ def inject_fault(doc: dict, rng, fault: str) -> None:
 FAULT_KINDS = (
     "key of two blocks", "a block twice", "syntax error", "world list no list",
     "world list not of strings", "repeated world", "unknown world",
+    "empty world value no list", "key left out",
 )
 
 
@@ -989,6 +999,67 @@ def test_the_one_pass_reader_agrees_with_the_two_pass_reference(n, kind, monkeyp
         assert got == want
         if text == canonical:
             assert to_json(got) == canonical
+
+
+def scrambled(text: str, rng) -> str:
+    """``text``'s document with its incidence keys, and an ic's ``psi_basis``
+    blocks, in random order, and the terms of each formula and the literals of
+    each term shuffled: spellings that the literal reader reads."""
+
+    def formula(f: str) -> str:
+        terms = [term.strip("()").split(" & ") for term in f.split(" | ")]
+        for literals in terms:
+            rng.shuffle(literals)
+        rng.shuffle(terms)
+        return " | ".join("(" + " & ".join(literals) + ")" for literals in terms)
+
+    doc = json.loads(text)
+    if "psi_basis" in doc:
+        doc["psi_basis"] = [formula(f) for f in doc["psi_basis"]]
+        rng.shuffle(doc["psi_basis"])
+    keys = [(formula(f), names) for f, names in doc["incidence"].items()]
+    rng.shuffle(keys)
+    doc["incidence"] = dict(keys)
+    return json.dumps(doc)
+
+
+class Recorded(dict):
+    """A dict that records each key looked up with ``[]``."""
+
+    def __init__(self, items, seen: list):
+        super().__init__(items)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.append(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("kind", ["ds", "ic"])
+@pytest.mark.parametrize("n", [8, 12])
+def test_valid_documents_in_any_order_are_read_in_one_pass(n, kind, monkeypatch):
+    # the key-by-key loop looks up its kind's fault messages before its first
+    # key; the one pass runs only when the canonical list comparison fails
+    rng = random.Random(2600 + n + (kind == "ic"))
+    canonical = to_json(benchmark_shaped(rng, n, kind))
+    doc = json.loads(canonical)
+    keys = list(doc["incidence"].items())
+    rng.shuffle(keys)
+    doc["incidence"] = dict(keys)
+    key_by_key, placed = [], []
+    place = docio._placed
+    monkeypatch.setattr(docio, "_KEY_FAULTS", Recorded(docio._KEY_FAULTS, key_by_key))
+    monkeypatch.setattr(docio, "_placed", lambda *args: placed.append(args) or place(*args))
+    for text in (canonical, json.dumps(doc), scrambled(canonical, rng)):
+        placed.clear()
+        assert to_json(from_json(text)) == canonical
+        assert key_by_key == []
+        assert len(placed) == (text != canonical)
+    faulted = json.loads(text)
+    faulted["incidence"][rng.choice(list(faulted["incidence"]))] = ["nowhere"]
+    with pytest.raises(DocumentError, match="nowhere"):
+        from_json(json.dumps(faulted))
+    assert key_by_key == [kind]
 
 
 def test_validate_lists_a_weight_sum_too_long_to_write(tmp_path, capsys):
@@ -1173,6 +1244,21 @@ def test_a_bad_chi_basis_block_in_a_canonical_document_keeps_its_message(n):
             with pytest.raises(DocumentError) as err:
                 from_json(json.dumps(faulted, indent=2) + "\n")
             assert str(err.value) == message.format(what=f"chi_basis block {j}")
+
+
+def test_hashing_a_loaded_ds_builds_no_value_per_block(monkeypatch):
+    # a hash goes by the normal form, the masks and the integer weights, so
+    # hashing a 12-proposition ds builds none of its 4,096 blocks and images
+    # as values, and no weight as a Fraction
+    text = to_json(benchmark_shaped(random.Random(23), 12, "ds"))
+    st, twin = from_json(text), from_json(text)
+    made = []
+    for cls in (Formula, WorldSet):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__: made.append(args) or init(self, *args))
+    assert hash(st) == hash(twin) and hash(st.psi) == hash(full_algebra(st.lang))
+    assert made == []
+    assert not any(hasattr(v, "_values") for v in (st.psi, st.ps.algebra, st.inc))
+    assert not hasattr(st.ps.mu, "_weights")
 
 
 def test_a_ds_loads_and_answers_without_a_formula_per_block(monkeypatch):

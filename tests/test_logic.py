@@ -512,7 +512,7 @@ def test_format_one_prop_language_drops_parens():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_atom_text_table_matches_atom_text(n):
     lang = Language(tuple(f"p{j}" for j in range(n)))
-    assert _atom_texts(lang) == [_atom_text(lang, k) for k in range(lang.n_atoms)]
+    assert _atom_texts(lang) == tuple(_atom_text(lang, k) for k in range(lang.n_atoms))
 
 
 @pytest.mark.parametrize("n", range(1, 13))

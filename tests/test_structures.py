@@ -952,7 +952,8 @@ def test_images_are_built_from_the_masks_once_and_kept(monkeypatch):
     assert made == [0] + [bits for bits in inc.masks if bits]  # one set for every empty image
     assert len({id(image) for image in images if image.is_empty}) == 1
     assert tuple(image.bits for image in images) == inc.masks
-    assert inc == IncidenceMap(space=st.ps.space, images=images) and hash(inc) == hash((st.ps.space, images))
+    twin = IncidenceMap(space=st.ps.space, images=images)
+    assert inc == twin and hash(inc) == hash(twin)
 
 
 def test_the_kept_mass_function_is_returned_before_the_gate(monkeypatch):

@@ -265,6 +265,19 @@ def test_ds_to_ic_matches_the_full_width_reference():
     assert ds_to_ic(ds) == reference_ds_to_ic(ds)
 
 
+def test_ds_to_ic_shares_the_single_atom_masks_of_its_dead_atoms():
+    # each atom outside every focal mask is an ic block of its own, with the
+    # mask the language shares: the ds's blocks are those masks, so its ic adds
+    # no second set of them (masks of bit 9 and up are not cached small ints)
+    ds = from_json(to_json(random_total_ds(GenParams(6, 4, 9400))))
+    ic = ds_to_ic(ds)
+    singles = ds.lang._atoms.singles
+    dead = [mask for mask, image in zip(ic.psi.masks, ic.inc.masks) if not image]
+    assert sum(mask.bit_length() > 9 for mask in dead) > 40
+    assert all(mask is singles[mask.bit_length() - 1] for mask in dead)
+    assert ic == reference_ds_to_ic(ds)
+
+
 def test_ds_to_ic_member_set():
     # formulas with defined incidence after collapsing: exactly those whose
     # incidence was measurable before

@@ -450,11 +450,15 @@ def test_rejects_overlapping_psi_basis():
 
 
 def test_rejects_incidence_key_outside_basis():
-    def mutate(d):
+    def outside(d):
         d["incidence"]["(~g & d) | (g & d)"] = d["incidence"].pop("(~g & d)")
 
-    with pytest.raises(DocumentError, match="not a psi_basis block"):
-        from_json(edited(coats_ic, mutate))
+    def one_atom_of_a_block(d):  # the lowest atom of the block (g & ~d) | (g & d)
+        d["incidence"]["(g & ~d)"] = d["incidence"].pop("(g & ~d) | (g & d)")
+
+    for mutate in (outside, one_atom_of_a_block):
+        with pytest.raises(DocumentError, match="not a psi_basis block"):
+            from_json(edited(coats_ic, mutate))
 
 
 def test_rejects_block_spelled_two_ways():
@@ -1039,7 +1043,8 @@ class Recorded(dict):
 @pytest.mark.parametrize("n", [8, 12])
 def test_valid_documents_in_any_order_are_read_in_one_pass(n, kind, monkeypatch):
     # the key-by-key loop looks up its kind's fault messages before its first
-    # key; the one pass runs only when the canonical list comparison fails
+    # key; the one pass runs only when the canonical list comparison fails,
+    # and reads keys in any order and any spelling, the parser's included
     rng = random.Random(2600 + n + (kind == "ic"))
     canonical = to_json(benchmark_shaped(rng, n, kind))
     doc = json.loads(canonical)
@@ -1050,7 +1055,8 @@ def test_valid_documents_in_any_order_are_read_in_one_pass(n, kind, monkeypatch)
     place = docio._placed
     monkeypatch.setattr(docio, "_KEY_FAULTS", Recorded(docio._KEY_FAULTS, key_by_key))
     monkeypatch.setattr(docio, "_placed", lambda *args: placed.append(args) or place(*args))
-    for text in (canonical, json.dumps(doc), scrambled(canonical, rng)):
+    parsed = respelled(json.dumps(doc), RESPELLINGS["double parentheses"])  # keys only the parser reads
+    for text in (canonical, json.dumps(doc), scrambled(canonical, rng), parsed):
         placed.clear()
         assert to_json(from_json(text)) == canonical
         assert key_by_key == []
@@ -1254,7 +1260,8 @@ def test_hashing_a_loaded_ds_builds_no_value_per_block(monkeypatch):
     st, twin = from_json(text), from_json(text)
     made = []
     for cls in (Formula, WorldSet):
-        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__: made.append(args) or init(self, *args))
+        counted = lambda self, *args, init=cls.__init__: made.append(args) or init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
     assert hash(st) == hash(twin) and hash(st.psi) == hash(full_algebra(st.lang))
     assert made == []
     assert not any(hasattr(v, "_values") for v in (st.psi, st.ps.algebra, st.inc))

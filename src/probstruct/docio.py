@@ -25,20 +25,22 @@ canonical text and saving it again reproduces it byte for byte.
 ``from_json`` recognises a canonical document as a whole: when the incidence
 keys are, in order, the atom texts ``to_json`` writes (ds) or the
 ``psi_basis`` texts (ic), key ``j`` is block ``j``, and the images are read
-in one pass.  A valid document in any other key order or spelling is read in
-one pass too (``_placed``): a key of one atom straight to its index, any
-other to its mask, term by term from the table of atom texts (if the first
-key begins with one), literal by literal (``logic._term_reader``) or,
-failing that, by ``parse_formula``.  Only a document with a fault is read
-key by key, which names every fault in its order: text that does not parse
-and world lists that are not of strings raise in key order; the first key
-with no block of its own, or with a bad world, is held until the fields
-before ``incidence`` are checked.  The algebras hold their blocks as masks:
-a ds structure's blocks are the single atoms, which ``from_json`` does not
-re-check, and ``to_json`` writes their keys straight from the atom texts.
-Those texts, their index and the single-atom masks are built when first read
-and shared by all documents over the same propositions
-(``logic._AtomTables``).
+in one pass.  Any other document, valid or not, is read key by key, also in
+one pass: a key of one atom is read straight to its index, from the table of
+atom texts (if the first key begins with one) or literal by literal
+(``logic._term_reader``), with no mask built, and that index is its block (a
+ds) or finds the block of that atom alone (an ic); any other key is read to
+its mask, term by term from the table, literal by literal or, failing that,
+by ``parse_formula``, and found by its lowest atom.  A valid document
+formats nothing; the same loop names every fault of a faulty one in its
+order: text that does not parse and world lists that are not of strings
+raise in key order; the first key with no block of its own, or with a bad
+world, is held until the fields before ``incidence`` are checked.  The
+algebras hold their blocks as masks: a ds structure's blocks are the single
+atoms, which ``from_json`` does not re-check, and ``to_json`` writes their
+keys straight from the atom texts.  Those texts, their index and the
+single-atom masks are built when first read and shared by all documents over
+the same propositions (``logic._AtomTables``).
 """
 
 from __future__ import annotations
@@ -281,31 +283,6 @@ def _read_block(text: str, lang: Language, atom: dict[str, int]) -> tuple[int, i
     return min(atoms), mask
 
 
-def _placed(kind: str, lang: Language, space: SampleSpace, psi: FormulaAlgebra, blocks, atom, incidence):
-    """Each block's image, if each key names a block no key before it names and lists its
-    worlds; else None at the first key that does not.  A key of one atom is read to its
-    index (a ds block, or an ic block of that atom alone) by the table ``atom`` or by
-    ``term_atom``, with no mask built; any other by ``_read_block``, found by its lowest
-    atom.  What raises, text that does not parse or worlds not listed, raises as key by key."""
-    reads = map(atom.get if atom else lang._atoms.term_atom, incidence)
-    if kind == "ic":
-        of_low = {low: j for j, (low, _) in enumerate(blocks)}
-        reads = map({low: j for j, (low, mask) in enumerate(blocks) if mask.bit_count() == 1}.get, reads)
-    images = [None] * len(psi.masks)
-    for (key, names), j in zip(incidence.items(), reads):
-        if j is None:
-            low, mask = _read_block(key, lang, atom)
-            j = low if kind == "ds" else of_low.get(low)
-            if j is None or psi.masks[j] != mask:
-                return None
-        bits = None if images[j] is not None else 0 if names == [] else _world_bits(
-            space, names, "incidence of {!r}", key)
-        if bits is None:
-            return None
-        images[j] = bits
-    return images
-
-
 _KEY_FAULTS = {  # a key of no block, a block listed twice, blocks left without a key
     "ds": ("ds incidence keys must be single atoms, got {!r}", "duplicate incidence for atom {!r}",
            "ds incidence must cover all {} atoms, got {}"),
@@ -321,7 +298,6 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
     if not isinstance(incidence, dict):
         raise DocumentError('field "incidence" must be an object')
     spelled = _atom_spelling(lang, incidence)
-    atom = {} if not spelled else lang._atoms.index if kind == "ic" else None  # a ds: off the canonical path
     # The fields before incidence are read first, but a fault in them or in
     # the keys' blocks and worlds is held until every key and list is read.
     fault = None
@@ -339,6 +315,7 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
             # the blocks are the single atoms, whose keys are the texts ``to_json`` writes
             psi, blocks, texts = full_algebra(lang), [], spelled
         else:
+            atom = lang._atoms.index if spelled else {}
             texts = tuple(_name_list(raw["psi_basis"], '"psi_basis"'))
             blocks = [_read_block(text, lang, atom) for text in texts]
             psi = FormulaAlgebra._of(lang, tuple(mask for _, mask in blocks))._check()
@@ -350,25 +327,30 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
     if texts and tuple(incidence) == texts:  # a canonical document: key j is block j's text
         images = [0 if names == [] else _world_bits(space, names, "incidence of {!r}", key)
                   for key, names in incidence.items()]
-    elif not fault:  # any other spelling or order: each key read and placed in one pass
-        atom = lang._atoms.index if atom is None else atom
-        images = _placed(kind, lang, space, psi, blocks, atom, incidence)
-    if images is None or None in images:  # a fault: read key by key
-        of_low = {low: j for j, (low, _) in enumerate(blocks)}
+    if images is None or None in images:  # any other document, or a fault: read key by key
+        atom = lang._atoms.index if spelled else {}  # built here for a ds, never on its canonical path
         no_block, twice, missing = _KEY_FAULTS[kind]
+        of_low = {low: j for j, (low, _) in enumerate(blocks)}
+        # a key of one atom is read straight to its index, with no mask built: a ds's block,
+        # or an ic's block of that atom alone; any other key is found by its lowest atom
+        reads = map(atom.get if atom else lang._atoms.term_atom, incidence)
+        if kind == "ic":
+            reads = map({low: j for j, (low, mask) in enumerate(blocks) if mask.bit_count() == 1}.get, reads)
         images = [None] * (0 if psi is None else len(psi.masks))
-        for key, names in incidence.items():
-            low, mask = _read_block(key, lang, atom or {})
-            j = low if kind == "ds" else of_low.get(low)
-            if fault or j is None or psi.masks[j] != mask:
-                j = None
+        for (key, names), j in zip(incidence.items(), reads):
+            if j is None:
+                low, mask = _read_block(key, lang, atom)
+                j = low if kind == "ds" else of_low.get(low)
+                if fault or j is None or psi.masks[j] != mask:
+                    j = None
             bits = 0 if names == [] else _world_bits(space, names, "incidence of {!r}", key)
             if fault:
                 continue
             if j is not None and images[j] is None and bits is not None:
                 images[j] = bits
                 continue
-            text = format_formula(Formula(lang, mask))  # the key's block, if it has one
+            # the key's block, if it has one (a key placed on a block has that block's mask)
+            text = format_formula(Formula(lang, mask if j is None else psi.masks[j]))
             if j is None:
                 fault = no_block.format(text)
             elif images[j] is not None:

@@ -1043,29 +1043,37 @@ class Recorded(dict):
 @pytest.mark.parametrize("n", [8, 12])
 def test_valid_documents_in_any_order_are_read_in_one_pass(n, kind, monkeypatch):
     # the key-by-key loop looks up its kind's fault messages before its first
-    # key; the one pass runs only when the canonical list comparison fails,
-    # and reads keys in any order and any spelling, the parser's included
+    # key, so a canonical document, read by the list comparison, looks up none;
+    # any other valid document formats no fault, and a key of one atom is read
+    # straight to its block, never to a mask by _read_block
     rng = random.Random(2600 + n + (kind == "ic"))
     canonical = to_json(benchmark_shaped(rng, n, kind))
     doc = json.loads(canonical)
     keys = list(doc["incidence"].items())
     rng.shuffle(keys)
     doc["incidence"] = dict(keys)
-    key_by_key, placed = [], []
-    place = docio._placed
+    key_by_key, read, faults = [], [], []
+    read_block = docio._read_block
     monkeypatch.setattr(docio, "_KEY_FAULTS", Recorded(docio._KEY_FAULTS, key_by_key))
-    monkeypatch.setattr(docio, "_placed", lambda *args: placed.append(args) or place(*args))
-    parsed = respelled(json.dumps(doc), RESPELLINGS["double parentheses"])  # keys only the parser reads
-    for text in (canonical, json.dumps(doc), scrambled(canonical, rng), parsed):
-        placed.clear()
+    monkeypatch.setattr(docio, "_read_block", lambda text, *args: read.append(text) or read_block(text, *args))
+    monkeypatch.setattr(docio, "format_formula", lambda f: faults.append(f) or format_formula(f))
+    for text in (canonical, json.dumps(doc), scrambled(canonical, rng)):
+        key_by_key.clear()
+        read.clear()
         assert to_json(from_json(text)) == canonical
-        assert key_by_key == []
-        assert len(placed) == (text != canonical)
-    faulted = json.loads(text)
+        assert key_by_key == ([] if text == canonical else [kind])
+        loaded = json.loads(text)
+        # an ic's psi_basis blocks, then, off the canonical path, the keys of more than one atom
+        blocks = [key for key in loaded["incidence"] if " | " in key] if text != canonical else []
+        assert read == loaded.get("psi_basis", []) + blocks
+    parsed = respelled(json.dumps(doc), RESPELLINGS["double parentheses"])  # keys only the parser reads
+    assert to_json(from_json(parsed)) == canonical
+    assert faults == []
+    faulted = json.loads(parsed)
     faulted["incidence"][rng.choice(list(faulted["incidence"]))] = ["nowhere"]
     with pytest.raises(DocumentError, match="nowhere"):
         from_json(json.dumps(faulted))
-    assert key_by_key == [kind]
+    assert len(faults) == 1
 
 
 def test_validate_lists_a_weight_sum_too_long_to_write(tmp_path, capsys):

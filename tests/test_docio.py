@@ -411,6 +411,12 @@ def test_rejects_bad_rational():
         (coats_ic, lambda d: d["measure"].update({"1": 0.5}), "measure weight of block 1 must be a rational string"),
         (coats_ic, lambda d: d.update(incidence=[]), 'field "incidence" must be an object'),
         (coats_ds, lambda d: d.update(chi_basis={"0": ["s1", "s2"]}), 'field "chi_basis" must be a list'),
+        # and a ds key of two atoms after it, whose fault comes second
+        (
+            coats_ds,
+            lambda d: d.update(measure=[], incidence={**d["incidence"], "g": []}),
+            'field "measure" must be an object',
+        ),
     ],
 )
 def test_rejects_fields_of_the_wrong_json_type(build, mutate, message):

@@ -26,7 +26,8 @@ canonical text and saving it again reproduces it byte for byte.
 keys are, in order, the atom texts ``to_json`` writes (ds) or the
 ``psi_basis`` texts (ic), key ``j`` is block ``j``, and the images are read
 in one pass.  Any other document, valid or not, is read key by key, also in
-one pass: a key of one atom is read straight to its index, from the table of
+one pass: an ic key that repeats a ``psi_basis`` text is that block's, unread;
+a key of one atom is read straight to its index, from the table of
 atom texts (if the first key begins with one) or literal by literal
 (``logic._term_reader``), with no mask built, and that index is its block (a
 ds) or finds the block of that atom alone (an ic); any other key is read to
@@ -38,9 +39,9 @@ raise in key order; the first key with no block of its own, or with a bad
 world, is held until the fields before ``incidence`` are checked.  The
 algebras hold their blocks as masks: a ds structure's blocks are the single
 atoms, which ``from_json`` does not re-check, and ``to_json`` writes their
-keys straight from the atom texts.  Those texts, their index and the
-single-atom masks are built when first read and shared by all documents over
-the same propositions (``logic._AtomTables``).
+keys, and an ic's, straight from the atom texts.  Those texts, their index
+and the single-atom masks are built when first read and shared by all
+documents over the same propositions (``logic._AtomTables``).
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .logic import (
     FormulaAlgebra,
     Language,
     _atom_text,
-    _join_terms,
     _read_atoms,
     format_formula,
     full_algebra,
@@ -109,15 +109,16 @@ def _atom_texts(lang: Language) -> tuple[str, ...]:
 
 
 def _psi_keys(psi: FormulaAlgebra) -> tuple[list[int], list[str]]:
-    """The basis blocks' positions in canonical order, and their written texts."""
+    """The basis blocks' positions in canonical order, and their written texts: the spelled
+    texts of each block's atoms, joined as ``format_formula`` joins them, or "true" alone."""
     if len(psi.masks) == psi.lang.n_atoms:
         # the blocks partition the atoms, so each is one atom, and its mask sorts as its index
         order = sorted(range(len(psi.masks)), key=psi.masks.__getitem__)
         return order, list(map(_encode, psi.lang._atoms.spelled))
     indices = [set_bits(mask) for mask in psi.masks]
     order = sorted(range(len(indices)), key=lambda j: indices[j][0])
-    atom_text = psi.lang._atoms.texts.__getitem__
-    return order, [_encode(_join_terms(psi.lang, psi.masks[j], map(atom_text, indices[j]))) for j in order]
+    spelled = psi.lang._atoms.spelled.__getitem__
+    return order, [_encode(" | ".join(map(spelled, indices[j])) if len(order) > 1 else "true") for j in order]
 
 
 def to_json(st: ProbabilityStructure) -> str:
@@ -333,9 +334,12 @@ def _build(kind: str, raw: dict) -> ProbabilityStructure:
         of_low = {low: j for j, (low, _) in enumerate(blocks)}
         # a key of one atom is read straight to its index, with no mask built: a ds's block,
         # or an ic's block of that atom alone; any other key is found by its lowest atom
-        reads = map(atom.get if atom else lang._atoms.term_atom, incidence)
-        if kind == "ic":
-            reads = map({low: j for j, (low, mask) in enumerate(blocks) if mask.bit_count() == 1}.get, reads)
+        read = atom.get if atom else lang._atoms.term_atom
+        reads = map(read, incidence)
+        if kind == "ic":  # a key that repeats a psi_basis text is that block's, and is not read again
+            of_text = dict(zip(texts, range(len(texts))))
+            single = {low: j for j, (low, mask) in enumerate(blocks) if mask.bit_count() == 1}
+            reads = (of_text[key] if key in of_text else single.get(read(key)) for key in incidence)
         images = [None] * (0 if psi is None else len(psi.masks))
         for (key, names), j in zip(incidence.items(), reads):
             if j is None:

@@ -38,6 +38,7 @@ from .errors import (
     UnknownPropositionError,
     ValidationError,
 )
+from .measure import SampleSpace
 from .value import Partition, Value, as_tuple, check_names, low_bit, require_type, set_bits, setfield
 
 MAX_PROPS = 16
@@ -58,31 +59,37 @@ class Language(Value):
 
     def __init__(self, props: Iterable[str]):
         props = check_names(props, MAX_PROPS, "a language", "proposition", ("true", "false"))
-        setfield(self, "props", props)
+        tables = _TABLES.get(props) or _TABLES.setdefault(props, _AtomTables(props))
+        setfield(self, "props", tables.props)  # the names the shared tables hold, ``space``'s world names
         setfield(self, "n_atoms", 1 << len(props))
         setfield(self, "full_mask", (1 << self.n_atoms) - 1)
-        setfield(self, "_atoms", _TABLES.setdefault(props, _AtomTables(props)))
+        setfield(self, "_atoms", tables)
 
 
 class _AtomTables:
     """The tables of the propositions ``props``, each built when first read.  The parser's:
     ``names`` maps every name formula text may use, constants included, to its atom mask, and
-    ``literals`` each literal to the code ``term_atom`` reads.  The atoms': ``texts``
-    (``_atom_texts``), ``spelled`` (as formula text writes its terms), ``index`` (spelled text ->
-    atom) and ``singles`` (each atom's mask, ``full_algebra``'s blocks).  ``_prop_masks`` and
-    ``_atom_texts`` read only ``props`` and ``n_atoms``, so they build from these tables.  ``_TABLES``
-    holds one per ``props`` while a language over them lives; holding no language, they form no cycle."""
+    ``literals`` each literal to the code ``term_atom`` reads.  The atoms': ``spelled`` (as formula
+    text writes its terms, ``_atom_texts``), ``index`` (spelled text -> atom), ``singles`` (each
+    atom's mask, ``full_algebra``'s blocks) and ``space`` (a world per atom, named like "notg_d",
+    whose incidence is ``singles``; at most 6 propositions).  ``_prop_masks`` and ``_atom_texts``
+    read only ``props`` and ``n_atoms``, so they build from these tables.  ``_TABLES`` holds one
+    per ``props`` while a language over them lives; holding no language, they form no cycle."""
 
     def __init__(self, props: tuple[str, ...]):
         self.props, self.n_atoms = props, 1 << len(props)
 
     names = cached_property(
         lambda self: dict(zip(self.props, _prop_masks(self)), true=(1 << self.n_atoms) - 1, false=0))
-    texts = cached_property(lambda self: _atom_texts(self))
-    spelled = cached_property(lambda self: _atom_texts(self, wrap=True))
+    spelled = cached_property(lambda self: _atom_texts(self))
     index = cached_property(lambda self: dict(zip(self.spelled, range(self.n_atoms))))
     singles = cached_property(lambda self: tuple(1 << k for k in range(self.n_atoms)))
     term_atom = cached_property(lambda self: _term_reader(self))
+
+    @cached_property
+    def space(self) -> SampleSpace:  # world k is atom k, named like "notg_d"
+        literals = [("not" + name, name) for name in reversed(self.props)]
+        return SampleSpace(["_".join(reversed(atom)) for atom in itertools.product(*literals)])
 
     @cached_property
     def literals(self) -> dict[str, int]:  # bit 2n + j marks proposition j, bit j a positive literal
@@ -296,26 +303,18 @@ def _parse_tokens(text: str, lang: Language) -> int:
 def format_formula(f: Formula) -> str:
     """Canonical text: disjunction of atom conjunctions in index order."""
     require_type(f, Formula, "formula")
-    return _join_terms(f.lang, f.atoms, [_atom_text(f.lang, k) for k in set_bits(f.atoms)])
+    if f.atoms in (0, f.lang.full_mask):
+        return "true" if f.atoms else "false"
+    terms = [_atom_text(f.lang, k) for k in set_bits(f.atoms)]
+    return "(" + ") | (".join(terms) + ")" if len(f.lang.props) > 1 else " | ".join(terms)
 
 
-def _join_terms(lang: Language, atoms: int, terms: Iterable[str]) -> str:
-    """The canonical text of the atom mask ``atoms``, given the texts of its atoms in index order."""
-    if not atoms:
-        return "false"
-    if atoms == lang.full_mask:
-        return "true"
-    if len(lang.props) > 1:
-        return "(" + ") | (".join(terms) + ")"
-    return " | ".join(terms)
-
-
-def _atom_texts(lang: Language, wrap: bool = False) -> tuple[str, ...]:
-    """``_atom_text`` of every atom, in index order, built by doubling: the
-    atoms with proposition ``j`` negative come before those with it positive.
-    With ``wrap``, past one proposition, each is in parentheses, as in formula text."""
+def _atom_texts(lang: Language) -> tuple[str, ...]:
+    """``_atom_text`` of every atom, in index order, as formula text writes its
+    terms (in parentheses, past one proposition), built by doubling: the atoms
+    with proposition ``j`` negative come before those with it positive."""
     first, *rest = lang.props
-    left, right = ("(", ")") if wrap and rest else ("", "")
+    left, right = ("(", ")") if rest else ("", "")
     texts = [left + "~" + first, left + first]
     for j, name in enumerate(rest, 2):
         end = right if j == len(lang.props) else ""  # the last doubling closes each text

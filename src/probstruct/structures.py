@@ -48,7 +48,7 @@ from .measure import (
     format_rational,
     inner_measure,
 )
-from .value import Masked, Value, as_tuple, partition_faults, require_type, setfield
+from .value import Masked, Value, as_tuple, partition_faults, require_type, set_bits, setfield
 
 
 class StructureKind(str, Enum):
@@ -287,7 +287,8 @@ def interval(st: ProbabilityStructure, xi: Formula) -> Interval:
 def _masses(st: ProbabilityStructure) -> tuple[tuple[tuple[int, int], ...], int]:
     """The mass function as (atom mask, numerator) pairs over ``mu.den``.  An ic
     has a pair per formula block, summing the numerators of its image's worlds,
-    a ds one per measurable block, whose mask holds each atom whose image meets it.
+    each image walked once, a ds one per measurable block, whose mask holds each
+    atom whose image meets it.
     Refuses what ``validate`` lists; kept in a slot outside the fields, and
     only for a structure that passed the gate, so it is returned ungated."""
     if hasattr(st, "_masses"):
@@ -295,9 +296,9 @@ def _masses(st: ProbabilityStructure) -> tuple[tuple[tuple[int, int], ...], int]
     _checked(st)
     chi = list(zip(st.ps.algebra.masks, st.ps.mu.nums))
     images = zip(st.psi.masks, st.inc.masks)
-    if st.kind is StructureKind.IC:  # the measurable blocks are the single worlds
-        pairs = [(block, sum(n for bits, n in chi if bits & image) if image else 0)
-                 for block, image in images]
+    if st.kind is StructureKind.IC:  # the measurable blocks are the single worlds, in any order
+        weight = {bits.bit_length() - 1: n for bits, n in chi}  # world -> numerator
+        pairs = [(block, sum(map(weight.__getitem__, set_bits(image)))) for block, image in images]
     else:
         live = [(block, image) for block, image in images if image]
         pairs = [(sum(atoms for atoms, bits in live if bits & chi_bits), n) for chi_bits, n in chi]

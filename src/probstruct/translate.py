@@ -13,20 +13,21 @@ Both directions preserve the probability interval of every formula:
   are the focal masks, with the dead atoms (empty incidence) left as
   singleton blocks.
 
-Both directions and ``equivalent`` read structures only through their mass
-functions (``structures._masses``), which determine every interval.  The
-translations build their results from masks, through ``_checked``;
-``equivalent`` names its witness from the difference of the two.  Seeded
+Both directions read structures only through their mass functions
+(``structures._masses``), which determine every interval, and build their
+results from masks, through ``_checked``, over shared sample spaces: the
+language's atom worlds (``_atoms.space``) or ``w1..wk`` (``_numbered``).
+``equivalent`` compares the mass functions and names its witness from their
+difference; the witness's two intervals come from ``interval``.  Seeded
 generators plus ``round_trip_check`` drive randomized testing.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from typing import Optional
 
 from .errors import LanguageMismatchError, NotTotalError, ValidationError
@@ -90,6 +91,14 @@ class GenParams(Value):
         setfield(self, "seed", seed)
 
 
+@cache
+def _numbered(k: int) -> tuple[SampleSpace, SetAlgebra]:
+    """The worlds ``w1..wk`` and their discrete algebra, built and checked once per size ``k``
+    (1 to ``MAX_WORLDS``: ``SampleSpace`` refuses any other, and nothing refused is kept)."""
+    space = SampleSpace(tuple(f"w{j + 1}" for j in range(k)))
+    return space, discrete_algebra(space)
+
+
 def ic_to_ds(ic: ProbabilityStructure) -> ProbabilityStructure:
     """Lift an incidence-calculus structure to an equivalent total belief
     structure over the language's atoms.
@@ -101,13 +110,12 @@ def ic_to_ds(ic: ProbabilityStructure) -> ProbabilityStructure:
     lang = ic.lang
     if len(lang.props) > _ATOM_WORLD_PROPS:
         raise ValidationError(f"a sample space needs between 1 and {MAX_WORLDS} worlds, got {lang.n_atoms}")
-    literals = [("not" + name, name) for name in reversed(lang.props)]  # worlds like "notg_d"
-    space = SampleSpace(["_".join(reversed(atom)) for atom in itertools.product(*literals)])
+    space = lang._atoms.space  # world k is atom k, named and checked once per proposition list
     pairs, den = _masses(ic)
     chi = SetAlgebra._of(space, tuple(mask for mask, _ in pairs))._check()
     common = math.gcd(den, *(num for _, num in pairs))  # block sums may share a factor with den
     ps = ProbabilitySpace(space, chi, MeasureFn._of(tuple(num // common for _, num in pairs), den // common))
-    inc = IncidenceMap._of(space, lang._atoms.singles)  # world k is atom k
+    inc = IncidenceMap._of(space, lang._atoms.singles)
     return _checked(ProbabilityStructure(ps, lang, full_algebra(lang), inc, StructureKind.DS))
 
 
@@ -122,7 +130,7 @@ def ds_to_ic(ds: ProbabilityStructure) -> ProbabilityStructure:
         shared = format_formula(Formula(ds.lang, masks[j] & masks[i]))
         raise NotTotalError(f"ds_to_ic requires a total structure, but the focal masks of measurable blocks "
                             f"{a} and {b} share the atoms {shared}")
-    space = SampleSpace(tuple(f"w{j + 1}" for j in range(len(masks))))
+    space, chi = _numbered(len(masks))
     # lowest atom -> (atom mask, image); the masks of a total structure are disjoint, and each
     # atom outside them is a block of its own with no worlds, whose mask the language shares
     blocks = {low_bit(m).bit_length() - 1: (m, 1 << j) for j, m in enumerate(masks)}
@@ -130,7 +138,7 @@ def ds_to_ic(ds: ProbabilityStructure) -> ProbabilityStructure:
     blocks.update({k: (m, 0) for k, (bit, m) in enumerate(zip(dead, ds.lang._atoms.singles)) if bit == "1"})
     atoms, images = zip(*(blocks[k] for k in sorted(blocks)))
     psi = FormulaAlgebra._of(ds.lang, atoms)._check()
-    ps = ProbabilitySpace(space, discrete_algebra(space), ds.ps.mu)  # world j weighs as block j
+    ps = ProbabilitySpace(space, chi, ds.ps.mu)  # world j weighs as block j
     return _checked(ProbabilityStructure(ps, ds.lang, psi, IncidenceMap._of(space, images), StructureKind.IC))
 
 
@@ -222,7 +230,7 @@ def random_ic(params: GenParams) -> ProbabilityStructure:
     require_type(params, GenParams, "generator parameters")
     rng = random.Random(params.seed)
     lang = Language(tuple(f"p{i + 1}" for i in range(params.n_props)))
-    space = SampleSpace(tuple(f"w{i + 1}" for i in range(params.n_worlds)))
+    space = _numbered(params.n_worlds)[0]
 
     atom_masks = _random_grouping(rng, [1 << k for k in range(lang.n_atoms)])
     basis = _sorted_blocks(atom_masks, lang)
@@ -241,7 +249,7 @@ def random_total_ds(params: GenParams) -> ProbabilityStructure:
     require_type(params, GenParams, "generator parameters")
     rng = random.Random(params.seed)
     lang = Language(tuple(f"p{i + 1}" for i in range(params.n_props)))
-    space = SampleSpace(tuple(f"w{i + 1}" for i in range(params.n_worlds)))
+    space = _numbered(params.n_worlds)[0]
 
     atom_bits = [0] * lang.n_atoms
     for i in range(space.size):

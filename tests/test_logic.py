@@ -28,6 +28,7 @@ from probstruct import (
     from_json,
     full_algebra,
     generate_algebra,
+    ic_to_ds,
     interval,
     parse_formula,
     to_json,
@@ -512,22 +513,22 @@ def test_format_one_prop_language_drops_parens():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_atom_text_table_matches_atom_text(n):
     lang = Language(tuple(f"p{j}" for j in range(n)))
-    assert _atom_texts(lang) == tuple(_atom_text(lang, k) for k in range(lang.n_atoms))
+    wrapped = "({})" if n > 1 else "{}"
+    assert _atom_texts(lang) == tuple(wrapped.format(_atom_text(lang, k)) for k in range(lang.n_atoms))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_the_shared_atom_tables_match_their_oracles(n):
     lang = Language(tuple(f"p{j}" for j in range(n)))
     tables = lang._atoms
-    assert tables.texts == tuple(_atom_text(lang, k) for k in range(lang.n_atoms))
     wrapped = "({})" if n > 1 else "{}"
-    assert tables.spelled == tuple(wrapped.format(text) for text in tables.texts)
+    assert tables.spelled == tuple(wrapped.format(_atom_text(lang, k)) for k in range(lang.n_atoms))
     assert len(tables.index) == lang.n_atoms
     assert all(tables.spelled[k] == text for text, k in tables.index.items())
     assert tables.singles == tuple(1 << k for k in range(lang.n_atoms))
     assert full_algebra(lang).masks is tables.singles
     assert tables.names == dict(zip(lang.props, oracle_prop_masks(lang)), true=lang.full_mask, false=0)
-    assert {type(tables.texts), type(tables.spelled), type(tables.singles)} == {tuple}
+    assert {type(tables.spelled), type(tables.singles)} == {tuple}
 
 
 def test_equal_proposition_lists_share_one_table_entry():
@@ -539,6 +540,15 @@ def test_equal_proposition_lists_share_one_table_entry():
     others = [Language(("q", "p")), Language(("p", "q", "r")), Language(("p",))]
     assert len({id(lang._atoms) for lang in [a, *others]}) == 4
     assert "_atoms" not in repr(a) and a.__reduce__() == (Language, (("p", "q"),))
+
+
+def test_a_language_builds_its_tables_only_when_none_live(monkeypatch):
+    built, tables = [], logic._AtomTables
+    monkeypatch.setattr(logic, "_AtomTables", lambda props: built.append(props) or tables(props))
+    props = ("once_a", "once_b")  # names no other test's language holds
+    a, b = Language(props), Language(list(props))
+    assert built == [props] and a._atoms is b._atoms
+    assert b.props is a.props is a._atoms.props  # each language holds the names the tables hold
 
 
 def test_the_table_entry_goes_with_the_last_language_over_it():
@@ -553,12 +563,13 @@ def test_the_table_entry_goes_with_the_last_language_over_it():
         images = [space.everything()] + [space.nothing()] * 7
         ds = ProbabilityStructure.ds(space, (space.everything(),), (1,), a, images)
         vacuous = ProbabilityStructure.ic(space, (1,), trivial_algebra(b), (space.everything(),))
-        # a canonical ds load reads the spelled texts, its ic's the index, the vacuous ic's text the texts
+        # a canonical ds load reads the spelled texts, its ic's the index, ic_to_ds the atom worlds
         loaded = [from_json(to_json(ds)), from_json(to_json(ds_to_ic(ds))), from_json(to_json(vacuous))]
         assert [interval(st, true_formula(st.lang)).lo for st in loaded] == [1, 1, 1]
         assert [st.psi.basis[0] for st in loaded] == [Formula(a, 1), Formula(a, 1), true_formula(a)]
+        assert ic_to_ds(loaded[1]).ps.space is a._atoms.space
         entry = weakref.ref(a._atoms)
-        assert {"texts", "spelled", "index", "singles"} <= set(vars(entry()))
+        assert {"spelled", "index", "singles", "space"} <= set(vars(entry()))
         del a, ds, vacuous
         assert logic._TABLES[props] is entry() is b._atoms
         del b

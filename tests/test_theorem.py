@@ -216,12 +216,12 @@ def test_documents_over_one_language_agree_through_its_shared_tables(monkeypatch
     steps += [(3, canon[3]), (1, gen.noncanonical(models[1], rng)), (0, gen.noncanonical(models[0], rng))]
     steps += [(2, canon[2]), (3, gen.noncanonical(models[3], rng))]
     built, build = [], logic._atom_texts
-    monkeypatch.setattr(logic, "_atom_texts", lambda lang, wrap=False: built.append(wrap) or build(lang, wrap))
+    monkeypatch.setattr(logic, "_atom_texts", lambda lang: built.append(lang.props) or build(lang))
     loaded = []
     for step, (i, text) in enumerate(steps):
         if step == 3:  # every table is built by now
             tables = loaded[0].lang._atoms
-            kept = (tables.texts, tables.spelled, dict(tables.index), tables.singles)
+            kept = (tables.spelled, dict(tables.index), tables.singles)
             del loaded[0]
         if i is None:
             with pytest.raises(DocumentError) as refused:
@@ -235,8 +235,8 @@ def test_documents_over_one_language_agree_through_its_shared_tables(monkeypatch
             got = interval(st, f)
             assert (got.lo, got.hi) == oracle.interval(models[i], f.atoms)
         loaded.append(st)
-    assert sorted(built) == [False, True]
+    assert built == [props]
     assert all(st.lang._atoms is tables for st in loaded)
-    assert (tables.texts, tables.spelled, tables.index, tables.singles) == kept
-    assert tables.texts is kept[0] and tables.spelled is kept[1] and tables.singles is kept[3]
+    assert (tables.spelled, tables.index, tables.singles) == kept
+    assert tables.spelled is kept[0] and tables.singles is kept[2]
     assert all(st.psi.masks is tables.singles for st in loaded if st.kind is StructureKind.DS)

@@ -44,6 +44,7 @@ from probstruct import (
     validate,
 )
 from probstruct.logic import FormulaAlgebra, _sorted_blocks
+import probstruct.logic as logic
 import probstruct.translate as translate
 from probstruct.structures import _masses
 from probstruct.translate import _net, _witness_mask
@@ -192,7 +193,8 @@ def test_ic_to_ds_requires_ic():
 
 
 def test_ic_to_ds_atom_count_cap(monkeypatch):
-    monkeypatch.setattr(translate, "itertools", None)  # refused before any world is named
+    named = property(lambda tables: pytest.fail("ic_to_ds named the atom worlds"))
+    monkeypatch.setattr(logic._AtomTables, "space", named)  # refused before any world is named
     space = SampleSpace(("w1",))
     for n_props in (7, 16):  # 2**n atoms > 64 worlds
         lang = Language(tuple(f"p{i}" for i in range(n_props)))
@@ -730,3 +732,67 @@ def test_translations_and_loads_make_no_world_set_per_block(monkeypatch):
     assert made == []
     assert equivalent(lifted, ic).equivalent and equivalent(collapsed, ds).equivalent
     assert [to_json(st) for st in loaded] == texts and made == []
+
+
+# --- shared sample spaces ----------------------------------------------------
+
+
+def test_translations_share_their_sample_spaces():
+    # ic_to_ds names the atom worlds once per proposition list, and ds_to_ic
+    # the worlds w1..wk, with their discrete algebra, once per size k
+    a, b = random_ic(GenParams(3, 8, 1)), random_ic(GenParams(3, 8, 2))
+    assert a.lang is not b.lang
+    assert ic_to_ds(a).ps.space is ic_to_ds(b).ps.space is a.lang._atoms.space
+    first = {}
+    for seed in range(20):
+        ds = random_total_ds(GenParams(3, 8, seed))
+        ic = ds_to_ic(ds)
+        kept = first.setdefault(len(ds.ps.algebra.masks), ic)
+        assert ic.ps.space is kept.ps.space and ic.ps.algebra is kept.ps.algebra
+    assert len(first) < 20  # some size was met again
+
+
+def test_a_shared_space_pickles_as_one_of_its_own_would():
+    # over one proposition, the atom world of the positive literal is the very
+    # string the language holds, so a pickle refers back to it, whichever of
+    # two languages over equal names built the shared tables
+    ics = [random_ic(GenParams(1, 3, 7)) for _ in range(2)]
+    assert ics[0].lang is not ics[1].lang
+    for ic in ics:
+        ds = ic_to_ds(ic)
+        assert ds.ps.space.worlds[1] is ic.lang.props[0]
+    assert pickle.dumps(ic_to_ds(ics[0])) == pickle.dumps(ic_to_ds(ics[1]))
+
+
+def test_the_numbered_spaces_are_the_worlds_w1_to_wk():
+    for k in range(1, 65):
+        space, chi = translate._numbered(k)
+        assert space == SampleSpace(tuple(f"w{j + 1}" for j in range(k)))
+        assert chi == SetAlgebra(space, [space.subset([w]) for w in space.worlds])
+        assert translate._numbered(k)[0] is space
+    for k in (0, 65):
+        with pytest.raises(ValidationError):
+            translate._numbered(k)
+
+
+def test_an_ic_with_its_singletons_out_of_world_order_has_the_same_masses():
+    # the plain constructor takes the measurable singletons in any order; the
+    # mass of a block sums the weights of its image's worlds, wherever they are listed
+    space = SampleSpace(("w1", "w2", "w3", "w4"))
+    lang = Language(("a", "b"))
+    psi = FormulaAlgebra(lang, [parse_formula(t, lang) for t in ("~a", "a & ~b", "a & b")])
+    images = [space.subset(names) for names in (["w1", "w3"], ["w4"], ["w2"])]
+    weights = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 12), Fraction(1, 12)]
+    in_order = ProbabilityStructure.ic(space, weights, psi, images)
+    order = [2, 0, 3, 1]
+    chi = SetAlgebra(space, [space.subset([space.worlds[i]]) for i in order])
+    ps = ProbabilitySpace(space, chi, MeasureFn([weights[i] for i in order]))
+    shuffled = ProbabilityStructure(ps, lang, psi, IncidenceMap(space, images), StructureKind.IC)
+    assert validate(shuffled).ok and shuffled != in_order
+    assert _masses(shuffled) == _masses(in_order)
+    lifted = ic_to_ds(shuffled)
+    assert lifted == ic_to_ds(in_order)
+    for mask in range(1 << lang.n_atoms):
+        f = Formula(lang, mask)
+        assert interval(lifted, f) == interval(shuffled, f) == interval(in_order, f)
+    assert equivalent(shuffled, in_order).equivalent

@@ -51,7 +51,7 @@ class Language(Value):
 
     ``n_atoms`` is the number of atoms, ``2**len(props)``, and ``full_mask`` the bitmask
     selecting every atom.  ``_atoms`` holds the parser's tables and the atoms' tables,
-    which every language over the same propositions shares.
+    which every language over the same propositions shares, as it shares their ``props``.
     """
 
     _fields = ("props",)

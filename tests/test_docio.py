@@ -1026,12 +1026,11 @@ def shuffled_spelling(f: str, rng) -> str:
 def scrambled(text: str, rng) -> str:
     """``text``'s document with its incidence keys, and an ic's ``psi_basis``
     blocks, in random order, and each formula spelled by ``shuffled_spelling``."""
-    formula = lambda f: shuffled_spelling(f, rng)
     doc = json.loads(text)
     if "psi_basis" in doc:
-        doc["psi_basis"] = [formula(f) for f in doc["psi_basis"]]
+        doc["psi_basis"] = [shuffled_spelling(f, rng) for f in doc["psi_basis"]]
         rng.shuffle(doc["psi_basis"])
-    keys = [(formula(f), names) for f, names in doc["incidence"].items()]
+    keys = [(shuffled_spelling(f, rng), names) for f, names in doc["incidence"].items()]
     rng.shuffle(keys)
     doc["incidence"] = dict(keys)
     return json.dumps(doc)

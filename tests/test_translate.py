@@ -752,7 +752,7 @@ def test_translations_share_their_sample_spaces():
     assert len(first) < 20  # some size was met again
 
 
-def test_a_shared_space_pickles_as_one_of_its_own_would():
+def test_one_propositions_positive_atom_world_is_the_languages_own_name():
     # over one proposition, the atom world of the positive literal is the very
     # string the language holds, so a pickle refers back to it, whichever of
     # two languages over equal names built the shared tables

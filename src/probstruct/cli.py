@@ -93,18 +93,12 @@ def cmd_fuzz(args) -> int:
             if report.equivalent:
                 passed += 1
             else:
-                _report_fuzz_failure(side, seed, report)
+                f, in_a, in_b = report.witness
+                print(f"seed {seed} ({side} round): witness {format_formula(f)}: {in_a} vs {in_b}",
+                      file=sys.stderr)
 
     print(f"{passed}/{total} translation checks passed")
     return 0 if passed == total else 1
-
-
-def _report_fuzz_failure(side: str, seed: int, report) -> None:
-    f, in_a, in_b = report.witness
-    print(
-        f"seed {seed} ({side} round): witness {format_formula(f)}: {in_a} vs {in_b}",
-        file=sys.stderr,
-    )
 
 
 def cmd_example(args) -> int:

@@ -31,8 +31,8 @@ a key of one atom is read straight to its index, from the table of
 atom texts (if the first key begins with one) or literal by literal
 (``logic._term_reader``), with no mask built, and that index is its block (a
 ds) or finds the block of that atom alone (an ic); any other key is read to
-its mask, term by term from the table, literal by literal or, failing that,
-by ``parse_formula``, and found by its lowest atom.  A valid document
+its mask, term by term from the table or else by ``parse_formula``'s reader,
+and found by its lowest atom.  A valid document
 formats nothing; the same loop names every fault of a faulty one in its
 order: text that does not parse and world lists that are not of strings
 raise in key order; the first key with no block of its own, or with a bad
@@ -47,7 +47,6 @@ documents over the same propositions (``logic._AtomTables``).
 from __future__ import annotations
 
 import json
-import math
 import sys
 from typing import Iterable
 
@@ -56,11 +55,10 @@ from .logic import (
     Formula,
     FormulaAlgebra,
     Language,
+    _atom_mask,
     _atom_text,
-    _read_atoms,
     format_formula,
     full_algebra,
-    parse_formula,
 )
 from .measure import (
     MeasureFn,
@@ -247,13 +245,12 @@ def _measure_weights(raw_measure, count: int) -> MeasureFn:
     keys = [str(i) for i in range(count)]
     if raw_measure.keys() != set(keys):
         raise DocumentError(f'field "measure" must have exactly the keys 0..{count - 1} as strings')
-    ratios = []  # each in lowest terms, so over their lcm the numerators share no factor with it
+    ratios = []
     for i, key in enumerate(keys):
         if not isinstance(raw_measure[key], str):
             raise DocumentError(f"measure weight of block {i} must be a rational string")
         ratios.append(_ratio(raw_measure[key]))
-    den = math.lcm(*(d for _, d in ratios))
-    return MeasureFn._of(tuple(n * (den // d) for n, d in ratios), den, tuple(ratios))
+    return MeasureFn._of(tuple(ratios))
 
 
 def _atom_spelling(lang: Language, keys) -> tuple[str, ...]:
@@ -268,15 +265,13 @@ def _atom_spelling(lang: Language, keys) -> tuple[str, ...]:
 def _read_block(text: str, lang: Language, atom: dict[str, int]) -> tuple[int, int]:
     """The lowest atom (-1 if none) and the atom mask of formula text: text
     whose terms are all in the table ``atom`` is read from it, any other by
-    ``_read_atoms`` or, if that gives up, parsed, which reads every spelling
-    and raises every error."""
+    ``parse_formula``'s reader, which reads every spelling and raises every error."""
     k = atom.get(text)
     if k is not None:  # one atom
         return k, 1 << k
     atoms = [atom.get(term) for term in text.split(" | ")] if atom else [None]
     if None in atoms:
-        # _read_atoms gives None, never 0, for text it does not read
-        mask = _read_atoms(text, lang) or parse_formula(text, lang).atoms
+        mask = _atom_mask(text, lang)
         return low_bit(mask).bit_length() - 1, mask
     mask = 0
     for k in atoms:

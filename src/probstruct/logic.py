@@ -213,8 +213,12 @@ def parse_formula(text: str, lang: Language) -> Formula:
         raise ValidationError(f"formula text must be str, got {type(text).__name__}")
     if not isinstance(lang, Language):
         raise ValidationError(f"formula language must be Language, got {type(lang).__name__}")
-    atoms = _read_atoms(text, lang)
-    return Formula(lang, _parse_tokens(text, lang) if atoms is None else atoms)
+    return Formula(lang, _atom_mask(text, lang))
+
+
+def _atom_mask(text: str, lang: Language) -> int:
+    """The atom mask of formula text: ``_read_atoms``'s (never 0) if it reads it, else ``_parse_tokens``'s."""
+    return _read_atoms(text, lang) or _parse_tokens(text, lang)
 
 
 def _read_atoms(text: str, lang: Language) -> int | None:

@@ -174,41 +174,38 @@ def discrete_algebra(space: SampleSpace) -> SetAlgebra:
 
 
 class MeasureFn(Value):
-    """Rational weights on the blocks of a basis, in basis order, kept as integer
-    numerators ``nums`` over their least common denominator ``den``.  ``weights``
-    is the ``Fraction`` values given, or else built when first read (from the reduced
-    pairs given to ``_of``, if any); equality and hash go by ``(nums, den)``, ``repr``
-    and pickling by ``weights``.  Whether they are nonnegative and sum to 1 is left
-    to ``weight_problems``, which ``structures.validate`` calls, so that hand-written
-    documents surface as validation reports instead of construction failures.
+    """Rational weights on the blocks of a basis, in basis order, stored as their
+    reduced ``(num, den)`` pairs and kept as integer numerators ``nums`` over their
+    least common denominator ``den``; ``weights`` is built from the pairs on each
+    read.  Equality and hash go by ``(nums, den)``, ``repr`` and pickling by ``weights``.
+    Whether they are nonnegative and sum to 1 is left to ``weight_problems``, which
+    ``structures.validate`` calls, so that hand-written documents surface as
+    validation reports instead of construction failures.
     """
 
     _fields = ("weights",)
-    __slots__ = ("nums", "den", "_weights", "_ratios")
+    __slots__ = ("nums", "den", "_ratios")
     _key = attrgetter("nums", "den")  # equality and hash by the normal form
 
     def __init__(self, weights: Iterable):
-        weights = tuple(map(as_fraction, as_tuple(weights, "measure weights")))
-        den = math.lcm(*(w.denominator for w in weights))
-        setfield(self, "nums", tuple(w.numerator * (den // w.denominator) for w in weights))
-        setfield(self, "den", den)
-        setfield(self, "_weights", weights)
+        weights = map(as_fraction, as_tuple(weights, "measure weights"))
+        self._set(tuple((w.numerator, w.denominator) for w in weights))
 
     @classmethod
-    def _of(cls, nums: tuple, den: int, ratios: tuple = ()) -> MeasureFn:
-        """``nums`` over ``den``, unchecked: ``gcd(den, *nums)`` must be 1; ``ratios``: reduced pairs."""
-        self = object.__new__(cls)
-        setfield(self, "nums", nums)
+    def _of(cls, ratios: tuple) -> MeasureFn:
+        """The weights of the reduced ``(num, den)`` pairs ``ratios``, unchecked."""
+        return object.__new__(cls)._set(ratios)
+
+    def _set(self, ratios: tuple) -> MeasureFn:
+        den = math.lcm(*(d for _, d in ratios))  # reduced pairs: gcd(den, *nums) is 1
+        setfield(self, "nums", tuple(n * (den // d) for n, d in ratios))
         setfield(self, "den", den)
         setfield(self, "_ratios", ratios)
         return self
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
-        if not hasattr(self, "_weights"):  # built when first read, then kept outside the fields
-            pairs = self._ratios or ((n, self.den) for n in self.nums)
-            setfield(self, "_weights", tuple(Fraction(n, d) for n, d in pairs))
-        return self._weights
+        return tuple(Fraction(n, d) for n, d in self._ratios)  # at most one per world: built on each read
 
     def weight_problems(self) -> list[str]:
         """Why the weights are not a probability distribution; empty if they are."""

@@ -62,8 +62,8 @@ class StructureKind(str, Enum):
 
 class IncidenceMap(Masked):
     """World-set images of the formula-algebra basis blocks, in basis order,
-    kept as the world bitmasks ``masks``; ``images`` holds them as ``WorldSet``
-    values, those given to the constructor or else built when first read.
+    stored only as the world bitmasks ``masks``; ``images`` is built from them
+    as ``WorldSet`` values when first read, and kept, as ``Partition.basis`` is.
     Whether the images are pairwise disjoint and cover the sample space is
     left to ``partition_problems``, which ``validate`` calls.
     """
@@ -75,10 +75,8 @@ class IncidenceMap(Masked):
 
     def __init__(self, space: SampleSpace, images):
         require_type(space, SampleSpace, "incidence map space")
-        images = as_tuple(images, "incidence images")
         different = "incidence image is over a different sample space"
-        self._keep(space, images, "incidence image", ValidationError, different)
-        setfield(self, "_values", images)  # the values given are the images
+        self._keep(space, as_tuple(images, "incidence images"), "incidence image", ValidationError, different)
 
     def partition_problems(self) -> list[str]:
         """Why the images, empty ones allowed, fail to partition the sample space; empty if they do."""

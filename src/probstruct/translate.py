@@ -113,8 +113,8 @@ def ic_to_ds(ic: ProbabilityStructure) -> ProbabilityStructure:
     space = lang._atoms.space  # world k is atom k, named and checked once per proposition list
     pairs, den = _masses(ic)
     chi = SetAlgebra._of(space, tuple(mask for mask, _ in pairs))._check()
-    common = math.gcd(den, *(num for _, num in pairs))  # block sums may share a factor with den
-    ps = ProbabilitySpace(space, chi, MeasureFn._of(tuple(num // common for _, num in pairs), den // common))
+    ratios = tuple((num // g, den // g) for _, num in pairs for g in (math.gcd(num, den),))  # lowest terms
+    ps = ProbabilitySpace(space, chi, MeasureFn._of(ratios))
     inc = IncidenceMap._of(space, lang._atoms.singles)
     return _checked(ProbabilityStructure(ps, lang, full_algebra(lang), inc, StructureKind.DS))
 

@@ -143,7 +143,8 @@ class Value:
 class Masked(Value):
     """An owner and the bitmasks ``masks`` of the ``_element`` values (keyed by
     owner and mask) that its second field names: ``Partition``'s blocks or an
-    ``IncidenceMap``'s images.  ``property(Masked._built)`` builds those values
+    ``IncidenceMap``'s images.  The masks are the one stored form, whatever
+    values were given: ``property(Masked._built)`` builds the values from them
     when first read, one for every empty mask, and keeps them outside the
     fields.  Equality and hash go by the owner and the masks; ``repr`` and
     pickling go by the values, as when the values themselves were kept."""

@@ -705,10 +705,33 @@ def test_reordered_text_is_read_without_the_parser(monkeypatch):
     rng = random.Random(12)
     texts = [reordered(random_document(rng, n, kind), rng) for n in range(1, 9) for kind in ("ds", "ic")]
     calls = []
-    monkeypatch.setattr(docio, "parse_formula", lambda text, lang: calls.append(text))
+    monkeypatch.setattr(logic, "_parse_tokens", lambda text, lang: calls.append(text))
     for text in texts:
         from_json(text)
     assert calls == []
+
+
+def test_a_key_the_table_cannot_read_is_read_once(monkeypatch):
+    # _read_block hands a key it cannot read from the atom table to parse_formula's
+    # reader: the literal reader runs once on it, then the parser only if that gives up
+    rng = random.Random(13)
+    texts = [reordered(random_document(rng, n, kind), rng) for n in range(1, 7) for kind in ("ds", "ic")]
+    texts += [edited(coats_ic, lambda d: d.update(psi_basis=["~g & ~d", "g", "~g & d"],
+                                                   incidence={"g": ["w2"], "~(g | d)": ["w1"], "d & ~g": []}))]
+    read, unread = [], []
+    read_atoms, read_block = logic._read_atoms, docio._read_block
+
+    def block(text, lang, atom):
+        if text not in atom and any(term not in atom for term in text.split(" | ")):
+            unread.append(text)
+        return read_block(text, lang, atom)
+
+    monkeypatch.setattr(logic, "_read_atoms", lambda text, lang: read.append(text) or read_atoms(text, lang))
+    monkeypatch.setattr(docio, "_read_block", block)
+    for text in texts:
+        from_json(text)
+    assert read == unread
+    assert len(unread) > len(texts) and {"g", "~(g | d)"} <= set(unread)
 
 
 # each replaces the key "(~g & ~d)": literals repeated, missing or unknown

@@ -1,6 +1,7 @@
 """Rationals, sample spaces, set algebras, measures, inner measures."""
 
 import itertools
+import json
 import math
 import pickle
 from fractions import Fraction
@@ -19,6 +20,7 @@ from probstruct import (
     WorldSet,
     discrete_algebra,
     format_rational,
+    from_json,
     inner_measure,
     measure,
     parse_rational,
@@ -217,7 +219,7 @@ def test_the_unchecked_constructor_agrees_with_the_public_one(weights):
     assert mu.den == math.lcm(*(Fraction(w).denominator for w in weights))
     assert math.gcd(mu.den, *mu.nums) == 1
     assert mu.weights == tuple(map(Fraction, weights))
-    unchecked = MeasureFn._of(mu.nums, mu.den)
+    unchecked = MeasureFn._of(tuple((n // g, mu.den // g) for n in mu.nums for g in (math.gcd(n, mu.den),)))
     assert not hasattr(unchecked, "_weights")  # built when first read
     same_value(unchecked, mu)
     assert unchecked.weights == mu.weights
@@ -229,17 +231,49 @@ def test_the_unchecked_constructor_agrees_with_the_public_one(weights):
 def test_weights_kept_as_their_reduced_pairs_are_the_same_value(weights):
     mu = MeasureFn(weights)
     pairs = tuple((w.numerator, w.denominator) for w in mu.weights)
-    from_pairs = MeasureFn._of(mu.nums, mu.den, pairs)
+    from_pairs = MeasureFn._of(pairs)
     assert not hasattr(from_pairs, "_weights")  # built when first read
     same_value(from_pairs, mu)
     assert from_pairs.weights == mu.weights
     assert pickle.loads(pickle.dumps(from_pairs)) == mu
 
 
+def one_value(a: MeasureFn, b: MeasureFn) -> None:
+    """``a`` and ``b`` are one value in every form they show, pickled at every protocol."""
+    same_value(a, b)
+    assert (a.nums, a.den, a.weights) == (b.nums, b.den, b.weights)
+    assert a.weight_problems() == b.weight_problems()
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(a, protocol) == pickle.dumps(b, protocol)
+        back = pickle.loads(pickle.dumps(a, protocol))
+        assert back == a and hash(back) == hash(a) and repr(back) == repr(a)
+
+
+def loaded_measure(weights) -> MeasureFn:
+    """The measure of an unchecked ic document over one world per weight, each
+    weight written with its numerator and denominator tripled."""
+    worlds = [f"w{i}" for i in range(len(weights))]
+    doc = {
+        "kind": "ic", "propositions": ["a"], "worlds": worlds, "psi_basis": ["a", "~a"],
+        "incidence": {"a": worlds, "~a": []},
+        "measure": {str(i): f"{3 * w.numerator}/{3 * w.denominator}" for i, w in enumerate(map(Fraction, weights))},
+    }
+    return from_json(json.dumps(doc), check=False).ps.mu
+
+
+@given(st.lists(st.fractions(max_denominator=10**6) | st.integers(-50, 50), min_size=1, max_size=12))
+def test_the_constructor_the_reduced_pairs_and_a_document_give_one_measure(weights):
+    mu = MeasureFn(weights)
+    pairs = tuple((Fraction(w).numerator, Fraction(w).denominator) for w in weights)
+    one_value(MeasureFn._of(pairs), mu)
+    one_value(loaded_measure(weights), mu)
+    assert mu.weights == tuple(map(Fraction, weights))
+
+
 def test_measures_of_different_weights_differ():
     assert MeasureFn((HALF, HALF)) != MeasureFn((Fraction(1, 4), Fraction(3, 4)))
     assert MeasureFn((HALF, HALF)) != MeasureFn((HALF, HALF, 0))
-    assert MeasureFn((1,)) != MeasureFn._of((2,), 2)  # not in normal form: no value the constructor makes
+    assert MeasureFn((1,)) != MeasureFn._of(((2, 2),))  # not reduced: no value the constructor makes
 
 
 def test_probability_space_algebra_must_be_over_its_space():

@@ -174,3 +174,26 @@ def test_the_package_imports_only_itself_and_the_standard_library():
                 continue
             outside += [f"{path.name}: {name}" for name in names if name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_every_private_module_name_has_a_reader():
+    # a module-level private function, class or constant that no other statement
+    # of the package reads is dead code, left behind by a deletion
+    defined, readers = [], []  # (module, name, statement); (statement, names read)
+    for path in sorted(Path(probstruct.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(path.name, name, node) for name in names if name[:1] == "_" and name[:2] != "__"]
+            readers.append((node, {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                                   or isinstance(n, ast.Attribute)}))
+    assert len(defined) >= 20
+    orphans = [f"{module}: {name}" for module, name, node in defined
+               if not any(name in read for other, read in readers if other is not node)]
+    assert orphans == []

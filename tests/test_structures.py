@@ -933,7 +933,7 @@ def test_mobius_mass_guards():
 def test_images_are_built_from_the_masks_once_and_kept(monkeypatch):
     space = SampleSpace(("w1", "w2", "w3"))
     given = (space.subset(["w2"]), space.nothing(), space.subset(["w1", "w3"]))
-    assert IncidenceMap(space, given).images is given  # values given are the images
+    assert IncidenceMap(space, given).images == given  # built from the masks of the values given
     assert IncidenceMap(space, list(given)).masks == (2, 0, 5)
     text = to_json(random_total_ds(GenParams(3, 2, 5)))  # 8 atoms, at most 2 with worlds
     made = []
@@ -954,6 +954,35 @@ def test_images_are_built_from_the_masks_once_and_kept(monkeypatch):
     assert tuple(image.bits for image in images) == inc.masks
     twin = IncidenceMap(space=st.ps.space, images=images)
     assert inc == twin and hash(inc) == hash(twin)
+
+
+def test_a_map_of_given_images_is_the_value_it_was():
+    # built from the masks, not kept as given: it equals, hashes and prints as the
+    # map of the values given, and its empty images share one value
+    space = SampleSpace(("w1", "w2", "w3"))
+    given = (space.nothing(), space.subset(["w2"]), WorldSet(space, 0), space.subset(["w1", "w3"]), space.nothing())
+    inc, of_masks = IncidenceMap(space, given), IncidenceMap._of(space, (0, 2, 0, 5, 0))
+    assert inc == of_masks and hash(inc) == hash(of_masks)
+    assert repr(inc) == f"IncidenceMap(space={space!r}, images={given!r})" == repr(of_masks)
+    assert inc.images == given and len({id(image) for image in inc.images if image.is_empty}) == 1
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(inc, protocol) == pickle.dumps(of_masks, protocol)
+        back = pickle.loads(pickle.dumps(inc, protocol))
+        assert back == inc and hash(back) == hash(inc) and repr(back) == repr(inc)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [coats_ds, coats_ic, lambda: random_total_ds(GenParams(3, 5, 7)), lambda: random_ic(GenParams(3, 5, 7))],
+)
+def test_hand_built_structures_unpickle_as_equal_values(build):
+    # coats_ds gives one weight object twice, random_total_ds distinct empty images:
+    # their pickles hold the rebuilt values, which load as the same structure
+    st = build()
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(st, protocol))
+        assert back == st and hash(back) == hash(st) and repr(back) == repr(st)
+        assert to_json(back) == to_json(st)
 
 
 def test_the_kept_mass_function_is_returned_before_the_gate(monkeypatch):

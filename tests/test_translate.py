@@ -165,6 +165,18 @@ def test_ic_to_ds_keeps_the_measure_in_normal_form():
     assert (mu.nums, mu.den) == ((1, 1), 2)
     assert mu == MeasureFn((HALF, HALF)) and hash(mu) == hash(MeasureFn((HALF, HALF)))
     assert round_trip_check(ic).equivalent
+    # sums 2/12, 4/12 and 6/12, each reduced by its own gcd, give one gcd's normal form
+    space = SampleSpace(("w1", "w2", "w3", "w4"))
+    lang = Language(("g", "d"))
+    psi = FormulaAlgebra(lang, tuple(parse_formula(text, lang) for text in ("g & d", "g & ~d", "~g")))
+    weights = (Fraction(1, 12), Fraction(1, 12), Fraction(1, 3), HALF)
+    images = (space.subset(["w1", "w2"]), space.subset(["w3"]), space.subset(["w4"]))
+    mu = ic_to_ds(ProbabilityStructure.ic(space, weights, psi, images)).ps.mu
+    assert (mu.nums, mu.den) == ((1, 2, 3), 6)
+    want = MeasureFn((Fraction(1, 6), Fraction(1, 3), HALF))
+    assert mu == want and hash(mu) == hash(want) and repr(mu) == repr(want)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(mu, protocol) == pickle.dumps(want, protocol)
 
 
 def test_ic_to_ds_equivalent_and_total():

@@ -220,7 +220,7 @@ def test_the_unchecked_constructor_agrees_with_the_public_one(weights):
     assert math.gcd(mu.den, *mu.nums) == 1
     assert mu.weights == tuple(map(Fraction, weights))
     unchecked = MeasureFn._of(tuple((n // g, mu.den // g) for n in mu.nums for g in (math.gcd(n, mu.den),)))
-    assert not hasattr(unchecked, "_weights")  # built when first read
+    assert not hasattr(unchecked, "_weights")  # built on each read, never stored
     same_value(unchecked, mu)
     assert unchecked.weights == mu.weights
     assert unchecked.weight_problems() == mu.weight_problems()
@@ -232,7 +232,7 @@ def test_weights_kept_as_their_reduced_pairs_are_the_same_value(weights):
     mu = MeasureFn(weights)
     pairs = tuple((w.numerator, w.denominator) for w in mu.weights)
     from_pairs = MeasureFn._of(pairs)
-    assert not hasattr(from_pairs, "_weights")  # built when first read
+    assert not hasattr(from_pairs, "_weights")  # built on each read, never stored
     same_value(from_pairs, mu)
     assert from_pairs.weights == mu.weights
     assert pickle.loads(pickle.dumps(from_pairs)) == mu

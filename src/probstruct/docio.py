@@ -19,8 +19,18 @@ out the implied basis is an error, as is any unknown field.
 atom or world index, formulas in canonical text, rationals in lowest terms.
 The layout is ``json.dumps(doc, indent=2)``'s: two-space indentation, one
 list element or object member per line, ``": "`` after each key, ``[]`` for
-an empty list, strings escaped to ASCII, and a trailing newline.  Loading
-canonical text and saving it again reproduces it byte for byte.
+an empty list, strings escaped to ASCII, and a trailing newline.  Names are
+ASCII identifiers, so no string it writes has a character to escape.  Loading
+canonical text and saving it again reproduces it byte for byte.  Its work per
+key is done by C, not the interpreter: the incidence is one join of a list,
+filled by slice assignment, of each key and, after it, one shared text for
+an empty image (most of a ds's).  Only the nonempty images, at most one per
+world, are written one by one, a list of one world from its bit length.  The
+weights are written from their reduced pairs (``measure._ratio_text``), with
+no ``Fraction`` built.  A ds's blocks, the language's shared single-atom
+masks, are in canonical order and are not sorted; any other algebra's are
+sorted by their lowest atom, which a block of one atom gives by its bit
+length, with no walk over its bits.
 
 ``from_json`` recognises a canonical document as a whole: when the incidence
 keys are, in order, the atom texts ``to_json`` writes (ds) or the
@@ -48,7 +58,8 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Iterable
+from itertools import compress
+from typing import Iterable, Sequence
 
 from .errors import DocumentError, ProbstructError, ValidationError
 from .logic import (
@@ -66,8 +77,8 @@ from .measure import (
     SampleSpace,
     SetAlgebra,
     _ratio,
+    _ratio_text,
     discrete_algebra,
-    format_rational,
 )
 from .structures import (
     IncidenceMap,
@@ -78,14 +89,11 @@ from .structures import (
 from .value import low_bit, set_bits
 
 
-_encode = json.encoder.encode_basestring_ascii  # the string writer of json.dumps
-
-
-def _list(items: list[str], depth: int) -> str:
-    """A nonempty list of written ``items`` at nesting ``depth``, as
-    ``json.dumps(indent=2)`` lays it out; an empty list is just ``[]``."""
+def _list(items: Sequence[str], depth: int, quote: str = "") -> str:
+    """A nonempty list of written ``items`` at nesting ``depth``, as ``json.dumps(indent=2)``
+    lays it out, each in ``quote`` marks; an empty list is just ``[]``."""
     pad = "\n" + "  " * depth
-    return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]"
+    return "[" + pad + "  " + quote + (quote + "," + pad + "  " + quote).join(items) + quote + pad + "]"
 
 
 def _object(members: Iterable[tuple[str, str]], depth: int) -> str:
@@ -106,46 +114,54 @@ def _atom_texts(lang: Language) -> tuple[str, ...]:
     return lang._atoms.spelled
 
 
-def _psi_keys(psi: FormulaAlgebra) -> tuple[list[int], list[str]]:
-    """The basis blocks' positions in canonical order, and their written texts: the spelled
-    texts of each block's atoms, joined as ``format_formula`` joins them, or "true" alone."""
-    if len(psi.masks) == psi.lang.n_atoms:
-        # the blocks partition the atoms, so each is one atom, and its mask sorts as its index
-        order = sorted(range(len(psi.masks)), key=psi.masks.__getitem__)
-        return order, list(map(_encode, psi.lang._atoms.spelled))
-    indices = [set_bits(mask) for mask in psi.masks]
-    order = sorted(range(len(indices)), key=lambda j: indices[j][0])
-    spelled = psi.lang._atoms.spelled.__getitem__
-    return order, [_encode(" | ".join(map(spelled, indices[j])) if len(order) > 1 else "true") for j in order]
+def _psi_keys(psi: FormulaAlgebra) -> tuple[Sequence[int], Sequence[str]]:
+    """The basis blocks' positions in canonical order, and their texts: the spelled texts of
+    each block's atoms, joined as ``format_formula`` joins them, or "true" alone."""
+    spelled, masks = psi.lang._atoms.spelled, psi.masks
+    if masks is psi.lang._atoms.singles:  # ``full_algebra``'s blocks: block k is atom k
+        return range(len(masks)), spelled
+    if len(masks) == 1:
+        return [0], ["true"]
+    low = [mask.bit_length() - 1 for mask in masks]  # a one-atom block's atom, with no bit walk
+    many = {j: set_bits(masks[j]) for j, k in enumerate(low) if masks[j] != 1 << k}
+    for j, atoms in many.items():
+        low[j] = atoms[0]
+    order = sorted(range(len(low)), key=low.__getitem__)
+    return order, [" | ".join(map(spelled.__getitem__, many[j])) if j in many else spelled[low[j]] for j in order]
 
 
 def to_json(st: ProbabilityStructure) -> str:
     """Serialize a structure to canonical document text."""
     if _problems(st):
         raise DocumentError("refusing to serialize an invalid structure: " + "; ".join(st._problems))
-    world = [_encode(w) for w in st.ps.space.worlds]
+    worlds = st.ps.space.worlds
 
-    def world_list(bits: int) -> str:
-        return _list([world[i] for i in set_bits(bits)], 2) if bits else "[]"
+    def world_lists(masks) -> list[str]:  # of nonempty masks; a list of one world needs no bit walk
+        return [f'[\n      "{worlds[bits.bit_length() - 1]}"\n    ]' if bits & bits - 1 == 0 else
+                _list([worlds[i] for i in set_bits(bits)], 2, '"') for bits in masks]
 
-    chi, weights, images = st.ps.algebra.masks, st.ps.mu.weights, st.inc.masks
+    chi, ratios = st.ps.algebra.masks, st.ps.mu._ratios
     chi_order = sorted(range(len(chi)), key=lambda j: low_bit(chi[j]))
     psi_order, keys = _psi_keys(st.psi)
-    fields = [
-        ("kind", _encode(st.kind.value)),
-        ("propositions", _list([_encode(p) for p in st.lang.props], 1)),
-        ("worlds", _list(world, 1)),
-    ]
+    images = st.inc.masks if isinstance(psi_order, range) else list(map(st.inc.masks.__getitem__, psi_order))
+    # each key, then what follows it: an empty image's ``[]`` and the next key's quote, or its list
+    parts = ['": [],\n    "'] * (2 * len(keys) + 1)
+    parts[0], parts[1::2] = '{\n    "', keys
+    live = list(compress(range(len(images)), images))
+    for j, text in zip(live, world_lists(map(images.__getitem__, live))):
+        parts[2 * j + 2] = f'": {text},\n    "'
+    parts[-1] = parts[-1].removesuffix(',\n    "') + "\n  }"  # the last member closes the object
+    fields = [("kind", f'"{st.kind.value}"'), ("propositions", _list(st.lang.props, 1, '"')),
+              ("worlds", _list(worlds, 1, '"'))]
     if st.kind is StructureKind.DS:
-        fields.append(("chi_basis", _list([world_list(chi[j]) for j in chi_order], 1)))
+        fields.append(("chi_basis", _list(world_lists(chi[j] for j in chi_order), 1)))
     # an ic structure's measurable blocks are the single worlds, in world order
-    measure = ((_encode(str(i)), _encode(format_rational(weights[j]))) for i, j in enumerate(chi_order))
+    measure = ((f'"{i}"', f'"{_ratio_text(*ratios[j])}"') for i, j in enumerate(chi_order))
     fields.append(("measure", _object(measure, 1)))
     if st.kind is StructureKind.IC:
-        fields.append(("psi_basis", _list(keys, 1)))
-    incidence = zip(keys, (world_list(images[j]) for j in psi_order))
-    fields.append(("incidence", _object(incidence, 1)))
-    return _object(((_encode(name), value) for name, value in fields), 0) + "\n"
+        fields.append(("psi_basis", _list(keys, 1, '"')))
+    fields.append(("incidence", "".join(parts)))
+    return _object(((f'"{name}"', value) for name, value in fields), 0) + "\n"
 
 
 def _pairs_hook(pairs):

@@ -50,8 +50,13 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Canonical text for a rational: lowest terms, ``p/q`` or an integer."""
     value = as_fraction(value)
+    return _ratio_text(value.numerator, value.denominator)
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """The text of the reduced pair ``num/den``: ``p/q``, or an integer when ``den`` is 1."""
     try:
-        return str(value)
+        return f"{num}/{den}" if den != 1 else str(num)
     except ValueError:  # an integer past the interpreter's limit on digits
         raise ValidationError("rational too long to write out (past the digit limit)") from None
 
@@ -177,7 +182,8 @@ class MeasureFn(Value):
     """Rational weights on the blocks of a basis, in basis order, stored as their
     reduced ``(num, den)`` pairs and kept as integer numerators ``nums`` over their
     least common denominator ``den``; ``weights`` is built from the pairs on each
-    read.  Equality and hash go by ``(nums, den)``, ``repr`` and pickling by ``weights``.
+    read, and ``docio.to_json`` does not read it: it writes the pairs themselves.
+    Equality and hash go by ``(nums, den)``, ``repr`` and pickling by ``weights``.
     Whether they are nonnegative and sum to 1 is left to ``weight_problems``, which
     ``structures.validate`` calls, so that hand-written documents surface as
     validation reports instead of construction failures.

@@ -146,6 +146,26 @@ def test_translate_not_total_exits_3(tmp_path, capsys):
     )
 
 
+def test_translate_refuses_a_weight_too_long_to_write(tmp_path, capsys):
+    # each world's weight is within the digit limit; the sum over p's block is not
+    a, b = 10**4289 + 1, 10**4289 + 3
+    weights = [Fraction(1, a), Fraction(1, b), Fraction(1, 2) - Fraction(1, a), Fraction(1, 2) - Fraction(1, b)]
+    doc = {
+        "kind": "ic",
+        "propositions": ["p"],
+        "worlds": ["w1", "w2", "w3", "w4"],
+        "measure": {str(i): str(w) for i, w in enumerate(weights)},
+        "psi_basis": ["~p", "p"],
+        "incidence": {"~p": ["w3", "w4"], "p": ["w1", "w2"]},
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["translate", str(path), "--to-ds"]) == 2
+    assert capsys.readouterr() == ("", "error: rational too long to write out (past the digit limit)\n")
+
+
 def test_equiv_output(coats_files, capsys):
     ds, ic = coats_files
     assert main(["equiv", str(ds), str(ic)]) == 0

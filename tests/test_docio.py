@@ -20,6 +20,7 @@ from probstruct import (
     ProbabilityStructure,
     ProbstructError,
     SampleSpace,
+    ValidationError,
     WorldSet,
     coats_ds,
     coats_ic,
@@ -128,7 +129,41 @@ def writer_cases():
             cases.append(pytest.param(
                 lambda n=n, kind=kind: benchmark_shaped(random.Random(n), n, kind), id=f"{kind}-{n}"
             ))
+    # the writer's own branches: runs of empty images that start or end the incidence, blocks
+    # that must be sorted, masks that are not the language's shared ones, lists of several worlds
+    for case, atoms in (("first", [0b1111, 0, 0, 0]), ("last", [0, 0, 0, 0b1111]), ("mixed", [1, 0b110, 0b1000, 0])):
+        cases.append(pytest.param(lambda atoms=atoms: small_ds(atoms), id=f"ds-{case}-atom-images"))
+    for case, blocks in (("descending", [0b1000, 0b100, 0b10, 0b1]), ("unsorted", [0b1000, 0b101, 0b10])):
+        cases.append(pytest.param(lambda blocks=blocks: small_ic(blocks), id=f"ic-{case}-blocks"))
+    cases.append(pytest.param(pickled_ds, id="ds-8-pickled"))
     return cases
+
+
+def pickled_ds() -> ProbabilityStructure:
+    """A ds after a pickle round trip: its ψ masks are rebuilt, not the language's shared ones."""
+    st = pickle.loads(pickle.dumps(benchmark_shaped(random.Random(8), 8, "ds")))
+    assert st.psi.masks == st.lang._atoms.singles and st.psi.masks is not st.lang._atoms.singles
+    return st
+
+
+def small_ds(images: list[int]) -> ProbabilityStructure:
+    """A ds of two propositions and four worlds whose atoms have the world sets ``images``."""
+    lang, space = Language(("p", "q")), SampleSpace(("w1", "w2", "w3", "w4"))
+    chi = [space.subset(["w1", "w2"]), space.subset(["w3", "w4"])]
+    return ProbabilityStructure.ds(
+        space, chi, [Fraction(1, 3), Fraction(2, 3)], lang, [WorldSet(space, m) for m in images]
+    )
+
+
+def small_ic(blocks: list[int]) -> ProbabilityStructure:
+    """An ic of two propositions with the ψ blocks ``blocks``, in that order: the first
+    holds worlds w1 and w2, the second w3, and any others none."""
+    lang, space = Language(("p", "q")), SampleSpace(("w1", "w2", "w3"))
+    psi = FormulaAlgebra(lang, [Formula(lang, m) for m in blocks])
+    images = [0b11, 0b100] + [0] * (len(blocks) - 2)
+    return ProbabilityStructure.ic(
+        space, [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)], psi, [WorldSet(space, m) for m in images]
+    )
 
 
 @pytest.mark.parametrize("build", writer_cases())
@@ -137,6 +172,32 @@ def test_writer_matches_the_json_module_layout(build):
     text = to_json(st)
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
     assert text == json_module_layout(st)
+
+
+def test_to_json_builds_no_fraction(monkeypatch):
+    texts = [to_json(benchmark_shaped(random.Random(8), 8, kind)) for kind in ("ds", "ic")]
+    loaded = [from_json(text) for text in texts]
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kwargs: made.append(args) or new(cls, *args, **kwargs))
+    assert [to_json(st) for st in loaded] == texts
+    assert len(made) == 0
+
+
+def test_a_weight_too_long_to_write_is_refused_and_saves_no_file(tmp_path):
+    space, lang = SampleSpace(("w1", "w2")), Language(("p",))
+    tiny = Fraction(1, 10**5000)
+    st = ProbabilityStructure.ic(space, [tiny, 1 - tiny], trivial_algebra(lang), [space.everything()])
+    assert validate(st).ok
+    message = "rational too long to write out (past the digit limit)"
+    with pytest.raises(ValidationError) as err:
+        to_json(st)
+    assert str(err.value) == message
+    path = tmp_path / "long.json"
+    with pytest.raises(ValidationError) as err:
+        save(st, path)
+    assert str(err.value) == message
+    assert not path.exists()
 
 
 def test_save_load_files(tmp_path):

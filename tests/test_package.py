@@ -197,3 +197,21 @@ def test_every_private_module_name_has_a_reader():
     orphans = [f"{module}: {name}" for module, name, node in defined
                if not any(name in read for other, read in readers if other is not node)]
     assert orphans == []
+
+
+def test_every_imported_name_is_read():
+    # a name a module imports and never reads is left behind by a change;
+    # ``__init__`` imports its names to hand them on, so it is not checked
+    imported, unread = 0, []
+    for path in sorted(Path(probstruct.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                names = [(alias.asname or alias.name).partition(".")[0] for alias in node.names]
+                imported += len(names)
+                unread += [f"{path.name}: {name}" for name in names if name not in read]
+    assert imported >= 30
+    assert unread == []

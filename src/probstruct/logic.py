@@ -69,7 +69,7 @@ class Language(Value):
 class _AtomTables:
     """The tables of the propositions ``props``, each built when first read.  The parser's:
     ``names`` maps every name formula text may use, constants included, to its atom mask, and
-    ``literals`` each literal to the code ``term_atom`` reads.  The atoms': ``spelled`` (as formula
+    ``term_atom`` reads one term to its atom (``_term_reader``).  The atoms': ``spelled`` (as formula
     text writes its terms, ``_atom_texts``), ``index`` (spelled text -> atom), ``singles`` (each
     atom's mask, ``full_algebra``'s blocks) and ``space`` (a world per atom, named like "notg_d",
     whose incidence is ``singles``; at most 6 propositions).  ``_prop_masks`` and ``_atom_texts``
@@ -90,12 +90,6 @@ class _AtomTables:
     def space(self) -> SampleSpace:  # world k is atom k, named like "notg_d"
         literals = [("not" + name, name) for name in reversed(self.props)]
         return SampleSpace(["_".join(reversed(atom)) for atom in itertools.product(*literals)])
-
-    @cached_property
-    def literals(self) -> dict[str, int]:  # bit 2n + j marks proposition j, bit j a positive literal
-        n = len(self.props)
-        return {literal: 1 << 2 * n + j | (literal == name) << j
-                for j, name in enumerate(self.props) for literal in ("~" + name, name)}
 
 
 def _atom_text(lang: Language, index: int) -> str:
@@ -158,8 +152,7 @@ class Formula(Value):
 
 def _check_lang(a, b) -> None:
     """Raise unless ``b`` is a formula in the language of ``a``."""
-    if not isinstance(b, Formula):
-        raise ValidationError(f"formula must be Formula, got {type(b).__name__}")
+    require_type(b, Formula, "formula")
     if a.lang != b.lang:
         raise LanguageMismatchError(
             f"values belong to different languages: {a.lang.props} vs {b.lang.props}"
@@ -209,10 +202,8 @@ def parse_formula(text: str, lang: Language) -> Formula:
     and literals, is read by ``_read_atoms``; any other text, and every
     error, goes through ``_parse_tokens``.
     """
-    if not isinstance(text, str):
-        raise ValidationError(f"formula text must be str, got {type(text).__name__}")
-    if not isinstance(lang, Language):
-        raise ValidationError(f"formula language must be Language, got {type(lang).__name__}")
+    require_type(text, str, "formula text")
+    require_type(lang, Language, "formula language")
     return Formula(lang, _atom_mask(text, lang))
 
 
@@ -237,11 +228,13 @@ def _read_atoms(text: str, lang: Language) -> int | None:
 def _term_reader(tables: _AtomTables):
     """The reader of one term, shared by ``_read_atoms`` and ``from_json``: its atom index if it is
     ``p`` or ``~p`` for each proposition, in any order, joined by ``" & "`` in at most one pair of
-    parentheses, else None.  Its ``literals`` codes sum to every proposition bit, above bit ``2n``,
-    plus the atom index: ``n`` proposition bits sum to all ``n`` only if none repeats, and the sign
-    bits, under ``2**(2n)``, never carry into them."""
+    parentheses, else None.  A literal's code is bit ``2n + j`` for its proposition ``j``, plus bit
+    ``j`` if positive; the codes sum to every proposition bit plus the atom index only if no
+    proposition repeats, and the sign bits, under ``2**(2n)``, never carry into the others."""
     n = len(tables.props)
-    shift, every, code_of = 2 * n, (1 << n) - 1, tables.literals.__getitem__
+    codes = {literal: 1 << 2 * n + j | (literal == name) << j
+             for j, name in enumerate(tables.props) for literal in ("~" + name, name)}
+    shift, every, code_of = 2 * n, (1 << n) - 1, codes.__getitem__
 
     def term_atom(term: str) -> int | None:
         if term[:1] == "(" and term[-1:] == ")":

@@ -23,7 +23,7 @@ from .value import Partition, Value, as_tuple, check_names, require_type, set_bi
 
 MAX_WORLDS = 64
 
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?\Z")
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?\Z", re.ASCII)  # int() reads any Unicode digit
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -43,7 +43,7 @@ def _ratio(text: str) -> tuple[int, int]:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal: an integer or ``p/q`` with positive ``q``."""
+    """Parse a rational literal: an integer or ``p/q`` with positive ``q``, in ASCII digits."""
     return Fraction(*_ratio(text))
 
 
@@ -150,8 +150,7 @@ class WorldSet(Value):
 
 
 def _check_space(a, b) -> None:
-    if not isinstance(b, WorldSet):
-        raise ValidationError(f"world set must be WorldSet, got {type(b).__name__}")
+    require_type(b, WorldSet, "world set")
     if a.space != b.space:
         raise ValidationError("world sets belong to different sample spaces")
 
@@ -179,10 +178,10 @@ def discrete_algebra(space: SampleSpace) -> SetAlgebra:
 
 
 class MeasureFn(Value):
-    """Rational weights on the blocks of a basis, in basis order, stored as their
-    reduced ``(num, den)`` pairs and kept as integer numerators ``nums`` over their
-    least common denominator ``den``; ``weights`` is built from the pairs on each
-    read, and ``docio.to_json`` does not read it: it writes the pairs themselves.
+    """Rational weights on the blocks of a basis, in basis order, stored as their reduced
+    ``(num, den)`` pairs (``_of(ratios)`` takes them unchecked) and kept as integer numerators
+    ``nums`` over their least common denominator ``den``; ``weights`` is built from the pairs on
+    each read, and ``docio.to_json`` does not read it: it writes the pairs themselves.
     Equality and hash go by ``(nums, den)``, ``repr`` and pickling by ``weights``.
     Whether they are nonnegative and sum to 1 is left to ``weight_problems``, which
     ``structures.validate`` calls, so that hand-written documents surface as
@@ -196,11 +195,6 @@ class MeasureFn(Value):
     def __init__(self, weights: Iterable):
         weights = map(as_fraction, as_tuple(weights, "measure weights"))
         self._set(tuple((w.numerator, w.denominator) for w in weights))
-
-    @classmethod
-    def _of(cls, ratios: tuple) -> MeasureFn:
-        """The weights of the reduced ``(num, den)`` pairs ``ratios``, unchecked."""
-        return object.__new__(cls)._set(ratios)
 
     def _set(self, ratios: tuple) -> MeasureFn:
         den = math.lcm(*(d for _, d in ratios))  # reduced pairs: gcd(den, *nums) is 1

@@ -15,8 +15,9 @@ setfield = object.__setattr__
 def require_type(value, cls, what: str) -> None:
     """Raise ``ValidationError`` unless ``value`` is an instance of ``cls``.
 
-    Constructors run for every formula, world set or basis block make the
-    same check inline, with the same wording, to save the call.
+    Every such refusal calls it but those of ``Formula``, ``WorldSet`` and
+    ``Masked._keep``, run for every formula, world set or basis block: they
+    make the same check inline, with the same wording, to save the call.
     """
     if not isinstance(value, cls):
         raise ValidationError(f"{what} must be {cls.__name__}, got {type(value).__name__}")
@@ -99,9 +100,8 @@ class Value:
     normal form a class names; ``repr`` and pickling go by the fields, and
     values of different classes never compare equal.  Each subclass writes
     its own ``__init__``, which checks its arguments and stores the fields
-    with ``setfield``.  ``__ne__`` answers a value compared with itself at
-    once: every check that two values share a language or a sample space
-    makes that comparison.
+    with ``setfield``.  A class that stores them through its own ``_set``
+    is built unchecked by ``_of``, from the arguments ``_set`` takes.
     """
 
     __slots__ = ()
@@ -110,6 +110,11 @@ class Value:
     def __init_subclass__(cls):
         super().__init_subclass__()
         cls._key = vars(cls).get("_key", attrgetter(*cls._fields))  # a class may name its own key
+
+    @classmethod
+    def _of(cls, *stored):
+        """The value ``_set`` makes of ``stored``, unchecked: for values already in stored form."""
+        return object.__new__(cls)._set(*stored)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -120,13 +125,6 @@ class Value:
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self is other or self._key(self) == self._key(other)
-        return NotImplemented
-
-    def __ne__(self, other):
-        if self is other:
-            return False
-        if other.__class__ is self.__class__:
-            return self._key(self) != self._key(other)
         return NotImplemented
 
     def __hash__(self):
@@ -143,11 +141,11 @@ class Value:
 class Masked(Value):
     """An owner and the bitmasks ``masks`` of the ``_element`` values (keyed by
     owner and mask) that its second field names: ``Partition``'s blocks or an
-    ``IncidenceMap``'s images.  The masks are the one stored form, whatever
-    values were given: ``property(Masked._built)`` builds the values from them
-    when first read, one for every empty mask, and keeps them outside the
-    fields.  Equality and hash go by the owner and the masks; ``repr`` and
-    pickling go by the values, as when the values themselves were kept."""
+    ``IncidenceMap``'s images.  The masks are the one stored form, whatever values
+    were given (``_of(owner, masks)`` takes them unchecked): ``property(Masked._built)``
+    builds the values from them when first read, one for every empty mask, and keeps
+    them outside the fields.  Equality and hash go by the owner and the masks; ``repr``
+    and pickling go by the values, as when the values themselves were kept."""
 
     __slots__ = ("masks", "_values")
     _fields = ("owner", "values")  # each subclass names its own
@@ -155,11 +153,6 @@ class Masked(Value):
     def __init_subclass__(cls):
         super().__init_subclass__()
         cls._key = attrgetter(cls._fields[0], "masks")
-
-    @classmethod
-    def _of(cls, owner, masks: tuple):
-        """The value of ``owner`` and ``masks``, unchecked."""
-        return object.__new__(cls)._set(owner, masks)
 
     def _set(self, owner, masks: tuple):
         setfield(self, self._fields[0], owner)

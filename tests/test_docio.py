@@ -465,6 +465,17 @@ def test_rejects_bad_rational():
         from_json(edited(coats_ds, lambda d: d["measure"].update({"0": "0.5"})))
 
 
+def test_rejects_weights_in_non_ascii_digits(tmp_path, capsys):
+    # "1٠/2٠" would be 10/20 if its Arabic-Indic zeros were read as digits
+    text = edited(coats_ic, lambda d: d["measure"].update({"0": "1\u0660/2\u0660"}))
+    with pytest.raises(DocumentError, match="^invalid rational literal '1\u0660/2\u0660'$"):
+        from_json(text)
+    path = tmp_path / "weights.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert "invalid rational literal" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "build, mutate, message",
     [

@@ -69,6 +69,8 @@ def test_parse_rational(text, value):
     "text",
     [
         "1/0", "0.5", "a", "1/-2", "", "1 / 2", "1/02",
+        # digits are ASCII: not Arabic-Indic or fullwidth ones, which int() would read
+        "\u0661", "\uff11", "1/1\u0660", "-\u0663/4",
         # past the interpreter's limit on digits per integer
         pytest.param("9" * 5000, id="5000-digit-integer"),
         pytest.param("1/" + "7" * 5000, id="5000-digit-denominator"),

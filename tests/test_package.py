@@ -215,3 +215,35 @@ def test_every_imported_name_is_read():
                 unread += [f"{path.name}: {name}" for name in names if name not in read]
     assert imported >= 30
     assert unread == []
+
+
+def test_no_class_defines_ne_and_only_value_defines_of():
+    # ``!=`` comes from ``Value.__eq__``, and ``Value._of`` is the one unchecked constructor
+    defines = {"__ne__": [], "_of": []}
+    for path in sorted(Path(probstruct.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name in defines:
+                        defines[item.name].append(f"{path.name}: {node.name}")
+    assert defines == {"__ne__": [], "_of": ["value.py: Value"]}
+
+
+def test_readme_limits_state_the_caps():
+    from probstruct.logic import MAX_NESTING, MAX_PROPS
+    from probstruct.measure import MAX_WORLDS
+    from probstruct.structures import MAX_MOBIUS_PROPS
+    from probstruct.translate import _ATOM_WORLD_PROPS
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    limits = " ".join(readme.split("\n## Limits\n", 1)[1].split("\n## ", 1)[0].split())
+    assert (MAX_PROPS, MAX_WORLDS, MAX_MOBIUS_PROPS, _ATOM_WORLD_PROPS, MAX_NESTING) == (16, 64, 3, 6, 100)
+    for stated in [
+        f"capped at {MAX_PROPS} propositions and sample spaces at {MAX_WORLDS} worlds",
+        f"`mobius_mass`, which does enumerate the formulas, is capped at {MAX_MOBIUS_PROPS} propositions",
+        f"{_ATOM_WORLD_PROPS} propositions, the most whose atoms `ic_to_ds` can each make a world, and {MAX_WORLDS} worlds",
+        f"refuses a language of more than {_ATOM_WORLD_PROPS} propositions",
+        f"nest parentheses at most {MAX_NESTING} deep (`logic.MAX_NESTING`)",
+        f"at most {sys.int_info.default_max_str_digits:,} digits",
+    ]:
+        assert stated in limits
